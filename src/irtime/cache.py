@@ -84,11 +84,3 @@ class CacheModel:
     def resident_lines(self) -> int:
         return sum(len(w) for w in self._sets)
 
-
-def cold_instruction_count(trace) -> int:
-    """Number of distinct static instructions the trace executed at least
-    once.  Every one of them misses an initially cold instruction memory."""
-    ids = getattr(trace, "executed_inst_ids", None)
-    if ids is not None:
-        return len(ids)
-    return trace.inst_miss

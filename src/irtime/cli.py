@@ -66,32 +66,27 @@ def _cmd_simulate(args) -> int:
     workers = args.workers if args.workers is not None else cfg.workers
 
     def simulate_one(path: Path):
-        module = parse_file(path)
-        if not module.has_function("main"):
-            raise UnresolvedReferenceError("main", "entry function")
-        trace = run(
-            module, entry="main", limits=limits, cache_config=cfg.cache,
-            predictor_initial_state=cfg.predictor_initial_state,
-        )
-        write_trace(trace, out_dir / (path.stem + ".trace"))
+        try:
+            module = parse_file(path)
+            if not module.has_function("main"):
+                raise UnresolvedReferenceError("main", "entry function")
+            trace = run(
+                module, entry="main", limits=limits, cache_config=cfg.cache,
+                predictor_initial_state=cfg.predictor_initial_state,
+            )
+            write_trace(trace, out_dir / (path.stem + ".trace"))
+        except (IrTimeError, OSError) as exc:
+            return exc
+        return None
 
-    failures = []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(p, pool.submit(simulate_one, p)) for p in inputs]
-            outcomes = []
-            for p, fut in futures:
-                outcomes.append((p, fut.exception()))
+            errors = list(pool.map(simulate_one, inputs))
     else:
-        outcomes = []
-        for p in inputs:
-            try:
-                simulate_one(p)
-                outcomes.append((p, None))
-            except (IrTimeError, OSError) as exc:
-                outcomes.append((p, exc))
+        errors = [simulate_one(p) for p in inputs]
 
-    for p, exc in outcomes:
+    failures = []
+    for p, exc in zip(inputs, errors):
         if exc is None:
             print(f"wrote {out_dir / (p.stem + '.trace')}")
         else:

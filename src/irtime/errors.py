@@ -119,6 +119,10 @@ class EmptyInputError(IrTimeError):
         super().__init__(message)
 
 
+class SingularDesignError(IrTimeError):
+    """A least-squares fit whose normal equations cannot be solved."""
+
+
 class NonPositiveActualError(IrTimeError):
     def __init__(self, actual: float):
         self.actual = actual

@@ -8,24 +8,25 @@ and results of `float`-typed operations are rounded to 32-bit precision.
 
 Probes observe execution without affecting it: block entries, executed
 instructions, loads/stores with concrete addresses, conditional branch
-outcomes, block transitions, memory-routine volumes, and calls.  The
-memcpy/memset/calloc/malloc routines move bytes but bypass the load/store
-probes; they report a single volume event instead, mirroring how the
-feature table accounts for them.
+outcomes, memory-routine volumes, and calls.  The memcpy/memset/calloc/
+malloc routines move bytes but bypass the load/store probes; they report a
+single volume event instead, mirroring how the feature table accounts for
+them.
 """
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
 from .errors import (
-    InterpreterError, StepLimitExceeded, OutOfBoundsAccess, DivisionByZero,
-    StackOverflow, HeapExhausted, InvalidConfigError, UnresolvedReferenceError,
+    IrTimeError, InterpreterError, StepLimitExceeded, OutOfBoundsAccess,
+    DivisionByZero, StackOverflow, HeapExhausted, InvalidConfigError,
+    UnresolvedReferenceError,
 )
-from .irtypes import VOID, gep_offset
+from .irtypes import gep_offset
 from .irmodel import (
-    Const, LocalRef, GlobalRef, ConstGep,
-    mem_intrinsic_kind, is_noop_intrinsic, HEAP_FUNCTIONS,
+    Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
 )
 from .cache import CacheModel, CacheConfig
 from .branch import BranchPredictorTable, PredictorState
@@ -59,22 +60,21 @@ class ProbeSet:
 
     block_enter(block_id), instruction(static_id, opcode),
     load(addr, nbytes), store(addr, nbytes), cond_branch(site_id, taken),
-    block_transition(from_id, to_id), mem_intrinsic(kind, nbytes),
-    call(callee_name).
+    mem_intrinsic(kind, nbytes), call(callee_name).  Consecutive block_enter
+    events are the block transitions.  An instruction observer slows every
+    instruction; without one, no per-instruction work is done.
     """
 
     __slots__ = ("block_enter", "instruction", "load", "store", "cond_branch",
-                 "block_transition", "mem_intrinsic", "call")
+                 "mem_intrinsic", "call")
 
     def __init__(self, block_enter=None, instruction=None, load=None, store=None,
-                 cond_branch=None, block_transition=None, mem_intrinsic=None,
-                 call=None):
+                 cond_branch=None, mem_intrinsic=None, call=None):
         self.block_enter = block_enter
         self.instruction = instruction
         self.load = load
         self.store = store
         self.cond_branch = cond_branch
-        self.block_transition = block_transition
         self.mem_intrinsic = mem_intrinsic
         self.call = call
 
@@ -160,6 +160,11 @@ class MemoryImage:
 
 # --- numeric helpers ---------------------------------------------------------
 
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
+_CMP = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
+        "ge": operator.ge, "lt": operator.lt, "le": operator.le}
+
 
 def _signed(v, bits):
     return v - (1 << bits) if v >= 1 << (bits - 1) else v
@@ -167,7 +172,7 @@ def _signed(v, bits):
 
 def _to_f32(x):
     try:
-        return struct.unpack("<f", struct.pack("<f", x))[0]
+        return _F32.unpack(_F32.pack(x))[0]
     except OverflowError:
         return math.copysign(math.inf, x)
 
@@ -185,85 +190,134 @@ def _fdiv(a, b):
     return a / b
 
 
-_ICMP = {
-    "eq": lambda a, b, bits: a == b,
-    "ne": lambda a, b, bits: a != b,
-    "ugt": lambda a, b, bits: a > b,
-    "uge": lambda a, b, bits: a >= b,
-    "ult": lambda a, b, bits: a < b,
-    "ule": lambda a, b, bits: a <= b,
-    "sgt": lambda a, b, bits: _signed(a, bits) > _signed(b, bits),
-    "sge": lambda a, b, bits: _signed(a, bits) >= _signed(b, bits),
-    "slt": lambda a, b, bits: _signed(a, bits) < _signed(b, bits),
-    "sle": lambda a, b, bits: _signed(a, bits) <= _signed(b, bits),
-}
-
-_FCMP_ORDERED = {
-    "oeq": lambda a, b: a == b,
-    "ogt": lambda a, b: a > b,
-    "oge": lambda a, b: a >= b,
-    "olt": lambda a, b: a < b,
-    "ole": lambda a, b: a <= b,
-    "one": lambda a, b: a != b,
-}
+def _divide(a, b, bits, signed, rem):
+    """udiv/sdiv/urem/srem; signed division truncates toward zero."""
+    if signed:
+        a, b = _signed(a, bits), _signed(b, bits)
+    if b == 0:
+        raise DivisionByZero("integer remainder by zero" if rem else "integer division by zero")
+    q = _trunc_div(a, b) if signed else a // b
+    return a - b * q if rem else q
 
 
-def _fcmp(pred, a, b):
-    unordered = math.isnan(a) or math.isnan(b)
-    if pred == "false":
-        return False
-    if pred == "true":
-        return True
-    if pred == "ord":
-        return not unordered
-    if pred == "uno":
-        return unordered
-    if pred in _FCMP_ORDERED:
-        return (not unordered) and _FCMP_ORDERED[pred](a, b)
-    # u-prefixed: true when unordered, otherwise the base comparison
-    return unordered or _FCMP_ORDERED["o" + pred[1:]](a, b)
+def _int_binop(op, bits):
+    """fn(a, b) for an integer binop, its result wrapped to `bits`."""
+    m = (1 << bits) - 1
+    if op in ("udiv", "sdiv", "urem", "srem"):
+        signed, rem = op[0] == "s", op.endswith("rem")
+        return lambda a, b: _divide(a, b, bits, signed, rem) & m
+    return {
+        "add": lambda a, b: (a + b) & m,
+        "sub": lambda a, b: (a - b) & m,
+        "mul": lambda a, b: (a * b) & m,
+        "and": lambda a, b: a & b & m,
+        "or": lambda a, b: (a | b) & m,
+        "xor": lambda a, b: (a ^ b) & m,
+        "shl": lambda a, b: (a << b if b < bits else 0) & m,
+        "lshr": lambda a, b: (a >> b if b < bits else 0) & m,
+        "ashr": lambda a, b: (_signed(a, bits) >> min(b, bits - 1)) & m,
+    }[op]
+
+
+def _icmp(pred, bits):
+    cmp = _CMP[pred[-2:]]
+    if pred[0] != "s":
+        return lambda a, b: 1 if cmp(a, b) else 0
+    half, span = 1 << (bits - 1), 1 << bits
+    return lambda a, b: 1 if cmp(a - span if a >= half else a,
+                                 b - span if b >= half else b) else 0
+
+
+def _fcmp(pred):
+    """fn(a, b) -> 0 | 1.  With a NaN operand only 'u' predicates and "true"
+    hold; otherwise each compares as its base ("ord" always, "uno" never)."""
+    cmp = _CMP.get(pred[1:], lambda a, b: pred in ("true", "ord"))
+    when_nan = 1 if pred[0] == "u" or pred == "true" else 0
+    return lambda a, b: when_nan if math.isnan(a) or math.isnan(b) else (1 if cmp(a, b) else 0)
 
 
 def _type_bits(ty):
     return 32 if ty.kind == "ptr" else ty.int_bits
 
 
-def _encode(value, ty):
+def _encoder(ty):
+    """fn(value) -> the little-endian bytes a store of type `ty` writes."""
     if ty.kind == "float":
-        return struct.pack("<f", _to_f32(value))
+        return lambda v: _F32.pack(_to_f32(v))
     if ty.kind == "double":
-        return struct.pack("<d", value)
-    bits = _type_bits(ty)
-    return (value & ((1 << bits) - 1)).to_bytes(ty.size(), "little")
+        return _F64.pack
+    m, size = (1 << _type_bits(ty)) - 1, ty.size()
+    return lambda v: (v & m).to_bytes(size, "little")
 
 
-def _decode(data, ty):
-    if ty.kind == "float":
-        return struct.unpack("<f", data)[0]
-    if ty.kind == "double":
-        return struct.unpack("<d", data)[0]
-    value = int.from_bytes(data, "little")
+def _decoder(ty):
+    """fn(bytes) -> the value a load of type `ty` yields."""
+    if ty.kind in ("float", "double"):
+        unpack = (_F32 if ty.kind == "float" else _F64).unpack
+        return lambda data: unpack(data)[0]
     if ty.kind == "i1":
-        return value & 1
-    return value
+        return lambda data: data[0] & 1
+    return lambda data: int.from_bytes(data, "little")
+
+
+# --- decoded instructions ----------------------------------------------------
+# Each instruction is decoded once into a closure fn(regs) over its operands,
+# read as (is_register, register name | value).  A block is a chain of
+# segments [body, transfer]: `body` is a tuple of closures and
+# `transfer(regs)` (a terminator, or a call into a function body) returns the
+# next segment, or None once the entry function returns.
+
+
+def _getter(read):
+    """fn(regs) -> the value of a decoded operand."""
+    is_reg, x = read
+    if not is_reg:
+        return lambda regs: x
+
+    def get(regs):
+        try:
+            return regs[x]
+        except KeyError:
+            raise UnresolvedReferenceError(x, "register") from None
+    return get
+
+
+def _pure(fn, reads, res):
+    """Closure storing fn(operand values) into register `res`."""
+    gets = [_getter(r) for r in reads]
+    if len(gets) == 1:
+        a, = gets
+
+        def step(regs):
+            regs[res] = fn(a(regs))
+    elif len(gets) == 2:
+        a, b = gets
+
+        def step(regs):
+            regs[res] = fn(a(regs), b(regs))
+    else:
+        def step(regs):
+            regs[res] = fn(*[g(regs) for g in gets])
+    return step
 
 
 class _Frame:
-    __slots__ = ("func", "block", "ip", "regs", "prev_label", "stack_mark", "ret_reg")
+    __slots__ = ("func", "regs", "stack_mark", "ret_reg", "resume")
 
-    def __init__(self, func, regs, stack_mark, ret_reg=None):
-        self.func = func
-        self.block = None
-        self.ip = 0
-        self.regs = regs
-        self.prev_label = None
-        self.stack_mark = stack_mark
-        self.ret_reg = ret_reg
+    def __init__(self, func, regs, stack_mark, ret_reg=None, resume=None):
+        self.func, self.regs, self.stack_mark = func, regs, stack_mark
+        self.ret_reg, self.resume = ret_reg, resume   # caller register and segment
 
 
 class Interpreter:
     """Drives one module.  Use execute() for the raw return value; the
-    module-level run() wraps an interpreter with the standard trace probes."""
+    module-level run() wraps an interpreter with the standard trace probes.
+
+    Steps are charged a whole block at a time, on entry, so `steps` is exact
+    for a run that finishes and a run fails with StepLimitExceeded if and
+    only if its total exceeds `limits.max_steps`.  An operand, label or
+    callee that does not resolve fails when its instruction executes.
+    """
 
     def __init__(self, module, probes=(), limits: RunLimits | None = None):
         if isinstance(probes, ProbeSet):
@@ -275,7 +329,6 @@ class Interpreter:
         self.steps = 0
         self.uninitialized_loads = 0
         self._frames = []
-        self._last_block = None
         self._result = None
         probes = [p for p in probes if p is not None]
         self._on_block_enter = [p.block_enter for p in probes if p.block_enter]
@@ -283,11 +336,16 @@ class Interpreter:
         self._on_load = [p.load for p in probes if p.load]
         self._on_store = [p.store for p in probes if p.store]
         self._on_cond_branch = [p.cond_branch for p in probes if p.cond_branch]
-        self._on_transition = [p.block_transition for p in probes if p.block_transition]
         self._on_mem_intrinsic = [p.mem_intrinsic for p in probes if p.mem_intrinsic]
         self._on_call = [p.call for p in probes if p.call]
-        self._dispatch = self._build_dispatch()
         self._setup_globals()
+        functions = module.functions
+        self._segments = {b.static_id: [(), None] for f in functions for b in f.blocks}
+        self._entries = {f.name: self._safely(self._edge, f, None, f.entry.label)
+                         for f in reversed(functions)}   # the first definition wins
+        for f in functions:
+            for block in f.blocks:
+                self._decode_block(f, block)
 
     # --- setup --------------------------------------------------------------
 
@@ -316,12 +374,8 @@ class Interpreter:
             region, off = mem._locate(addr, max(len(payload), 1))
             region.data[off:off + len(payload)] = payload
             return
-        if isinstance(init, GlobalRef):
-            mem.write(addr, _encode(mem.global_addrs[init.name], ty))
-            return
-        if isinstance(init, ConstGep):
-            base = mem.global_addrs[init.base.name]
-            mem.write(addr, _encode((base + init.offset) & _MASK32, ty))
+        if isinstance(init, (GlobalRef, ConstGep)):
+            mem.write(addr, _encoder(ty)(self._read(init)[1]))
             return
         if isinstance(init, list):
             if ty.kind == "array":
@@ -334,359 +388,290 @@ class Interpreter:
             else:
                 raise InterpreterError(f"aggregate initializer for scalar type {ty!r}")
             return
-        mem.write(addr, _encode(init, ty))
+        mem.write(addr, _encoder(ty)(init))
 
-    # --- value plumbing -------------------------------------------------------
+    # --- decoding -------------------------------------------------------------
 
-    def _value(self, fr, op):
+    @staticmethod
+    def _safely(decode, *args):
+        """decode(*args), or a closure raising its error when executed."""
+        try:
+            return decode(*args)
+        except (IrTimeError, LookupError) as exc:
+            error = exc
+
+        def fail(regs):
+            raise error
+        return fail
+
+    def _decode_block(self, func, block):
+        seg, body = self._segments[block.static_id], []
+        for ins in block.instructions[block.phi_count:]:
+            invoke = ins.opcode == "call" and not is_recognized_callee(ins.callee or "")
+            resume = [(), None] if invoke else None
+            op = self._safely(self._decode, func, block, ins, resume)
+            if self._on_instruction:
+                op = self._observed(self._on_instruction, ins.static_id, ins.opcode, op)
+            if invoke or ins.opcode in ("br", "switch", "ret"):
+                seg[:] = tuple(body), op
+                seg, body = resume, []
+            else:
+                body.append(op)
+
+    @staticmethod
+    def _observed(hooks, sid, opcode, op):
+        def observed(regs):
+            for h in hooks:
+                h(sid, opcode)
+            return op(regs)
+        return observed
+
+    def _read(self, op):
+        """Decode an operand into (is_register, register name | value)."""
         cls = op.__class__
         if cls is LocalRef:
-            try:
-                return fr.regs[op.name]
-            except KeyError:
-                raise UnresolvedReferenceError(op.name, "register") from None
+            return True, op.name
         if cls is Const:
-            return op.value
-        if cls is GlobalRef:
-            try:
-                return self.memory.global_addrs[op.name]
-            except KeyError:
-                raise UnresolvedReferenceError(op.name, "global") from None
-        if cls is ConstGep:
-            base = self.memory.global_addrs[op.base.name]
-            return (base + op.offset) & _MASK32
+            return False, op.value
+        if cls is GlobalRef or cls is ConstGep:
+            name = op.name if cls is GlobalRef else op.base.name
+            if name not in self.memory.global_addrs:
+                raise UnresolvedReferenceError(name, "global")
+            addr = self.memory.global_addrs[name]
+            return False, addr if cls is GlobalRef else (addr + op.offset) & _MASK32
         raise InterpreterError(f"cannot evaluate operand {op!r}")
 
-    def _enter_block(self, fr, label):
-        block = fr.func.block_map.get(label)
+    def _edge(self, func, pred_label, label):
+        """Closure entering block `label` from `pred_label` (None on a call):
+        charges the block's steps, fires block_enter, assigns the phis in
+        parallel and returns the block's first segment."""
+        block = func.block_map.get(label)
         if block is None:
             raise UnresolvedReferenceError(label, "label")
-        if self._last_block is not None:
-            last = self._last_block
-            for h in self._on_transition:
-                h(last, block.static_id)
-        self._last_block = block.static_id
-        for h in self._on_block_enter:
-            h(block.static_id)
-        fr.prev_label = fr.block.label if fr.block is not None else None
-        fr.block = block
-        fr.ip = block.phi_count
-        if block.phi_count:
-            phis = block.instructions[:block.phi_count]
-            staged = []
-            for p in phis:
-                try:
-                    incoming = p.incoming_map[fr.prev_label]
-                except KeyError:
+        interp, limit, hooks = self, self.limits.max_steps, self._on_block_enter
+        seg, sid, size = self._segments[block.static_id], block.static_id, len(block.instructions)
+        phis = block.instructions[:block.phi_count]
+        for p in phis:
+            if pred_label not in p.incoming_map:
+                raise InterpreterError(f"phi %{p.result} has no incoming value for "
+                                       f"predecessor '%{pred_label}'")
+        dsts = [p.result for p in phis]
+        gets = [_getter(self._read(p.incoming_map[pred_label])) for p in phis]
+        inst_hooks = self._on_instruction
+        phi_ids = [p.static_id for p in phis] if inst_hooks else ()
+
+        def enter(regs):
+            interp.steps += size
+            if interp.steps > limit:
+                raise StepLimitExceeded(limit)
+            for h in hooks:
+                h(sid)
+            if gets:
+                values = [g(regs) for g in gets]
+                for pid in phi_ids:
+                    for h in inst_hooks:
+                        h(pid, "phi")
+                regs.update(zip(dsts, values))
+            return seg
+        return enter
+
+    def _decode(self, func, block, ins, resume):
+        op, res = ins.opcode, ins.result
+        if resume is not None:
+            return self._decode_invoke(ins, resume)
+        if op in ("br", "switch"):
+            return self._decode_branch(func, block, ins)
+        reads = [self._read(o) for o in ins.operands]
+        if op in ("add", "sub", "mul", "udiv", "sdiv", "urem", "srem",
+                  "and", "or", "xor", "shl", "lshr", "ashr"):
+            return _pure(_int_binop(op, ins.type.int_bits), reads, res)
+        if op in ("fadd", "fsub", "fmul", "fdiv"):
+            fn = {"fadd": operator.add, "fsub": operator.sub,
+                  "fmul": operator.mul, "fdiv": _fdiv}[op]
+            return _pure((lambda a, b: _to_f32(fn(a, b))) if ins.type.kind == "float" else fn,
+                         reads, res)
+        if op == "icmp":
+            return _pure(_icmp(ins.pred, _type_bits(ins.operands[0].type)), reads, res)
+        if op == "fcmp":
+            return _pure(_fcmp(ins.pred), reads, res)
+        if op == "fneg":
+            return _pure(operator.neg, reads, res)
+        if op == "zext":
+            return _pure(lambda v: v, reads, res)
+        if op == "sext":
+            src_bits, m = ins.source_type.int_bits, (1 << ins.type.int_bits) - 1
+            return _pure(lambda v: _signed(v, src_bits) & m, reads, res)
+        if op == "fptosi":
+            m = (1 << ins.type.int_bits) - 1
+            return _pure(lambda f: (int(f) if math.isfinite(f) else 0) & m, reads, res)
+        if op in ("uitofp", "sitofp"):
+            bits = ins.source_type.int_bits if op == "sitofp" else 0
+            to_float = (lambda v: float(_signed(v, bits))) if bits else float
+            if ins.type.kind == "float":
+                return _pure(lambda v: _to_f32(to_float(v)), reads, res)
+            return _pure(to_float, reads, res)
+        if op == "getelementptr":
+            src, bits = ins.source_type, [o.type.int_bits for o in ins.operands[1:]]
+            return _pure(lambda base, *indices: (base + gep_offset(src, [
+                _signed(i, b) for i, b in zip(indices, bits)])) & _MASK32, reads, res)
+        if op in ("alloca", "load", "store", "call", "ret"):
+            return getattr(self, "_decode_" + op)(ins, reads)
+        raise InterpreterError("phi outside block entry; module was not linked")
+
+    def _decode_alloca(self, ins, reads):
+        count, res = _getter(reads[0]), ins.result
+        size, align = ins.source_type.size(), max(ins.align, ins.source_type.alignment())
+        allocate, limit = self.memory.stack.allocate, self.limits.max_stack_bytes
+
+        def alloca(regs):
+            addr = allocate(size * count(regs), align)
+            if addr is None:
+                raise StackOverflow(limit)
+            regs[res] = addr
+        return alloca
+
+    def _decode_load(self, ins, reads):
+        interp, address, res = self, _getter(reads[0]), ins.result
+        nbytes, decode = ins.type.size(), _decoder(ins.type)
+        read, hooks = self.memory.read, self._on_load
+
+        def load(regs):
+            addr = address(regs)
+            data, uninit = read(addr, nbytes)
+            if uninit:
+                interp.uninitialized_loads += 1
+            for h in hooks:
+                h(addr, nbytes)
+            regs[res] = decode(data)
+        return load
+
+    def _decode_store(self, ins, reads):
+        value, address = _getter(reads[0]), _getter(reads[1])
+        nbytes, encode = ins.type.size(), _encoder(ins.type)
+        write, hooks = self.memory.write, self._on_store
+
+        def store(regs):
+            v, addr = value(regs), address(regs)
+            write(addr, encode(v))
+            for h in hooks:
+                h(addr, nbytes)
+        return store
+
+    def _decode_call(self, ins, reads):
+        """A call to a memory routine, a heap function or a no-op intrinsic."""
+        callee, res, call_hooks = ins.callee, ins.result, self._on_call
+        gets, mem_hooks, memory = [_getter(r) for r in reads], self._on_mem_intrinsic, self.memory
+        kind, heap_limit = mem_intrinsic_kind(callee), self.limits.max_heap_bytes
+
+        def call(regs):
+            for h in call_hooks:
+                h(callee)
+            if kind is not None:
+                dst, src_or_byte, n = gets[0](regs), gets[1](regs), gets[2](regs)
+                (memory.copy if kind == "memcpy" else memory.fill)(dst, src_or_byte, n)
+                for h in mem_hooks:
+                    h(kind, n)
+                if res is not None:
+                    regs[res] = dst
+            elif callee in ("malloc", "calloc"):
+                nbytes = gets[0](regs) * (gets[1](regs) if callee == "calloc" else 1)
+                addr = memory.heap.allocate(nbytes, 8)
+                if addr is None:
+                    raise HeapExhausted(heap_limit)
+                if callee == "calloc":
+                    region, off = memory._locate(addr, max(nbytes, 1))
+                    region.shadow[off:off + max(nbytes, 1)] = b"\x01" * max(nbytes, 1)
+                for h in mem_hooks:
+                    h(callee, nbytes)
+                if res is not None:
+                    regs[res] = addr
+        return call
+
+    def _decode_branch(self, func, block, ins):
+        def edge(label):
+            return self._safely(self._edge, func, block.label, label)
+
+        if ins.opcode == "switch":
+            value, default, table = _getter(self._read(ins.operands[0])), edge(ins.labels[0]), {}
+            for cval, label in ins.cases:
+                table.setdefault(cval, edge(label))
+            return lambda regs: table.get(value(regs), default)(regs)
+        if not ins.operands:
+            return edge(ins.labels[0])
+        cond, sid, hooks = _getter(self._read(ins.operands[0])), ins.static_id, self._on_cond_branch
+        on_true, on_false = edge(ins.labels[0]), edge(ins.labels[1])
+
+        def br(regs):
+            taken = cond(regs) != 0
+            for h in hooks:
+                h(sid, taken)
+            return (on_true if taken else on_false)(regs)
+        return br
+
+    def _decode_ret(self, ins, reads):
+        value = _getter(reads[0]) if reads else lambda regs: None
+        interp, frames, release = self, self._frames, self.memory.stack.release_to
+
+        def ret(regs):
+            result = value(regs)
+            fr = frames.pop()
+            release(fr.stack_mark)
+            if not frames:
+                interp._result = result
+                return None
+            if fr.ret_reg is not None:
+                if result is None:
                     raise InterpreterError(
-                        f"phi %{p.result} has no incoming value for predecessor "
-                        f"'%{fr.prev_label}'"
-                    ) from None
-                staged.append(self._value(fr, incoming))
-            limit = self.limits.max_steps
-            for p, v in zip(phis, staged):
-                self.steps += 1
-                if self.steps > limit:
-                    raise StepLimitExceeded(limit)
-                for h in self._on_instruction:
-                    h(p.static_id, "phi")
-                fr.regs[p.result] = v
+                        f"'@{fr.func}' returned void but the caller expects a value")
+                frames[-1].regs[fr.ret_reg] = result
+            return fr.resume
+        return ret
+
+    def _decode_invoke(self, ins, resume):
+        """A call into a function body; `resume` is the caller's next segment."""
+        callee, res, hooks = ins.callee, ins.result, self._on_call
+        func = self.module.function(callee)
+        if len(ins.operands) != len(func.params):
+            raise InterpreterError(f"call to '@{callee}' passes {len(ins.operands)} "
+                                   f"arguments, function takes {len(func.params)}")
+        params = [name for name, _ in func.params]
+        gets = [_getter(self._read(o)) for o in ins.operands]
+        frames, stack, enter = self._frames, self.memory.stack, self._entries[callee]
+
+        def invoke(regs):
+            for h in hooks:
+                h(callee)
+            callee_regs = {}
+            for name, g in zip(params, gets):
+                callee_regs[name] = g(regs)
+            frames.append(_Frame(callee, callee_regs, stack.top, res, resume))
+            return enter(callee_regs)
+        return invoke
 
     # --- main loop ---------------------------------------------------------
 
     def execute(self, entry: str = "main", args=()):
         """Run `entry` to completion and return its return value."""
         func = self.module.function(entry)
-        regs = {}
         if args and len(args) != len(func.params):
             raise InterpreterError(
                 f"entry '@{entry}' takes {len(func.params)} arguments, got {len(args)}"
             )
-        for i, (pname, pty) in enumerate(func.params):
-            if args:
-                regs[pname] = args[i]
-            else:
-                regs[pname] = 0.0 if pty.is_float() else 0
-        frame = _Frame(func, regs, self.memory.stack.top)
-        self._frames = [frame]
-        self._last_block = None
-        self._result = None
-        self._enter_block(frame, func.entry.label)
-
-        frames = self._frames
-        dispatch = self._dispatch
-        limit = self.limits.max_steps
-        on_inst = self._on_instruction
-        while frames:
-            fr = frames[-1]
-            ins = fr.block.instructions[fr.ip]
-            fr.ip += 1
-            self.steps += 1
-            if self.steps > limit:
-                raise StepLimitExceeded(limit)
-            for h in on_inst:
-                h(ins.static_id, ins.opcode)
-            dispatch[ins.opcode](fr, ins)
-        return self._result
-
-    # --- opcode handlers -------------------------------------------------------
-
-    def _build_dispatch(self):
-        d = {}
-        for op in ("add", "sub", "mul", "udiv", "sdiv", "urem", "srem",
-                   "and", "or", "xor", "shl", "lshr", "ashr"):
-            d[op] = self._make_int_binop(op)
-        for op in ("fadd", "fsub", "fmul", "fdiv"):
-            d[op] = self._make_float_binop(op)
-        d.update({
-            "icmp": self._do_icmp, "fcmp": self._do_fcmp, "fneg": self._do_fneg,
-            "zext": self._do_zext, "sext": self._do_sext,
-            "fptosi": self._do_fptosi, "uitofp": self._do_uitofp,
-            "sitofp": self._do_sitofp,
-            "alloca": self._do_alloca, "load": self._do_load,
-            "store": self._do_store, "getelementptr": self._do_gep,
-            "phi": self._do_phi_unexpected,
-            "call": self._do_call, "br": self._do_br,
-            "switch": self._do_switch, "ret": self._do_ret,
-        })
-        return d
-
-    def _make_int_binop(self, op):
-        value = self._value
-
-        def sdiv_fn(a, b, bits):
-            sa, sb = _signed(a, bits), _signed(b, bits)
-            if sb == 0:
-                raise DivisionByZero()
-            return _trunc_div(sa, sb)
-
-        def srem_fn(a, b, bits):
-            sa, sb = _signed(a, bits), _signed(b, bits)
-            if sb == 0:
-                raise DivisionByZero("integer remainder by zero")
-            return sa - sb * _trunc_div(sa, sb)
-
-        def udiv_fn(a, b, bits):
-            if b == 0:
-                raise DivisionByZero()
-            return a // b
-
-        def urem_fn(a, b, bits):
-            if b == 0:
-                raise DivisionByZero("integer remainder by zero")
-            return a % b
-
-        fns = {
-            "add": lambda a, b, bits: a + b,
-            "sub": lambda a, b, bits: a - b,
-            "mul": lambda a, b, bits: a * b,
-            "and": lambda a, b, bits: a & b,
-            "or": lambda a, b, bits: a | b,
-            "xor": lambda a, b, bits: a ^ b,
-            "shl": lambda a, b, bits: a << b if b < bits else 0,
-            "lshr": lambda a, b, bits: a >> b if b < bits else 0,
-            "ashr": lambda a, b, bits: _signed(a, bits) >> min(b, bits - 1),
-            "udiv": udiv_fn, "sdiv": sdiv_fn, "urem": urem_fn, "srem": srem_fn,
-        }
-        fn = fns[op]
-
-        def handler(fr, ins):
-            bits = ins.type.int_bits
-            a = value(fr, ins.operands[0])
-            b = value(fr, ins.operands[1])
-            fr.regs[ins.result] = fn(a, b, bits) & ((1 << bits) - 1)
-
-        return handler
-
-    def _make_float_binop(self, op):
-        value = self._value
-        fns = {
-            "fadd": lambda a, b: a + b,
-            "fsub": lambda a, b: a - b,
-            "fmul": lambda a, b: a * b,
-            "fdiv": _fdiv,
-        }
-        fn = fns[op]
-
-        def handler(fr, ins):
-            a = value(fr, ins.operands[0])
-            b = value(fr, ins.operands[1])
-            out = fn(a, b)
-            if ins.type.kind == "float":
-                out = _to_f32(out)
-            fr.regs[ins.result] = out
-
-        return handler
-
-    def _do_icmp(self, fr, ins):
-        bits = _type_bits(ins.operands[0].type)
-        a = self._value(fr, ins.operands[0])
-        b = self._value(fr, ins.operands[1])
-        fr.regs[ins.result] = 1 if _ICMP[ins.pred](a, b, bits) else 0
-
-    def _do_fcmp(self, fr, ins):
-        a = self._value(fr, ins.operands[0])
-        b = self._value(fr, ins.operands[1])
-        fr.regs[ins.result] = 1 if _fcmp(ins.pred, a, b) else 0
-
-    def _do_fneg(self, fr, ins):
-        fr.regs[ins.result] = -self._value(fr, ins.operands[0])
-
-    def _do_zext(self, fr, ins):
-        fr.regs[ins.result] = self._value(fr, ins.operands[0])
-
-    def _do_sext(self, fr, ins):
-        src_bits = ins.source_type.int_bits
-        dst_bits = ins.type.int_bits
-        v = _signed(self._value(fr, ins.operands[0]), src_bits)
-        fr.regs[ins.result] = v & ((1 << dst_bits) - 1)
-
-    def _do_fptosi(self, fr, ins):
-        f = self._value(fr, ins.operands[0])
-        bits = ins.type.int_bits
-        v = 0 if not math.isfinite(f) else int(f)
-        fr.regs[ins.result] = v & ((1 << bits) - 1)
-
-    def _do_uitofp(self, fr, ins):
-        out = float(self._value(fr, ins.operands[0]))
-        fr.regs[ins.result] = _to_f32(out) if ins.type.kind == "float" else out
-
-    def _do_sitofp(self, fr, ins):
-        bits = ins.source_type.int_bits
-        out = float(_signed(self._value(fr, ins.operands[0]), bits))
-        fr.regs[ins.result] = _to_f32(out) if ins.type.kind == "float" else out
-
-    def _do_alloca(self, fr, ins):
-        count = self._value(fr, ins.operands[0])
-        size = ins.source_type.size() * count
-        align = max(ins.align, ins.source_type.alignment())
-        addr = self.memory.stack.allocate(size, align)
-        if addr is None:
-            raise StackOverflow(self.limits.max_stack_bytes)
-        fr.regs[ins.result] = addr
-
-    def _do_load(self, fr, ins):
-        addr = self._value(fr, ins.operands[0])
-        nbytes = ins.type.size()
-        data, uninit = self.memory.read(addr, nbytes)
-        if uninit:
-            self.uninitialized_loads += 1
-        for h in self._on_load:
-            h(addr, nbytes)
-        fr.regs[ins.result] = _decode(data, ins.type)
-
-    def _do_store(self, fr, ins):
-        value = self._value(fr, ins.operands[0])
-        addr = self._value(fr, ins.operands[1])
-        data = _encode(value, ins.type)
-        self.memory.write(addr, data)
-        for h in self._on_store:
-            h(addr, len(data))
-
-    def _do_gep(self, fr, ins):
-        base = self._value(fr, ins.operands[0])
-        indices = []
-        for op in ins.operands[1:]:
-            raw = self._value(fr, op)
-            indices.append(_signed(raw, op.type.int_bits))
-        fr.regs[ins.result] = (base + gep_offset(ins.source_type, indices)) & _MASK32
-
-    def _do_phi_unexpected(self, fr, ins):
-        raise InterpreterError("phi outside block entry; module was not linked")
-
-    def _do_br(self, fr, ins):
-        if ins.operands:
-            taken = self._value(fr, ins.operands[0]) != 0
-            for h in self._on_cond_branch:
-                h(ins.static_id, taken)
-            self._enter_block(fr, ins.labels[0] if taken else ins.labels[1])
-        else:
-            self._enter_block(fr, ins.labels[0])
-
-    def _do_switch(self, fr, ins):
-        v = self._value(fr, ins.operands[0])
-        target = ins.labels[0]
-        for cval, lbl in ins.cases:
-            if cval == v:
-                target = lbl
-                break
-        self._enter_block(fr, target)
-
-    def _do_ret(self, fr, ins):
-        value = self._value(fr, ins.operands[0]) if ins.operands else None
-        self.memory.stack.release_to(fr.stack_mark)
-        self._frames.pop()
-        if self._frames:
-            caller = self._frames[-1]
-            if fr.ret_reg is not None:
-                if value is None:
-                    raise InterpreterError(
-                        f"'@{fr.func.name}' returned void but the caller expects a value"
-                    )
-                caller.regs[fr.ret_reg] = value
-        else:
-            self._result = value
-
-    def _do_call(self, fr, ins):
-        callee = ins.callee
-        for h in self._on_call:
-            h(callee)
-        kind = mem_intrinsic_kind(callee)
-        if kind is not None:
-            self._do_mem_routine(fr, ins, kind)
-            return
-        if callee in HEAP_FUNCTIONS:
-            self._do_heap_routine(fr, ins, callee)
-            return
-        if is_noop_intrinsic(callee):
-            return
-        func = self.module.function(callee)
-        if len(ins.operands) != len(func.params):
-            raise InterpreterError(
-                f"call to '@{callee}' passes {len(ins.operands)} arguments, "
-                f"function takes {len(func.params)}"
-            )
         regs = {}
-        for (pname, _), op in zip(func.params, ins.operands):
-            regs[pname] = self._value(fr, op)
-        frame = _Frame(func, regs, self.memory.stack.top,
-                       ret_reg=ins.result)
-        self._frames.append(frame)
-        self._enter_block(frame, func.entry.label)
-
-    def _do_mem_routine(self, fr, ins, kind):
-        if kind == "memcpy":
-            dst = self._value(fr, ins.operands[0])
-            src = self._value(fr, ins.operands[1])
-            n = self._value(fr, ins.operands[2])
-            self.memory.copy(dst, src, n)
-        else:
-            dst = self._value(fr, ins.operands[0])
-            byte = self._value(fr, ins.operands[1])
-            n = self._value(fr, ins.operands[2])
-            self.memory.fill(dst, byte, n)
-        for h in self._on_mem_intrinsic:
-            h(kind, n)
-        if ins.result is not None:
-            fr.regs[ins.result] = dst
-
-    def _do_heap_routine(self, fr, ins, callee):
-        if callee == "free":
-            return
-        if callee == "malloc":
-            nbytes = self._value(fr, ins.operands[0])
-        else:  # calloc
-            nbytes = self._value(fr, ins.operands[0]) * self._value(fr, ins.operands[1])
-        addr = self.memory.heap.allocate(nbytes, 8)
-        if addr is None:
-            raise HeapExhausted(self.limits.max_heap_bytes)
-        if callee == "calloc":
-            region, off = self.memory._locate(addr, max(nbytes, 1))
-            region.shadow[off:off + max(nbytes, 1)] = b"\x01" * max(nbytes, 1)
-        for h in self._on_mem_intrinsic:
-            h(callee, nbytes)
-        if ins.result is not None:
-            fr.regs[ins.result] = addr
+        for i, (pname, pty) in enumerate(func.params):
+            regs[pname] = args[i] if args else (0.0 if pty.is_float() else 0)
+        frames = self._frames
+        frames[:] = [_Frame(func.name, regs, self.memory.stack.top)]
+        self._result = None
+        body, transfer = self._entries[func.name](regs)
+        while True:
+            for op in body:
+                op(regs)
+            segment = transfer(regs)
+            if segment is None:
+                return self._result
+            body, transfer = segment
+            regs = frames[-1].regs
 
 
 def run(module, entry: str = "main", probes: ProbeSet | None = None,
@@ -708,11 +693,9 @@ def run(module, entry: str = "main", probes: ProbeSet | None = None,
     builder = TraceBuilder(module, cache, predictor)
     probe_list = [ProbeSet(
         block_enter=builder.on_block_enter,
-        instruction=builder.on_instruction,
         load=builder.on_load,
         store=builder.on_store,
         cond_branch=builder.on_cond_branch,
-        block_transition=builder.on_block_transition,
         mem_intrinsic=builder.on_mem_intrinsic,
     )]
     if probes is not None:

@@ -54,6 +54,8 @@ _BINOPS = frozenset({
 })
 _CASTS = frozenset({"zext", "sext", "fptosi", "uitofp", "sitofp"})
 
+MAX_NESTING = 256   # deeper types and initializers would exhaust the Python stack
+
 
 class Token:
     __slots__ = ("kind", "value", "line", "col")
@@ -209,6 +211,11 @@ def _logical_lines(tokens):
     return lines
 
 
+def _too_deep(tok):
+    return ParseError(f"type or initializer nested more than {MAX_NESTING} levels deep",
+                      tok.line, tok.col)
+
+
 class _Cursor:
     """A window over one logical line of tokens."""
 
@@ -264,7 +271,7 @@ class _Parser:
 
     # --- types ----------------------------------------------------------
 
-    def resolve_named(self, name: str, where: Token) -> IrType:
+    def resolve_named(self, name: str, where: Token, depth: int = 0) -> IrType:
         if name in self.types:
             return self.types[name]
         if name not in self.type_defs:
@@ -276,15 +283,17 @@ class _Parser:
         if cur.accept("word", "opaque"):
             ty = struct_of((), name="%" + name)
         else:
-            ty = self.parse_type(cur)
+            ty = self.parse_type(cur, depth)
             if ty.kind == "struct" and not ty.name:
                 ty = struct_of(ty.fields, name="%" + name)
         self._resolving.pop()
         self.types[name] = ty
         return ty
 
-    def parse_type(self, cur: _Cursor) -> IrType:
+    def parse_type(self, cur: _Cursor, depth: int = 0) -> IrType:
         tok = cur.next()
+        if depth > MAX_NESTING:
+            raise _too_deep(tok)
         if tok.kind == "word":
             base = SCALARS.get(tok.value)
             if base is None:
@@ -295,14 +304,14 @@ class _Parser:
         elif tok.kind == "[":
             count_tok = cur.expect("num")
             cur.expect("word", "x")
-            elem = self.parse_type(cur)
+            elem = self.parse_type(cur, depth + 1)
             cur.expect("]")
             base = array_of(elem, int(count_tok.value))
         elif tok.kind == "{":
             fields = []
             if not cur.accept("}"):
                 while True:
-                    fields.append(self.parse_type(cur))
+                    fields.append(self.parse_type(cur, depth + 1))
                     if cur.accept("}"):
                         break
                     cur.expect(",")
@@ -312,7 +321,7 @@ class _Parser:
                 while cur.accept("*"):
                     pass
                 return PTR
-            base = self.resolve_named(tok.value, tok)
+            base = self.resolve_named(tok.value, tok, depth + 1)
         elif tok.kind == "<":
             raise ParseError("vector and packed struct types are not supported",
                              tok.line, tok.col)
@@ -320,6 +329,8 @@ class _Parser:
             raise ParseError(f"expected a type, found {tok.value!r}", tok.line, tok.col)
         while cur.accept("*"):
             base = PTR
+        if base.depth > MAX_NESTING:    # named types can stack cached depth
+            raise _too_deep(tok)
         return base
 
     def _at_type_start(self, cur: _Cursor) -> bool:
@@ -519,8 +530,10 @@ class _Parser:
                     cur.next()
         self.module.globals.append(GlobalVar(name, ty, init, is_const, align))
 
-    def _parse_init(self, cur: _Cursor, ty: IrType):
+    def _parse_init(self, cur: _Cursor, ty: IrType, depth: int = 0):
         tok = cur.peek()
+        if depth > MAX_NESTING:
+            raise _too_deep(tok)
         if tok.kind == "cstr":
             cur.next()
             return tok.value
@@ -536,7 +549,7 @@ class _Parser:
             if not cur.accept("]"):
                 while True:
                     ety = self.parse_type(cur)
-                    items.append(self._parse_init(cur, ety))
+                    items.append(self._parse_init(cur, ety, depth + 1))
                     if cur.accept("]"):
                         break
                     cur.expect(",")
@@ -547,7 +560,7 @@ class _Parser:
             if not cur.accept("}"):
                 while True:
                     fty = self.parse_type(cur)
-                    items.append(self._parse_init(cur, fty))
+                    items.append(self._parse_init(cur, fty, depth + 1))
                     if cur.accept("}"):
                         break
                     cur.expect(",")

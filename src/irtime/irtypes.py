@@ -32,6 +32,7 @@ class IrType:
     count: int = 0                        # array length
     fields: tuple = field(default=())     # struct members
     name: str = ""                        # original name for named structs
+    depth: int = field(default=0, compare=False)   # array/struct nesting levels
 
     def __repr__(self):
         if self.kind == "array":
@@ -130,8 +131,10 @@ SCALARS = {
 
 
 def array_of(elem: IrType, count: int) -> IrType:
-    return IrType("array", elem=elem, count=count)
+    return IrType("array", elem=elem, count=count, depth=elem.depth + 1)
 
 
 def struct_of(fields, name: str = "") -> IrType:
-    return IrType("struct", fields=tuple(fields), name=name)
+    fields = tuple(fields)
+    depth = 1 + max((f.depth for f in fields), default=0)
+    return IrType("struct", fields=fields, name=name, depth=depth)

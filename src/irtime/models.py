@@ -25,6 +25,7 @@ from . import forest as _forest
 from . import mlp as _mlp
 from .errors import (
     EmptyDatasetError, DimensionMismatchError, FormatError, InvalidConfigError,
+    SingularDesignError,
 )
 
 MODEL_FORMAT = "irtime-model"
@@ -119,7 +120,11 @@ def fit_linear(X, y, damping=1e-9):
     Xa = np.hstack([X, np.ones((n, 1))])
     A = Xa.T @ Xa
     A[np.arange(d), np.arange(d)] += damping
-    theta = np.linalg.solve(A, Xa.T @ y)
+    try:
+        theta = np.linalg.solve(A, Xa.T @ y)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("linear fit: the design matrix is singular "
+                                  "(some features are linearly dependent)") from None
     return theta[:d], float(theta[d])
 
 

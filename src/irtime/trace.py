@@ -63,7 +63,6 @@ class ExecutionTrace:
     malloc_bytes: int = 0
     dirty_evictions: int = 0
     uninitialized_loads: int = 0
-    executed_inst_ids: frozenset | None = field(default=None, compare=False, repr=False)
 
     def total_instructions(self) -> int:
         return sum(self.op_counts.values())
@@ -75,19 +74,22 @@ class TraceBuilder:
     Wire its `on_*` methods into a ProbeSet, drive the interpreter, then
     call build().  The cache and predictor instances are owned by the
     caller; the builder only consults them through the events.
+
+    Only block entries are counted: every block a finished run enters runs
+    to completion, so build() derives the opcode counts and inst_miss
+    exactly from the entry counts and each block's instructions.
     """
 
     def __init__(self, module, cache, predictor):
-        self._block_names = {
-            b.static_id: f"{f.name}:{b.label}"
+        self._blocks = {
+            b.static_id: (f"{f.name}:{b.label}", b.instructions)
             for f in module.functions
             for b in f.blocks
         }
         self._cache = cache
         self._predictor = predictor
-        self._blocks = {}
-        self._ops = {}
-        self._inst_ids = set()
+        self._entries = dict.fromkeys(self._blocks, 0)
+        self._last_block = None
         self._load_hit = self._load_miss = 0
         self._store_hit = self._store_miss = 0
         self._br_hit = self._br_miss = 0
@@ -98,12 +100,11 @@ class TraceBuilder:
     # probe handlers
 
     def on_block_enter(self, block_id):
-        name = self._block_names[block_id]
-        self._blocks[name] = self._blocks.get(name, 0) + 1
-
-    def on_instruction(self, static_id, opcode):
-        self._ops[opcode] = self._ops.get(opcode, 0) + 1
-        self._inst_ids.add(static_id)
+        self._entries[block_id] += 1
+        if block_id != self._last_block:
+            if self._last_block is not None:
+                self._bb_jump += 1      # a transition that leaves its block
+            self._last_block = block_id
 
     def on_load(self, addr, nbytes):
         outcome = self._cache.access(addr, "load")
@@ -129,18 +130,22 @@ class TraceBuilder:
         else:
             self._br_miss += 1
 
-    def on_block_transition(self, from_id, to_id):
-        if from_id != to_id:
-            self._bb_jump += 1
-
     def on_mem_intrinsic(self, kind, nbytes):
         self._volumes[kind] += nbytes
 
     def build(self, uninitialized_loads: int = 0) -> ExecutionTrace:
-        br_total = self._ops.get("br", 0)
+        blocks, ops, inst_miss = {}, {}, 0
+        for block_id, count in self._entries.items():
+            if count:
+                name, instructions = self._blocks[block_id]
+                blocks[name] = count
+                inst_miss += len(instructions)
+                for ins in instructions:
+                    ops[ins.opcode] = ops.get(ins.opcode, 0) + count
+        br_total = ops.get("br", 0)
         return ExecutionTrace(
-            block_counts=dict(self._blocks),
-            op_counts=dict(self._ops),
+            block_counts=blocks,
+            op_counts=ops,
             load_hit=self._load_hit,
             load_miss=self._load_miss,
             store_hit=self._store_hit,
@@ -149,14 +154,13 @@ class TraceBuilder:
             br_miss=self._br_miss,
             br_uncond=br_total - self._br_hit - self._br_miss,
             bb_jump=self._bb_jump,
-            inst_miss=len(self._inst_ids),
+            inst_miss=inst_miss,
             memset_bytes=self._volumes["memset"],
             memcpy_bytes=self._volumes["memcpy"],
             calloc_bytes=self._volumes["calloc"],
             malloc_bytes=self._volumes["malloc"],
             dirty_evictions=self._dirty_evictions,
             uninitialized_loads=uninitialized_loads,
-            executed_inst_ids=frozenset(self._inst_ids),
         )
 
 

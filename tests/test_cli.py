@@ -81,6 +81,22 @@ def test_simulate_partial_failure(tmp_path, capsys):
     assert not (out / "bad.trace").exists()
 
 
+DEEP_TYPE = "[1 x " * 3000 + "i32" + "]" * 3000
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+def test_simulate_isolates_a_deeply_nested_type(tmp_path, capsys, samples_dir, workers):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a_deep.ll").write_text(f"@deep = global {DEEP_TYPE} zeroinitializer\n"
+                                   + (samples_dir / "sum_loop.ll").read_text())
+    (src / "sum_loop.ll").write_text((samples_dir / "sum_loop.ll").read_text())
+    out = tmp_path / "traces"
+    assert main(["simulate", str(src), "--out", str(out), *workers]) == 1
+    assert "FAIL a_deep: 1:" in capsys.readouterr().err
+    assert (out / "sum_loop.trace").exists()
+
+
 def test_simulate_step_limit_flag(tmp_path, capsys):
     (tmp_path / "b.ll").write_text(EXAMPLE_B)
     out = tmp_path / "traces"

@@ -5,6 +5,7 @@ from irtime import (
 )
 from irtime.errors import (
     StepLimitExceeded, OutOfBoundsAccess, DivisionByZero, StackOverflow,
+    UnresolvedReferenceError,
 )
 
 from conftest import EXAMPLE_B
@@ -485,6 +486,36 @@ def test_extra_probes_observe_without_perturbing(example_b):
     assert events["instructions"] == t.total_instructions() == 62
     assert events["branches"] == 10
     assert t.br_hit == 8  # unchanged by the extra observer
+
+
+def test_unresolved_references_fail_only_when_executed():
+    src = """
+define i32 @main(i1 %take) {
+entry:
+  br i1 %take, label %bad, label %ok
+
+bad:
+  %v = load i32, ptr @nope
+  %w = add i32 %v, %undefined
+  ret i32 %w
+
+ok:
+  ret i32 7
+}
+"""
+    m = parse_module(src)
+    assert Interpreter(m).execute("main", (0,)) == 7
+    with pytest.raises(UnresolvedReferenceError, match="unresolved global 'nope'"):
+        Interpreter(m).execute("main", (1,))
+    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'undefined'"):
+        Interpreter(parse_module(src.replace("load i32, ptr @nope", "add i32 1, 2"))).execute(
+            "main", (1,))
+
+
+def test_initializer_naming_an_undefined_global():
+    src = "@p = global ptr @nope\n\ndefine i32 @main() {\nentry:\n  ret i32 0\n}\n"
+    with pytest.raises(UnresolvedReferenceError, match="unresolved global 'nope'"):
+        Interpreter(parse_module(src))
 
 
 def test_entry_params_default_to_zero():

@@ -14,6 +14,7 @@ from irtime.models import dataset_fingerprint, TRAINERS
 from irtime import mlp as mlp_mod
 from irtime.errors import (
     DimensionMismatchError, EmptyDatasetError, FormatError, InvalidConfigError,
+    IrTimeError, SingularDesignError,
 )
 
 
@@ -65,6 +66,19 @@ def test_fit_linear_identical_rows():
     w, b = fit_linear(X, y)
     assert np.max(np.abs(w)) < 1e-6
     assert abs(b - 14.0) < 1e-6
+
+
+def test_fit_linear_singular_design_is_an_irtime_error():
+    # a duplicated column at feature scale: the 1e-9 damping cannot lift
+    # the normal equations off singular, so the solve itself fails
+    rng = np.random.default_rng(0)
+    a = rng.integers(1000, 100000, size=36).astype(float)
+    b = rng.integers(1000, 100000, size=36).astype(float)
+    X = np.column_stack([a, a, b, np.ones(36)])
+    y = rng.uniform(1, 2, size=36)
+    with pytest.raises(SingularDesignError, match="singular") as info:
+        fit_linear(X, y)
+    assert isinstance(info.value, IrTimeError)
 
 
 def test_huber_matches_linear_in_quadratic_regime():

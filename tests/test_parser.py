@@ -312,6 +312,28 @@ entry:
         parse_module(src)
 
 
+def test_nesting_depth_is_bounded():
+    main = "define i32 @main() {\nentry:\n  ret i32 0\n}\n"
+    deep = "[1 x " * 3000 + "i32" + "]" * 3000
+    deep_init = "[1 x i32] " + "[[1 x i32] " * 3000 + "]" * 3000
+    chain = "".join(f"%t{i + 1} = type [1 x %t{i}]\n" for i in range(300))
+    cached_chain = "%t0 = type i32\n" + chain + "".join(
+        f"@g{i} = global %t{i} zeroinitializer\n" for i in range(301))
+    # resolving a named type is one more level of parser recursion, so the
+    # uncached chain stops at %t171 (line 173); resolved one by one, the
+    # chain stops where its type first nests 257 levels, at %t257 (line 258)
+    for text, line in ((f"@g = global {deep} zeroinitializer\n", 1),
+                       (f"@g = global {deep_init}\n", 1),
+                       ("%t0 = type i32\n" + chain + "@g = global %t300 zeroinitializer\n", 173),
+                       (cached_chain, 258)):
+        with pytest.raises(ParseError) as info:
+            parse_module(text + main)
+        assert info.value.line == line
+        assert "nested more than 256 levels" in str(info.value)
+    ok = "[1 x " * 256 + "i32" + "]" * 256
+    assert parse_module(f"@g = global {ok} zeroinitializer\n" + main).globals[0].type.size() == 4
+
+
 def test_negative_and_hex_constants():
     src = """
 define i32 @main() {
