@@ -45,6 +45,13 @@ class AccessOutcome:
     evicted_dirty: bool = False
 
 
+# every access has one of three outcomes; they are immutable, so each access
+# returns one of these instead of building its own
+_HIT = AccessOutcome(hit=True)
+_CLEAN_MISS = AccessOutcome(hit=False)
+_DIRTY_MISS = AccessOutcome(hit=False, evicted_dirty=True)
+
+
 class CacheModel:
     """One cache instance.  Each set is a list of [tag, dirty] entries kept
     in most-recently-used-first order, so the LRU victim is the last entry."""
@@ -69,13 +76,13 @@ class CacheModel:
                 ways.insert(0, ways.pop(i))
                 if kind == "store":
                     entry[1] = True
-                return AccessOutcome(hit=True)
+                return _HIT
         evicted_dirty = False
         if len(ways) >= cfg.associativity:
             victim = ways.pop()
             evicted_dirty = victim[1]
         ways.insert(0, [tag, kind == "store"])
-        return AccessOutcome(hit=False, evicted_dirty=evicted_dirty)
+        return _DIRTY_MISS if evicted_dirty else _CLEAN_MISS
 
     def reset(self) -> None:
         for ways in self._sets:

@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irtime import CacheConfig, CacheModel
 from irtime.errors import InvalidConfigError
@@ -159,3 +160,31 @@ def test_direct_mapped_equivalence():
         got = cache.access(addr, "load")
         want_hit, _ = ref.access(addr, False)
         assert got.hit == want_hit
+
+
+@st.composite
+def geometries_and_streams(draw):
+    """A valid geometry (power-of-two line, 1-8 ways, 1-64 sets) and a stream
+    of loads and stores that keeps up to ways + 2 tags in play in at most
+    three sets, so that sets fill, hit, evict and write back."""
+    line = 1 << draw(st.integers(0, 7))
+    ways = draw(st.integers(1, 8))
+    sets = draw(st.integers(1, 64))
+    hot = draw(st.lists(st.integers(0, sets - 1), min_size=1, max_size=3, unique=True))
+    access = st.tuples(st.integers(0, ways + 1), st.sampled_from(hot),
+                       st.integers(0, line - 1), st.booleans())
+    stream = [((tag * sets + index) * line + offset, is_store) for tag, index, offset, is_store
+              in draw(st.lists(access, min_size=10, max_size=300))]
+    return CacheConfig(cache_size=line * ways * sets, line_size=line, associativity=ways), stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometries_and_streams())
+def test_cache_matches_brute_force_on_random_geometries(case):
+    cfg, stream = case
+    cache = CacheModel(cfg)
+    ref = BruteForceLru(cfg.cache_size, cfg.line_size, cfg.associativity)
+    for addr, is_store in stream:
+        got = cache.access(addr, "store" if is_store else "load")
+        assert (got.hit, got.evicted_dirty) == ref.access(addr, is_store), \
+            f"{cfg} at {addr:#x}"
