@@ -11,7 +11,7 @@ from .config import PipelineConfig, config_from_dict, config_from_file
 from .corpus import GENERATOR_OPCODES, generate_corpus, generate_program
 from .interp import Interpreter, MemoryImage, ProbeSet, RunLimits, run
 from .irparser import parse_file, parse_module
-from .irmodel import IrModule, IrFunction, IrBlock, IrInstruction, validate_module
+from .irmodel import IrModule, IrFunction, IrBlock, IrInstruction
 from .metrics import (
     HUBER_DELTA_DEFAULT, EvalReport, SampleScore, ape, evaluate, group_of,
     huber_value, loss_huber, loss_mse, sape, score_pairs,
@@ -46,5 +46,5 @@ __all__ = [
     "loss_mse", "parse_file", "parse_module", "predict", "read_features",
     "read_labels", "read_trace", "run", "sape", "save_model", "score_pairs",
     "train_forest", "train_huber", "train_linear", "train_mlp",
-    "validate_module", "write_features", "write_trace",
+    "write_features", "write_trace",
 ]

@@ -87,7 +87,3 @@ class CacheModel:
     def reset(self) -> None:
         for ways in self._sets:
             ways.clear()
-
-    def resident_lines(self) -> int:
-        return sum(len(w) for w in self._sets)
-

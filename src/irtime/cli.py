@@ -26,9 +26,7 @@ from .trace import (
 
 
 def _load_config(args) -> PipelineConfig:
-    cfg = config_from_file(args.config) if args.config else PipelineConfig()
-    cfg.validate()
-    return cfg
+    return config_from_file(args.config) if args.config else PipelineConfig()
 
 
 def _seed_of(args, cfg) -> int:

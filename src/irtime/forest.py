@@ -248,10 +248,6 @@ class RegressionTree:
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
 
-    @property
-    def node_count(self):
-        return len(self.feature)
-
     def predict(self, X):
         X = np.asarray(X, dtype=float)
         idx = np.zeros(X.shape[0], dtype=np.int64)

@@ -675,21 +675,16 @@ class Interpreter:
 
 
 def run(module, entry: str = "main", probes: ProbeSet | None = None,
-        limits: RunLimits | None = None, cache: CacheModel | None = None,
-        predictor: BranchPredictorTable | None = None,
+        limits: RunLimits | None = None,
         cache_config: CacheConfig | None = None,
         predictor_initial_state: PredictorState | None = None) -> ExecutionTrace:
     """Simulate `entry` and return the accumulated ExecutionTrace.
 
-    A fresh cache and predictor are created unless instances are passed in;
-    either way both models are reset once the entry function returns, so a
-    following run starts cold.  Extra probes observe the same event stream
-    the trace is built from.
+    Every run starts with a cold cache and predictor of its own.  Extra
+    probes observe the same event stream the trace is built from.
     """
-    if cache is None:
-        cache = CacheModel(cache_config or CacheConfig())
-    if predictor is None:
-        predictor = BranchPredictorTable(predictor_initial_state or PredictorState.WNT)
+    cache = CacheModel(cache_config or CacheConfig())
+    predictor = BranchPredictorTable(predictor_initial_state or PredictorState.WNT)
     builder = TraceBuilder(module, cache, predictor)
     probe_list = [ProbeSet(
         block_enter=builder.on_block_enter,
@@ -702,7 +697,4 @@ def run(module, entry: str = "main", probes: ProbeSet | None = None,
         probe_list.append(probes)
     interp = Interpreter(module, probe_list, limits)
     interp.execute(entry)
-    trace = builder.build(uninitialized_loads=interp.uninitialized_loads)
-    cache.reset()
-    predictor.reset()
-    return trace
+    return builder.build(uninitialized_loads=interp.uninitialized_loads)

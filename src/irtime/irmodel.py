@@ -228,18 +228,6 @@ class IrModule:
         return out
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    message: str
-    function: str = ""
-    block: str = ""
-    static_id: int = -1
-
-    def __str__(self):
-        where = ":".join(p for p in (self.function, self.block) if p)
-        return f"{where}: {self.message}" if where else self.message
-
-
 def link_function(func: IrFunction) -> None:
     """Fill in derived structure: block map, preds/succs, phi lookup maps."""
     func.block_map = {b.label: b for b in func.blocks}
@@ -267,65 +255,3 @@ def link_function(func: IrFunction) -> None:
             ins.incoming_map = {lbl: op for op, lbl in ins.incoming}
             n += 1
         b.phi_count = n
-
-
-def validate_module(module: IrModule) -> list:
-    """Structural checks; returns a list of Diagnostic, empty when valid."""
-    diags = []
-    seen_fn = set()
-    for f in module.functions:
-        if f.name in seen_fn:
-            diags.append(Diagnostic(f"duplicate function definition '@{f.name}'", f.name))
-        seen_fn.add(f.name)
-
-    for f in module.functions:
-        if not f.blocks:
-            diags.append(Diagnostic("function has no blocks", f.name))
-            continue
-        labels = set()
-        for b in f.blocks:
-            if b.label in labels:
-                diags.append(Diagnostic(f"duplicate block label '{b.label}'", f.name, b.label))
-            labels.add(b.label)
-        for b in f.blocks:
-            _validate_block(module, f, b, diags)
-    return diags
-
-
-def _validate_block(module, func, block, diags):
-    def bad(msg, sid=-1):
-        diags.append(Diagnostic(msg, func.name, block.label, sid))
-
-    if not block.instructions:
-        bad("empty block (missing terminator)")
-        return
-    for i, ins in enumerate(block.instructions):
-        last = i == len(block.instructions) - 1
-        if ins.opcode in TERMINATORS and not last:
-            bad(f"terminator '{ins.opcode}' in the middle of a block", ins.static_id)
-        if last and ins.opcode not in TERMINATORS:
-            bad(f"missing terminator (block ends with '{ins.opcode}')", ins.static_id)
-        if ins.opcode not in SUPPORTED_OPCODES:
-            bad(f"unsupported opcode '{ins.opcode}'", ins.static_id)
-        if ins.opcode == "phi" and i > 0 and block.instructions[i - 1].opcode != "phi":
-            bad("phi after a non-phi instruction", ins.static_id)
-
-    term = block.terminator()
-    for lbl in list(term.labels) + [lbl for _, lbl in term.cases]:
-        if lbl not in func.block_map:
-            bad(f"branch to unknown label '%{lbl}'", term.static_id)
-
-    for ins in block.instructions:
-        if ins.opcode == "phi":
-            seen = [lbl for _, lbl in ins.incoming]
-            if sorted(seen) != sorted(block.preds):
-                bad(
-                    f"phi predecessors {sorted(seen)} do not match block predecessors "
-                    f"{sorted(block.preds)}",
-                    ins.static_id,
-                )
-        elif ins.opcode == "call":
-            callee = ins.callee or ""
-            if not module.has_function(callee) and not is_recognized_callee(callee):
-                bad(f"call target '@{callee}' is not defined and not a recognized intrinsic",
-                    ins.static_id)

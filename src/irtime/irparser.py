@@ -18,7 +18,7 @@ from .irmodel import (
     IrModule, IrFunction, IrBlock, IrInstruction, GlobalVar,
     Const, LocalRef, GlobalRef, ConstGep,
     SUPPORTED_OPCODES, KNOWN_LLVM_OPCODES, TERMINATORS,
-    link_function, validate_module, is_recognized_callee,
+    link_function, is_recognized_callee,
 )
 
 ICMP_PREDS = frozenset({"eq", "ne", "ugt", "uge", "ult", "ule", "sgt", "sge", "slt", "sle"})
@@ -47,12 +47,16 @@ _VALUE_WORDS = frozenset({
     "getelementptr",
 })
 
-_BINOPS = frozenset({
-    "add", "sub", "mul", "sdiv", "udiv", "srem", "urem",
-    "and", "or", "xor", "shl", "lshr", "ashr",
-    "fadd", "fsub", "fmul", "fdiv",
-})
-_CASTS = frozenset({"zext", "sext", "fptosi", "uitofp", "sitofp"})
+_PREDICATES = {"icmp": ICMP_PREDS, "fcmp": FCMP_PREDS}
+
+# cast opcode -> (source type check, destination type check)
+_CASTS = {
+    "zext": (IrType.is_int, IrType.is_int),
+    "sext": (IrType.is_int, IrType.is_int),
+    "fptosi": (IrType.is_float, IrType.is_int),
+    "uitofp": (IrType.is_int, IrType.is_float),
+    "sitofp": (IrType.is_int, IrType.is_float),
+}
 
 MAX_NESTING = 256   # deeper types and initializers would exhaust the Python stack
 
@@ -211,6 +215,13 @@ def _logical_lines(tokens):
     return lines
 
 
+def _end_block(block: IrBlock, tok: Token):
+    """`tok` starts the next block or closes the function."""
+    if not block.instructions or block.instructions[-1].opcode not in TERMINATORS:
+        raise ParseError(f"block '%{block.label}' does not end with a terminator",
+                         tok.line, tok.col)
+
+
 def _too_deep(tok):
     return ParseError(f"type or initializer nested more than {MAX_NESTING} levels deep",
                       tok.line, tok.col)
@@ -332,14 +343,6 @@ class _Parser:
         if base.depth > MAX_NESTING:    # named types can stack cached depth
             raise _too_deep(tok)
         return base
-
-    def _at_type_start(self, cur: _Cursor) -> bool:
-        tok = cur.peek()
-        if tok is None:
-            return False
-        if tok.kind in ("[", "{", "lid", "<"):
-            return True
-        return tok.kind == "word" and (tok.value in SCALARS or re.fullmatch(r"i\d+", tok.value))
 
     # --- constants and operands ------------------------------------------
 
@@ -596,6 +599,9 @@ class _Parser:
             break
         ret_ty = self.parse_type(cur)
         name_tok = cur.expect("gid")
+        if self.module.has_function(name_tok.value):
+            raise ParseError(f"duplicate function definition '@{name_tok.value}'",
+                             name_tok.line, name_tok.col)
         cur.expect("(")
         params = []
         auto = 0
@@ -629,44 +635,60 @@ class _Parser:
 
     def _parse_body(self, i: int, func: IrFunction, entry_hint: str) -> int:
         block = None
+        labels = set()
         while i < len(self.lines):
             line = self.lines[i]
             first = line[0]
+            i += 1
             if first.kind == "}":
-                if block is not None and not block.instructions:
-                    raise ParseError(f"empty block '%{block.label}'", first.line, first.col)
-                if not func.blocks:
+                if block is None:
                     raise ParseError("function has no blocks", first.line, first.col)
-                link_function(func)
-                self.module.functions.append(func)
-                return i + 1
+                _end_block(block, first)
+                self._link(func)
+                return i
+            cur = _Cursor(line)
+            label = None
             if len(line) >= 2 and first.kind in ("word", "num") and line[1].kind == ":":
-                if block is not None and not block.instructions:
-                    raise ParseError(f"empty block '%{block.label}'", first.line, first.col)
-                block = IrBlock(label=first.value)
-                func.blocks.append(block)
-                cur = _Cursor(line)
-                cur.next()
-                cur.next()
-                if not cur.at_end():
-                    block.instructions.append(self._parse_instruction(cur))
-                i += 1
-                continue
-            if block is None:
+                if block is not None:
+                    _end_block(block, first)
+                label = first.value
+                cur.i = 2
+            elif block is None:
                 label = entry_hint
                 if any(l[0].kind in ("word", "num") and len(l) >= 2 and l[1].kind == ":"
                        and l[0].value == label for l in self.lines[i:]):
                     label = label + ".entry"
+            if label is not None:
+                if label in labels:
+                    raise ParseError(f"duplicate block label '%{label}'", first.line, first.col)
+                labels.add(label)
                 block = IrBlock(label=label)
                 func.blocks.append(block)
-            block.instructions.append(self._parse_instruction(_Cursor(line)))
-            i += 1
+            if not cur.at_end():
+                self._parse_instruction(cur, block)
         raise ParseError("unterminated function body (missing '}')",
                          self.lines[-1][0].line if self.lines else None, 0)
 
+    def _link(self, func: IrFunction):
+        """Derive the control-flow graph, check every edge against it, and
+        add the function to the module."""
+        link_function(func)
+        for b in func.blocks:
+            for ins in b.instructions[:b.phi_count]:
+                seen = sorted(lbl for _, lbl in ins.incoming)
+                if seen != sorted(b.preds):
+                    raise ParseError(f"phi predecessors {seen} do not match block "
+                                     f"predecessors {sorted(b.preds)}", ins.line)
+            term = b.instructions[-1]
+            for lbl in term.labels + [lbl for _, lbl in term.cases]:
+                if lbl not in func.block_map:
+                    raise ParseError(f"branch to unknown label '%{lbl}'", term.line)
+        self.module.functions.append(func)
+
     # --- instructions ---------------------------------------------------------
 
-    def _parse_instruction(self, cur: _Cursor) -> IrInstruction:
+    def _parse_instruction(self, cur: _Cursor, block: IrBlock):
+        """Parse one instruction and append it to `block`."""
         first = cur.peek()
         result = None
         if first.kind == "lid":
@@ -686,7 +708,12 @@ class _Parser:
             raise ParseError(f"unknown opcode {opcode!r}", tok.line, tok.col)
 
         ins = IrInstruction(opcode=opcode, result=result, line=tok.line)
-        getattr(self, "_ins_" + opcode, self._ins_binop)(cur, ins)
+        if opcode in _CASTS:
+            self._ins_cast(cur, ins)
+        elif opcode in _PREDICATES:
+            self._ins_cmp(cur, ins)
+        else:
+            getattr(self, "_ins_" + opcode, self._ins_binop)(cur, ins)
         self._finish_statement(cur, ins)
         if ins.opcode in TERMINATORS or (ins.opcode == "call" and ins.type is VOID):
             if ins.result is not None:
@@ -696,7 +723,14 @@ class _Parser:
                 raise ParseError("'store' cannot produce a result", tok.line, tok.col)
         elif ins.result is None:
             raise ParseError(f"'{ins.opcode}' must assign its result", tok.line, tok.col)
-        return ins
+        if block.instructions:
+            prev = block.instructions[-1].opcode
+            if prev in TERMINATORS:
+                raise ParseError(f"'{opcode}' after the terminator of block '%{block.label}'",
+                                 first.line, first.col)
+            if opcode == "phi" and prev != "phi":
+                raise ParseError("phi after a non-phi instruction", first.line, first.col)
+        block.instructions.append(ins)
 
     def _finish_statement(self, cur: _Cursor, ins=None):
         while not cur.at_end():
@@ -747,26 +781,14 @@ class _Parser:
         ins.type = ty
         ins.operands = [self.parse_value(cur, ty)]
 
-    def _ins_icmp(self, cur, ins):
+    def _ins_cmp(self, cur, ins):
         self._skip_flags(cur)
         pred = cur.expect("word")
-        if pred.value not in ICMP_PREDS:
-            raise ParseError(f"unknown icmp predicate {pred.value!r}", pred.line, pred.col)
+        if pred.value not in _PREDICATES[ins.opcode]:
+            raise ParseError(f"unknown {ins.opcode} predicate {pred.value!r}",
+                             pred.line, pred.col)
         ty = self.parse_type(cur)
-        a = self.parse_value(cur, ty)
-        cur.expect(",")
-        b = self.parse_value(cur, ty)
-        ins.pred = pred.value
-        ins.type = I1
-        ins.operands = [a, b]
-
-    def _ins_fcmp(self, cur, ins):
-        self._skip_flags(cur)
-        pred = cur.expect("word")
-        if pred.value not in FCMP_PREDS:
-            raise ParseError(f"unknown fcmp predicate {pred.value!r}", pred.line, pred.col)
-        ty = self.parse_type(cur)
-        if not ty.is_float():
+        if ins.opcode == "fcmp" and not ty.is_float():
             cur.error("'fcmp' needs a float type")
         a = self.parse_value(cur, ty)
         cur.expect(",")
@@ -775,7 +797,8 @@ class _Parser:
         ins.type = I1
         ins.operands = [a, b]
 
-    def _cast(self, cur, ins, src_ok, dst_ok):
+    def _ins_cast(self, cur, ins):
+        src_ok, dst_ok = _CASTS[ins.opcode]
         ty = self.parse_type(cur)
         val = self.parse_value(cur, ty)
         cur.expect("word", "to")
@@ -785,21 +808,6 @@ class _Parser:
         ins.type = dst
         ins.source_type = ty
         ins.operands = [val]
-
-    def _ins_zext(self, cur, ins):
-        self._cast(cur, ins, IrType.is_int, IrType.is_int)
-
-    def _ins_sext(self, cur, ins):
-        self._cast(cur, ins, IrType.is_int, IrType.is_int)
-
-    def _ins_fptosi(self, cur, ins):
-        self._cast(cur, ins, IrType.is_float, IrType.is_int)
-
-    def _ins_uitofp(self, cur, ins):
-        self._cast(cur, ins, IrType.is_int, IrType.is_float)
-
-    def _ins_sitofp(self, cur, ins):
-        self._cast(cur, ins, IrType.is_int, IrType.is_float)
 
     def _ins_alloca(self, cur, ins):
         cur.accept("word", "inalloca")
@@ -984,6 +992,8 @@ class _Parser:
     # --- finishing -------------------------------------------------------
 
     def _finish(self):
+        """Number blocks and instructions in source order and resolve every
+        callee, which may be defined after its first call."""
         block_id = 0
         inst_id = 0
         for f in self.module.functions:
@@ -993,16 +1003,9 @@ class _Parser:
                 for ins in b.instructions:
                     ins.static_id = inst_id
                     inst_id += 1
-        for f in self.module.functions:
-            for b in f.blocks:
-                for ins in b.instructions:
-                    if ins.opcode == "call":
-                        callee = ins.callee or ""
-                        if not self.module.has_function(callee) and not is_recognized_callee(callee):
-                            raise UnresolvedReferenceError(callee, "call target")
-        diags = validate_module(self.module)
-        if diags:
-            raise ParseError("; ".join(str(d) for d in diags[:3]))
+                    if ins.opcode == "call" and not (self.module.has_function(ins.callee)
+                                                     or is_recognized_callee(ins.callee)):
+                        raise UnresolvedReferenceError(ins.callee, "call target")
 
 
 def parse_module(text: str, source_name: str = "<string>") -> IrModule:

@@ -230,18 +230,6 @@ class TrainedModel:
             raise InvalidConfigError(f"{self.kind} model has no intercept")
         return self._payload["intercept"]
 
-    @property
-    def forest(self):
-        return self._payload["forest"]
-
-    @property
-    def mlp_weights(self):
-        return self._payload["weights"]
-
-    @property
-    def standardization(self):
-        return self._payload["mean"], self._payload["std"]
-
 
 def predict(model: TrainedModel, x) -> float:
     """Predict the time of a single feature vector (FeatureVector or any
@@ -413,7 +401,13 @@ def _model_from_dict(d, path=None) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    text = json.dumps(_model_to_dict(model), indent=2, sort_keys=True) + "\n"
+    """Write `model` as JSON; a non-finite parameter is a FormatError and
+    leaves no file behind."""
+    try:
+        text = json.dumps(_model_to_dict(model), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FormatError(f"model has a non-finite parameter: {exc}", str(path)) from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -189,9 +189,6 @@ class FeatureVector:
             return self.values[_FEATURE_INDEX[key]]
         return self.values[key]
 
-    def as_dict(self) -> dict:
-        return dict(zip(FEATURE_NAMES, self.values))
-
 
 def extract_features(trace: ExecutionTrace) -> FeatureVector:
     """Project a trace onto the canonical feature order."""

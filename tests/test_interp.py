@@ -458,17 +458,6 @@ exit:
     assert _ret(src) == 12
 
 
-def test_run_resets_cache_and_predictor(example_b):
-    from irtime import CacheModel, CacheConfig, BranchPredictorTable
-    cache = CacheModel(CacheConfig())
-    pred = BranchPredictorTable()
-    t1 = run(example_b, cache=cache, predictor=pred)
-    t2 = run(example_b, cache=cache, predictor=pred)
-    assert t1 == t2
-    assert len(pred) == 0
-    assert cache.resident_lines() == 0
-
-
 def test_repeat_runs_identical(samples_dir):
     m = parse_file(samples_dir / "matmul4.ll")
     assert run(m) == run(m)

@@ -213,6 +213,16 @@ def test_all_kinds_round_trip_through_files(tmp_path):
         assert path.read_bytes() == path2.read_bytes(), kind
 
 
+def test_save_refuses_non_finite_parameters(tmp_path):
+    model = TrainedModel("linear", 2, {}, 0, "",
+                         {"weights": np.array([np.nan, 1.0]), "intercept": 0.0})
+    path = tmp_path / "nan.json"
+    with pytest.raises(FormatError) as info:
+        save_model(model, path)
+    assert str(path) in str(info.value)
+    assert not path.exists()
+
+
 def test_model_file_is_versioned_json(tmp_path):
     rng = np.random.default_rng(8)
     ds, _, _ = _random_dataset(rng, 10, noise=0.01)

@@ -385,6 +385,107 @@ entry:
     assert m.global_var("weird name").init == 9
 
 
+# Each body holds one structural fault on the line marked `; here` (the
+# lexer drops the comment).  The check runs where the fault is read, so the
+# ParseError names that line.
+_MAIN = "define i32 @main() {\nentry:\n  ret i32 0\n}\n"
+STRUCTURAL_FAULTS = {
+    "duplicate_function": _MAIN + "define i32 @main() { ; here\nentry:\n  ret i32 1\n}\n",
+    "duplicate_label": """
+define i32 @main() {
+entry:
+  br label %next
+next:
+  br label %done
+next: ; here
+  br label %done
+done:
+  ret i32 0
+}
+""",
+    "instruction_after_terminator": """
+define i32 @main() {
+entry:
+  ret i32 0
+  %x = add i32 1, 2 ; here
+}
+""",
+    "block_without_terminator": """
+define i32 @main() {
+entry:
+  %v = add i32 1, 2
+next: ; here
+  ret i32 %v
+}
+""",
+    "function_ends_without_terminator": """
+define i32 @main() {
+entry:
+  %v = add i32 1, 2
+} ; here
+""",
+    "phi_after_non_phi": """
+define i32 @main() {
+entry:
+  br label %next
+next:
+  %a = add i32 1, 2
+  %p = phi i32 [ 0, %entry ] ; here
+  ret i32 %p
+}
+""",
+    "unknown_branch_label": """
+define i32 @main() {
+entry:
+  br label %nowhere ; here
+}
+""",
+    "unknown_switch_case_label": """
+define i32 @main() {
+entry:
+  switch i32 0, label %done [ ; here
+    i32 1, label %nowhere
+  ]
+done:
+  ret i32 0
+}
+""",
+    "phi_predecessor_mismatch": """
+define i32 @main() {
+entry:
+  br label %next
+next:
+  %x = phi i32 [ 0, %entry ], [ 1, %bogus ] ; here
+  ret i32 %x
+bogus:
+  ret i32 0
+}
+""",
+    "first_of_two_faults": """
+define i32 @f() {
+entry:
+  br label %nowhere ; here
+}
+define i32 @main() {
+entry:
+  ret i32 0
+entry:
+  ret i32 1
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_FAULTS))
+def test_structural_fault_names_its_line(name):
+    src = STRUCTURAL_FAULTS[name]
+    line = next(i for i, text in enumerate(src.split("\n"), 1) if "; here" in text)
+    with pytest.raises(ParseError) as info:
+        parse_module(src)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"{line}:")
+
+
 def test_duplicate_function_rejected():
     src = EXAMPLE_A + EXAMPLE_A
     with pytest.raises(ParseError):
