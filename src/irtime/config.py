@@ -5,14 +5,15 @@ fails loudly instead of silently running with defaults.
 """
 
 import dataclasses
+import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .branch import PredictorState
 from .cache import CacheConfig
 from .errors import InvalidConfigError
 from .interp import RunLimits
-from .models import Hyperparameters, HuberParams, MlpParams, ForestParams
+from .models import Hyperparameters
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,8 @@ class PipelineConfig:
     predictor_initial_state: PredictorState = PredictorState.WNT
     limits: RunLimits = RunLimits()
     label_unit: str = "ns"
-    hyper: Hyperparameters = Hyperparameters()
+    hyper: Hyperparameters = field(default=Hyperparameters(),
+                                   metadata={"key": "hyperparameters"})
     master_seed: int = 0
     workers: int = 1
 
@@ -39,73 +41,61 @@ class PipelineConfig:
             raise InvalidConfigError("workers must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "cache": dataclasses.asdict(self.cache),
-            "predictor_initial_state": self.predictor_initial_state.name,
-            "limits": dataclasses.asdict(self.limits),
-            "label_unit": self.label_unit,
-            "hyperparameters": dataclasses.asdict(self.hyper),
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-        }
+        return _dump(self)
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def _key(f):
+    return f.metadata.get("key", f.name)
+
+
+def _dump(value):
+    if isinstance(value, enum.Enum):
+        return value.name
+    if not dataclasses.is_dataclass(value):
+        return value
+    return {_key(f): _dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _build(cls, data, where):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+    """The `cls` dataclass that the JSON object `data` describes, the inverse
+    of _dump.  A field whose default is a dataclass is built from a nested
+    object, an enum from its name; any other value must have the JSON type
+    of the field's default, where an integer is also a number and a boolean
+    is neither."""
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"{where} must be a JSON object")
+    fields = {_key(f): f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise InvalidConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return cls(**data)
+    kwargs = {}
+    for key, value in data.items():
+        default, name = fields[key].default, f"{where}.{key}"
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), value, name)
+        elif isinstance(default, enum.Enum):
+            names = [m.name for m in type(default)]
+            if value not in names:
+                raise InvalidConfigError(
+                    f"{name} must be one of {names}, got {json.dumps(value)}")
+            value = type(default)[value]
+        elif isinstance(value, bool) or not isinstance(
+                value, (int, float) if type(default) is float else type(default)):
+            raise InvalidConfigError(f"{name} must be {_JSON_TYPES[type(default)]}, "
+                                     f"got {json.dumps(value)}")
+        kwargs[fields[key].name] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise InvalidConfigError("config must be a JSON object")
-    allowed = {"cache", "predictor_initial_state", "limits", "label_unit",
-               "hyperparameters", "master_seed", "workers"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    kwargs = {}
-    if "cache" in data:
-        kwargs["cache"] = _build(CacheConfig, data["cache"], "cache")
-    if "predictor_initial_state" in data:
-        name = data["predictor_initial_state"]
-        try:
-            kwargs["predictor_initial_state"] = PredictorState[name]
-        except KeyError:
-            raise InvalidConfigError(
-                f"predictor_initial_state must be one of "
-                f"{[s.name for s in PredictorState]}, got {name!r}"
-            ) from None
-    if "limits" in data:
-        kwargs["limits"] = _build(RunLimits, data["limits"], "limits")
-    if "label_unit" in data:
-        kwargs["label_unit"] = data["label_unit"]
-    if "hyperparameters" in data:
-        hp = data["hyperparameters"]
-        unknown = set(hp) - {"huber", "mlp", "forest"}
-        if unknown:
-            raise InvalidConfigError(f"unknown hyperparameter groups: {sorted(unknown)}")
-        kwargs["hyper"] = Hyperparameters(
-            huber=_build(HuberParams, hp.get("huber", {}), "huber"),
-            mlp=_build(MlpParams, hp.get("mlp", {}), "mlp"),
-            forest=_build(ForestParams, hp.get("forest", {}), "forest"),
-        )
-    if "master_seed" in data:
-        kwargs["master_seed"] = data["master_seed"]
-    if "workers" in data:
-        kwargs["workers"] = data["workers"]
-
-    try:
-        cfg = PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad config value: {exc}") from exc
+    cfg = _build(PipelineConfig, data, "config")
     cfg.validate()
     return cfg
 

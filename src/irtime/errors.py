@@ -35,9 +35,11 @@ class UnsupportedOpcodeError(IrTimeError):
 class UnresolvedReferenceError(IrTimeError):
     """A label, callee, or global name that does not resolve."""
 
-    def __init__(self, name: str, what: str = "reference"):
+    def __init__(self, name: str, what: str = "reference", line: int | None = None):
         self.name = name
-        super().__init__(f"unresolved {what} '{name}'")
+        self.line = line
+        where = f" (line {line})" if line is not None else ""
+        super().__init__(f"unresolved {what} '{name}'{where}")
 
 
 # interpretation

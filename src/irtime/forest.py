@@ -270,8 +270,28 @@ class RegressionTree:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+    def from_dict(cls, d, n_features):
+        """Rebuild a saved tree.  Raises ValueError unless its five arrays
+        have one length, its numbers are finite, and every split tests one
+        of `n_features` columns and names two later nodes, so that every
+        walk from the root ends at a leaf."""
+        tree = cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+        n = tree.value.size
+        if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold,
+                                                     tree.left, tree.right, tree.value)):
+            raise ValueError("a tree needs five lists of one non-zero length")
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+            raise ValueError("a tree threshold or value is not finite")
+        node = np.flatnonzero(tree.feature != _LEAF)
+        f, left, right = tree.feature[node], tree.left[node], tree.right[node]
+        bad = ((f < 0) | (f >= n_features) | (np.minimum(left, right) <= node)
+               | (np.maximum(left, right) >= n))
+        if bad.any():
+            i = node[bad.argmax()]
+            raise ValueError(f"tree node {i} splits on feature {tree.feature[i]} into nodes "
+                             f"{tree.left[i]} and {tree.right[i]}; a split needs a feature "
+                             f"below {n_features} and children in ({i}, {n})")
+        return tree
 
 
 class RandomForest:
@@ -291,8 +311,10 @@ class RandomForest:
         return {"trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
-    def from_dict(cls, d):
-        return cls([RegressionTree.from_dict(t) for t in d["trees"]])
+    def from_dict(cls, d, n_features):
+        if not d["trees"]:
+            raise ValueError("a forest needs at least one tree")
+        return cls([RegressionTree.from_dict(t, n_features) for t in d["trees"]])
 
 
 def fit_forest(X, y, n_trees, max_depth, min_split, min_leaf, max_features,

@@ -60,23 +60,22 @@ class ProbeSet:
 
     block_enter(block_id), instruction(static_id, opcode),
     load(addr, nbytes), store(addr, nbytes), cond_branch(site_id, taken),
-    mem_intrinsic(kind, nbytes), call(callee_name).  Consecutive block_enter
-    events are the block transitions.  An instruction observer slows every
-    instruction; without one, no per-instruction work is done.
+    mem_intrinsic(kind, nbytes).  Consecutive block_enter events are the
+    block transitions.  An instruction observer slows every instruction;
+    without one, no per-instruction work is done.
     """
 
     __slots__ = ("block_enter", "instruction", "load", "store", "cond_branch",
-                 "mem_intrinsic", "call")
+                 "mem_intrinsic")
 
     def __init__(self, block_enter=None, instruction=None, load=None, store=None,
-                 cond_branch=None, mem_intrinsic=None, call=None):
+                 cond_branch=None, mem_intrinsic=None):
         self.block_enter = block_enter
         self.instruction = instruction
         self.load = load
         self.store = store
         self.cond_branch = cond_branch
         self.mem_intrinsic = mem_intrinsic
-        self.call = call
 
 
 class _Region:
@@ -337,7 +336,6 @@ class Interpreter:
         self._on_store = [p.store for p in probes if p.store]
         self._on_cond_branch = [p.cond_branch for p in probes if p.cond_branch]
         self._on_mem_intrinsic = [p.mem_intrinsic for p in probes if p.mem_intrinsic]
-        self._on_call = [p.call for p in probes if p.call]
         self._setup_globals()
         functions = module.functions
         self._segments = {b.static_id: [(), None] for f in functions for b in f.blocks}
@@ -559,13 +557,11 @@ class Interpreter:
 
     def _decode_call(self, ins, reads):
         """A call to a memory routine, a heap function or a no-op intrinsic."""
-        callee, res, call_hooks = ins.callee, ins.result, self._on_call
+        callee, res = ins.callee, ins.result
         gets, mem_hooks, memory = [_getter(r) for r in reads], self._on_mem_intrinsic, self.memory
         kind, heap_limit = mem_intrinsic_kind(callee), self.limits.max_heap_bytes
 
         def call(regs):
-            for h in call_hooks:
-                h(callee)
             if kind is not None:
                 dst, src_or_byte, n = gets[0](regs), gets[1](regs), gets[2](regs)
                 (memory.copy if kind == "memcpy" else memory.fill)(dst, src_or_byte, n)
@@ -629,7 +625,7 @@ class Interpreter:
 
     def _decode_invoke(self, ins, resume):
         """A call into a function body; `resume` is the caller's next segment."""
-        callee, res, hooks = ins.callee, ins.result, self._on_call
+        callee, res = ins.callee, ins.result
         func = self.module.function(callee)
         if len(ins.operands) != len(func.params):
             raise InterpreterError(f"call to '@{callee}' passes {len(ins.operands)} "
@@ -639,8 +635,6 @@ class Interpreter:
         frames, stack, enter = self._frames, self.memory.stack, self._entries[callee]
 
         def invoke(regs):
-            for h in hooks:
-                h(callee)
             callee_regs = {}
             for name, g in zip(params, gets):
                 callee_regs[name] = g(regs)

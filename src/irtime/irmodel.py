@@ -197,7 +197,6 @@ class IrModule:
     source_name: str = "<string>"
     globals: list = field(default_factory=list)
     functions: list = field(default_factory=list)
-    declared: set = field(default_factory=set)
 
     def function(self, name: str) -> IrFunction:
         for f in self.functions:

@@ -483,11 +483,8 @@ class _Parser:
         self.type_defs[name] = line[cur.i:]
 
     def _parse_declare(self, line):
-        for tok in line:
-            if tok.kind == "gid":
-                self.module.declared.add(tok.value)
-                return
-        raise ParseError("declare without a function name", line[0].line, line[0].col)
+        if not any(tok.kind == "gid" for tok in line):
+            raise ParseError("declare without a function name", line[0].line, line[0].col)
 
     def _parse_global(self, line):
         cur = _Cursor(line)
@@ -1005,7 +1002,7 @@ class _Parser:
                     inst_id += 1
                     if ins.opcode == "call" and not (self.module.has_function(ins.callee)
                                                      or is_recognized_callee(ins.callee)):
-                        raise UnresolvedReferenceError(ins.callee, "call target")
+                        raise UnresolvedReferenceError(ins.callee, "call target", ins.line)
 
 
 def parse_module(text: str, source_name: str = "<string>") -> IrModule:

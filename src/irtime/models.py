@@ -89,22 +89,25 @@ class Hyperparameters:
         self.forest.validate()
 
 
-def _huber_of(h):
-    if h is None:
-        return HuberParams()
-    return h.huber if isinstance(h, Hyperparameters) else h
+def _params(kind, hyper):
+    """The `kind` group of a Hyperparameters bundle; `hyper` may also be the
+    group itself, or None for its defaults."""
+    if hyper is None:
+        hyper = Hyperparameters()
+    return getattr(hyper, kind) if isinstance(hyper, Hyperparameters) else hyper
 
 
-def _mlp_of(h):
-    if h is None:
-        return MlpParams()
-    return h.mlp if isinstance(h, Hyperparameters) else h
-
-
-def _forest_of(h):
-    if h is None:
-        return ForestParams()
-    return h.forest if isinstance(h, Hyperparameters) else h
+# The arrays each kind keeps, in the order its fit returns them (the MLP's as
+# mlp.init_weights orders them, then the input standardization), and their
+# shapes: "d" is the feature count and "h" the hidden width, taken from the
+# first array that has it.  A forest keeps its trees instead.
+_AFFINE = {"weights": ("d",), "intercept": ()}
+_SHAPES = {
+    "linear": _AFFINE,
+    "huber": _AFFINE,
+    "mlp": {"W1": ("d", "h"), "b1": ("h",), "W2": ("h", 1), "b2": (1,),
+            "mean": ("d",), "std": ("d",)},
+}
 
 
 # --- matrix-level fits -------------------------------------------------------
@@ -185,7 +188,10 @@ def fit_mlp(X, y, params: MlpParams = MlpParams(), master_seed=0):
 
 class TrainedModel:
     """Immutable bundle of a fitted predictor and the metadata needed to
-    reproduce it: kind, hyperparameters, master seed, dataset fingerprint."""
+    reproduce it: kind, hyperparameters, master seed, dataset fingerprint.
+
+    The payload of a forest is {"forest": RandomForest}; that of every other
+    kind maps each name in its shape table to a float array."""
 
     def __init__(self, kind, feature_count, hyperparameters, master_seed,
                  dataset_fingerprint, payload):
@@ -200,12 +206,11 @@ class TrainedModel:
 
     def _raw_predict(self, X):
         p = self._payload
-        if self.kind in ("linear", "huber"):
-            return X @ p["weights"] + p["intercept"]
         if self.kind == "forest":
             return p["forest"].predict(X)
-        Xz = _mlp.standardize_apply(X, p["mean"], p["std"])
-        return _mlp.forward(p["weights"], Xz)
+        if self.kind == "mlp":
+            return _mlp.forward(p, _mlp.standardize_apply(X, p["mean"], p["std"]))
+        return X @ p["weights"] + p["intercept"]
 
     def predict(self, X):
         """Predict times for a feature matrix; results clamped at 0."""
@@ -218,17 +223,13 @@ class TrainedModel:
             )
         return np.maximum(self._raw_predict(X), 0.0)
 
-    @property
-    def weights(self):
-        if self.kind not in ("linear", "huber"):
-            raise InvalidConfigError(f"{self.kind} model has no flat weight vector")
-        return self._payload["weights"]
+    def _parameter(self, name):
+        if name not in _SHAPES.get(self.kind, {}):
+            raise InvalidConfigError(f"{self.kind} model has no {name}")
+        return self._payload[name]
 
-    @property
-    def intercept(self):
-        if self.kind not in ("linear", "huber"):
-            raise InvalidConfigError(f"{self.kind} model has no intercept")
-        return self._payload["intercept"]
+    weights = property(lambda self: self._parameter("weights"))
+    intercept = property(lambda self: self._parameter("intercept"))
 
 
 def predict(model: TrainedModel, x) -> float:
@@ -273,65 +274,63 @@ def dataset_fingerprint(ds) -> str:
     return h.hexdigest()[:16]
 
 
-def train_linear(ds) -> TrainedModel:
+def _train(kind, ds, fit, params=None, master_seed=0, min_rows=1):
+    """Fit `kind` on the labeled rows of `ds`: `fit(X, y)` returns the
+    payload, and the model records `params` and `master_seed` with it."""
+    if params is not None:
+        params.validate()
     X, y, _ = dataset_matrix(ds)
-    if X.shape[0] < 2:
-        raise EmptyDatasetError("linear training needs at least 2 samples")
-    w, b = fit_linear(X, y)
-    return TrainedModel(
-        kind="linear", feature_count=X.shape[1], hyperparameters={},
-        master_seed=0, dataset_fingerprint=dataset_fingerprint(ds),
-        payload={"weights": w, "intercept": b},
-    )
+    if X.shape[0] < min_rows:
+        raise EmptyDatasetError(f"{kind} training needs at least {min_rows} samples")
+    return TrainedModel(kind, X.shape[1], asdict(params) if params is not None else {},
+                        master_seed, dataset_fingerprint(ds), fit(X, y))
 
 
-def train_huber(ds, hyper=None) -> TrainedModel:
-    params = _huber_of(hyper)
-    params.validate()
-    X, y, _ = dataset_matrix(ds)
-    if X.shape[0] < 2:
-        raise EmptyDatasetError("huber training needs at least 2 samples")
-    w, b = fit_huber(X, y, epsilon=params.epsilon, max_iter=params.max_iter,
-                     l2=params.l2)
-    return TrainedModel(
-        kind="huber", feature_count=X.shape[1], hyperparameters=asdict(params),
-        master_seed=0, dataset_fingerprint=dataset_fingerprint(ds),
-        payload={"weights": w, "intercept": b},
-    )
+def _flat(kind, arrays):
+    return {name: np.asarray(a, dtype=float) for name, a in zip(_SHAPES[kind], arrays)}
+
+
+def train_linear(ds, hyper=None, master_seed=0) -> TrainedModel:
+    """Least squares has no hyperparameters and, like Huber, draws no random
+    numbers, so both record master seed 0 whatever seed they are given."""
+    return _train("linear", ds, lambda X, y: _flat("linear", fit_linear(X, y)),
+                  min_rows=2)
+
+
+def train_huber(ds, hyper=None, master_seed=0) -> TrainedModel:
+    params = _params("huber", hyper)
+
+    def fit(X, y):
+        return _flat("huber", fit_huber(X, y, params.epsilon, params.max_iter, params.l2))
+    return _train("huber", ds, fit, params, min_rows=2)
 
 
 def train_forest(ds, hyper=None, master_seed=0) -> TrainedModel:
-    params = _forest_of(hyper)
-    X, y, _ = dataset_matrix(ds)
-    if X.shape[0] < params.min_split:
-        raise EmptyDatasetError(
-            f"forest training needs at least {params.min_split} samples"
-        )
-    model = fit_forest(X, y, params, master_seed)
-    return TrainedModel(
-        kind="forest", feature_count=X.shape[1], hyperparameters=asdict(params),
-        master_seed=master_seed, dataset_fingerprint=dataset_fingerprint(ds),
-        payload={"forest": model},
-    )
+    params = _params("forest", hyper)
+    return _train("forest", ds,
+                  lambda X, y: {"forest": fit_forest(X, y, params, master_seed)},
+                  params, master_seed, min_rows=params.min_split)
 
 
 def train_mlp(ds, hyper=None, master_seed=0) -> TrainedModel:
-    params = _mlp_of(hyper)
-    X, y, _ = dataset_matrix(ds)
-    weights, mean, std, history = fit_mlp(X, y, params, master_seed)
-    return TrainedModel(
-        kind="mlp", feature_count=X.shape[1], hyperparameters=asdict(params),
-        master_seed=master_seed, dataset_fingerprint=dataset_fingerprint(ds),
-        payload={"weights": weights, "mean": mean, "std": std,
-                 "history": list(history)},
-    )
+    params = _params("mlp", hyper)
+
+    def fit(X, y):
+        weights, mean, std, _ = fit_mlp(X, y, params, master_seed)
+        return _flat("mlp", [*weights.values(), mean, std])
+    return _train("mlp", ds, fit, params, master_seed)
 
 
 # --- serialization -----------------------------------------------------------
 
 
 def _model_to_dict(model: TrainedModel) -> dict:
-    d = {
+    p = model._payload
+    if model.kind == "forest":
+        parameters = p["forest"].to_dict()
+    else:
+        parameters = {name: np.asarray(p[name]).tolist() for name in _SHAPES[model.kind]}
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": model.kind,
@@ -339,25 +338,28 @@ def _model_to_dict(model: TrainedModel) -> dict:
         "hyperparameters": model.hyperparameters,
         "master_seed": model.master_seed,
         "dataset_fingerprint": model.dataset_fingerprint,
+        "parameters": parameters,
     }
-    p = model._payload
-    if model.kind in ("linear", "huber"):
-        d["parameters"] = {
-            "weights": np.asarray(p["weights"]).tolist(),
-            "intercept": float(p["intercept"]),
-        }
-    elif model.kind == "forest":
-        d["parameters"] = p["forest"].to_dict()
-    else:
-        d["parameters"] = {
-            "W1": p["weights"]["W1"].tolist(),
-            "b1": p["weights"]["b1"].tolist(),
-            "W2": p["weights"]["W2"].tolist(),
-            "b2": p["weights"]["b2"].tolist(),
-            "mean": np.asarray(p["mean"]).tolist(),
-            "std": np.asarray(p["std"]).tolist(),
-        }
-    return d
+
+
+def _arrays(params, shapes, feature_count):
+    """The arrays named in `shapes`, each checked to be finite and of its
+    shape; raises ValueError otherwise."""
+    dims = {"d": feature_count}
+    out = {}
+    for name, shape in shapes.items():
+        a = np.asarray(params[name], dtype=float)
+        if a.ndim == len(shape):
+            for dim, size in zip(shape, a.shape):
+                if isinstance(dim, str):
+                    dims.setdefault(dim, size)
+        want = tuple(dims.get(dim, dim) for dim in shape)
+        if a.shape != want:
+            raise ValueError(f"parameter {name!r} has shape {a.shape}, expected {want}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"parameter {name!r} is not finite")
+        out[name] = a
+    return out
 
 
 def _model_from_dict(d, path=None) -> TrainedModel:
@@ -366,37 +368,18 @@ def _model_from_dict(d, path=None) -> TrainedModel:
             raise FormatError(f"not a model file (format={d.get('format')!r})", path)
         if d.get("version") != MODEL_VERSION:
             raise FormatError(f"unsupported model version {d.get('version')!r}", path)
-        kind = d["kind"]
-        params = d["parameters"]
-        if kind in ("linear", "huber"):
-            payload = {
-                "weights": np.asarray(params["weights"], dtype=float),
-                "intercept": float(params["intercept"]),
-            }
-        elif kind == "forest":
-            payload = {"forest": _forest.RandomForest.from_dict(params)}
-        elif kind == "mlp":
-            payload = {
-                "weights": {
-                    "W1": np.asarray(params["W1"], dtype=float),
-                    "b1": np.asarray(params["b1"], dtype=float),
-                    "W2": np.asarray(params["W2"], dtype=float),
-                    "b2": np.asarray(params["b2"], dtype=float),
-                },
-                "mean": np.asarray(params["mean"], dtype=float),
-                "std": np.asarray(params["std"], dtype=float),
-            }
+        kind, n, params = d["kind"], d["feature_count"], d["parameters"]
+        if type(n) is not int or n < 1:
+            raise FormatError(f"feature_count must be a positive integer, got {n!r}", path)
+        if kind == "forest":
+            payload = {"forest": _forest.RandomForest.from_dict(params, n)}
+        elif kind in _SHAPES:
+            payload = _arrays(params, _SHAPES[kind], n)
         else:
             raise FormatError(f"unknown model kind {kind!r}", path)
-        return TrainedModel(
-            kind=kind,
-            feature_count=d["feature_count"],
-            hyperparameters=d.get("hyperparameters", {}),
-            master_seed=d.get("master_seed", 0),
-            dataset_fingerprint=d.get("dataset_fingerprint", ""),
-            payload=payload,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return TrainedModel(kind, n, d.get("hyperparameters", {}), d.get("master_seed", 0),
+                            d.get("dataset_fingerprint", ""), payload)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed model file: {exc}", path) from exc
 
 
@@ -424,8 +407,8 @@ def load_model(path) -> TrainedModel:
 
 
 TRAINERS = {
-    "linear": lambda ds, hyper, seed: train_linear(ds),
-    "huber": lambda ds, hyper, seed: train_huber(ds, hyper),
+    "linear": train_linear,
+    "huber": train_huber,
     "forest": train_forest,
     "mlp": train_mlp,
 }

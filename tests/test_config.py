@@ -66,6 +66,15 @@ def test_bad_values_rejected():
                                     "associativity": 2}})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"hyperparameters": {"huber": {"epsilon": 0.0}}})
+    # values of the wrong JSON type
+    for data in ({"cache": 5},
+                 {"cache": {"cache_size": "big"}},
+                 {"master_seed": "1"},
+                 {"limits": {"max_steps": None}},
+                 {"hyperparameters": {"forest": {"n_trees": 2.5}}},
+                 {"hyperparameters": {"mlp": {"hidden": True}}}):
+        with pytest.raises(InvalidConfigError):
+            config_from_dict(data)
 
 
 def test_predictor_state_parsed_by_name():
@@ -86,6 +95,9 @@ def test_hyperparameter_overrides_apply():
     assert cfg.hyper.mlp.epochs == 3
     # untouched groups keep their defaults
     assert cfg.hyper.huber.epsilon == 1.35
+    # an integer is a number too, and is kept as written
+    cfg = config_from_dict({"hyperparameters": {"huber": {"epsilon": 2}}})
+    assert cfg.hyper.huber.epsilon == 2 and type(cfg.hyper.huber.epsilon) is int
 
 
 def test_non_json_file(tmp_path):

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from irtime import Dataset, DatasetRow, FeatureVector, ForestParams, fit_forest
 from irtime import forest
 from irtime.forest import RandomForest, RegressionTree
-from irtime.models import save_model, train_forest
+from irtime.models import TRAINERS, save_model, train_forest
 
 _LEAF = -1
 
@@ -228,6 +228,28 @@ def test_saved_forest_bytes_pinned(name, tmp_path):
     path = tmp_path / "forest.json"
     save_model(train_forest(ds, PARAMS[name], master_seed=1), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SHA256[name]
+
+
+# sha256 of save_model output for the other kinds at their default
+# hyperparameters, on seeded rows whose labels (49-80) keep the MLP finite,
+# as written before the model payload became one flat parameter table
+_PINNED_SHA256_OTHER = {
+    "linear": "9a4ec1d709c041f848bd1dc8ca415f81afc22749f636e88b83bca266c5c329fc",
+    "huber": "99640bf0e1053b811306bd4bb3b3b30eed1200b5583a082af0c5804a4359948d",
+    "mlp": "4a1e00f4753e58d5ca2d7c01feafb45b886b6b71fc8a82ca086cca27d42f134b",
+}
+
+
+@pytest.mark.parametrize("kind", _PINNED_SHA256_OTHER.keys())
+def test_saved_model_bytes_pinned(kind, tmp_path):
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 100, size=(60, 42)).astype(float)
+    y = 1.0 + X @ rng.uniform(0.01, 0.05, size=42) + rng.normal(0.0, 0.5, size=60)
+    ds = Dataset(tuple(DatasetRow(f"r{i}", FeatureVector(tuple(row)), float(label))
+                       for i, (row, label) in enumerate(zip(X.tolist(), y.tolist()))))
+    path = tmp_path / f"{kind}.json"
+    save_model(TRAINERS[kind](ds, None, 1), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SHA256_OTHER[kind]
 
 
 def test_fit_forest_memory_peak():

@@ -12,6 +12,8 @@ from irtime import (
 )
 from irtime.models import dataset_fingerprint, TRAINERS
 from irtime import mlp as mlp_mod
+from irtime.cli import main as cli_main
+from irtime.trace import write_features
 from irtime.errors import (
     DimensionMismatchError, EmptyDatasetError, FormatError, InvalidConfigError,
     IrTimeError, SingularDesignError,
@@ -332,3 +334,64 @@ def test_trainers_accept_hyperparameters_bundle():
     assert m.hyperparameters["hidden"] == 8
     for model in (h, f, m):
         assert model.predict(X).shape == (20,)
+
+
+def _saved(tmp_path, kind, edit):
+    """Train a small `kind` model, save it, apply `edit` to its parsed JSON
+    and write it back; returns the path."""
+    rng = np.random.default_rng(11)
+    ds, _, _ = _random_dataset(rng, 30, noise=0.01)
+    hyper = Hyperparameters(forest=ForestParams(n_trees=3, max_depth=4),
+                            mlp=MlpParams(epochs=1, hidden=8))
+    path = tmp_path / f"{kind}.json"
+    save_model(TRAINERS[kind](ds, hyper, 0), path)
+    d = json.loads(path.read_text())
+    edit(d["parameters"])
+    path.write_text(json.dumps(d))
+    return path
+
+
+def _assert_rejected(path, match):
+    with pytest.raises(FormatError, match=match) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_rejects_short_weights(tmp_path):
+    path = _saved(tmp_path, "linear", lambda p: p.update(weights=p["weights"][:5]))
+    _assert_rejected(path, r"'weights' has shape \(5,\), expected \(42,\)")
+
+
+def test_load_rejects_mlp_layer_of_the_wrong_width(tmp_path):
+    path = _saved(tmp_path, "mlp", lambda p: p.update(W1=[row[:3] for row in p["W1"]]))
+    _assert_rejected(path, r"'b1' has shape \(8,\), expected \(3,\)")
+
+
+@pytest.mark.parametrize("field, value", [("feature", 99), ("feature", 42),
+                                          ("left", 10**6), ("left", "nodes")])
+def test_load_rejects_forest_index_out_of_range(tmp_path, field, value):
+    # 42 is the feature count, and "nodes" the tree's node count
+    def edit(p):
+        tree = p["trees"][0]
+        tree[field][0] = len(tree["value"]) if value == "nodes" else value
+    _assert_rejected(_saved(tmp_path, "forest", edit), "tree node 0 splits")
+
+
+def test_load_rejects_forest_without_trees(tmp_path):
+    path = _saved(tmp_path, "forest", lambda p: p.update(trees=[]))
+    _assert_rejected(path, "at least one tree")
+
+
+def test_load_rejects_forest_child_that_does_not_follow_its_parent(tmp_path, capsys):
+    # a child id that is not greater than its parent's would make the walk
+    # in RegressionTree.predict revisit node 0 forever
+    def edit(p):
+        p["trees"][0]["left"][0] = p["trees"][0]["right"][0] = 0
+    path = _saved(tmp_path, "forest", edit)
+    _assert_rejected(path, r"into nodes 0 and 0")
+    features = tmp_path / "x.features"
+    write_features(_random_dataset(np.random.default_rng(1), 3)[0], features)
+    assert cli_main(["predict", "--model", str(path), "--features", str(features),
+                     "--out", str(tmp_path / "p.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and err.count("\n") == 1

@@ -220,6 +220,12 @@ entry:
     assert call.callee == "llvm.memset.p0.i32"
 
 
+
+def test_declare_needs_a_function_name():
+    with pytest.raises(ParseError, match="declare without a function name") as info:
+        parse_module("\ndeclare void (ptr)\n" + EXAMPLE_A)
+    assert info.value.line == 2
+
 def test_unsupported_opcode_is_distinguished():
     src = """
 define i32 @main() {
@@ -282,8 +288,9 @@ entry:
   ret i32 %r
 }
 """
-    with pytest.raises(UnresolvedReferenceError):
+    with pytest.raises(UnresolvedReferenceError, match=r"'missing' \(line 4\)") as info:
         parse_module(src)
+    assert info.value.line == 4
 
 
 def test_block_without_terminator():
