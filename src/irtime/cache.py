@@ -16,8 +16,6 @@ class CacheConfig:
     cache_size: int = 16384     # bytes
     line_size: int = 32         # bytes
     associativity: int = 2      # ways per set
-    write_policy: str = "write-back"
-    replacement: str = "lru"
 
     @property
     def set_count(self) -> int:
@@ -33,10 +31,6 @@ class CacheConfig:
                 "cache_size must be divisible by line_size * associativity "
                 f"({self.cache_size} % {self.line_size * self.associativity} != 0)"
             )
-        if self.write_policy != "write-back":
-            raise InvalidConfigError(f"unsupported write policy {self.write_policy!r}")
-        if self.replacement != "lru":
-            raise InvalidConfigError(f"unsupported replacement policy {self.replacement!r}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .metrics import evaluate
 from .models import MODEL_KINDS, TRAINERS, load_model, save_model
 from .trace import (
     Dataset, DatasetRow, extract_features, read_features, read_labels,
-    read_trace, write_features, write_trace,
+    read_trace, write_features, write_lines, write_trace,
 )
 
 
@@ -140,8 +140,7 @@ def _cmd_predict(args) -> int:
     lines = [f"# unit: {ds.unit}"]
     for row, pred in zip(ds.rows, predictions):
         lines.append(f"{row.sample_id} {float(pred)!r}")
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(args.out, lines)
     print(f"wrote {args.out} ({len(ds.rows)} predictions)")
     return 0
 
@@ -162,8 +161,7 @@ def _cmd_eval(args) -> int:
                          f"sape {report.group_sape[g]!r}")
         lines.append(f"# overall ape {report.mean_ape!r} sape {report.mean_sape!r} "
                      f"mse {report.mse!r}")
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(args.out, lines)
         print(f"wrote {args.out}")
     return 0
 

@@ -14,6 +14,7 @@ from .cache import CacheConfig
 from .errors import InvalidConfigError
 from .interp import RunLimits
 from .models import Hyperparameters
+from .trace import write_lines
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ class PipelineConfig:
         return _dump(self)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True)])
 
 
 def _key(f):

@@ -12,6 +12,7 @@ import zlib
 from pathlib import Path
 
 from .errors import InvalidConfigError, UnsupportedOpcodeError
+from .trace import write_lines
 
 INT_ACC_OPS = ("add", "sub", "mul", "and", "or", "xor")
 SHIFT_OPS = ("shl", "lshr", "ashr")
@@ -134,6 +135,6 @@ def generate_corpus(opcodes, counts, seed, out_dir) -> list:
         for n in counts:
             text = generate_program(opcode, n, seed)
             path = out / f"{opcode}_{n}.ll"
-            path.write_text(text, encoding="utf-8")
+            write_lines(path, [text.rstrip("\n")])
             paths.append(path)
     return paths

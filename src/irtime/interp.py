@@ -358,19 +358,15 @@ class Interpreter:
             mem.global_addrs[g.name] = addr
         for g in self.module.globals:
             addr = mem.global_addrs[g.name]
+            mem.fill(addr, 0, max(g.type.size(), 1))
             self._write_init(addr, g.type, g.init)
-            region, off = mem._locate(addr, max(g.type.size(), 1))
-            size = max(g.type.size(), 1)
-            region.shadow[off:off + size] = b"\x01" * size
 
     def _write_init(self, addr, ty, init):
         mem = self.memory
         if init is None or init == ("zero",):
             return
         if isinstance(init, bytes):
-            payload = init[: ty.size()]
-            region, off = mem._locate(addr, max(len(payload), 1))
-            region.data[off:off + len(payload)] = payload
+            mem.write(addr, init[: ty.size()])
             return
         if isinstance(init, (GlobalRef, ConstGep)):
             mem.write(addr, _encoder(ty)(self._read(init)[1]))
@@ -575,8 +571,7 @@ class Interpreter:
                 if addr is None:
                     raise HeapExhausted(heap_limit)
                 if callee == "calloc":
-                    region, off = memory._locate(addr, max(nbytes, 1))
-                    region.shadow[off:off + max(nbytes, 1)] = b"\x01" * max(nbytes, 1)
+                    memory.fill(addr, 0, max(nbytes, 1))
                 for h in mem_hooks:
                     h(callee, nbytes)
                 if res is not None:

@@ -27,6 +27,7 @@ from .errors import (
     EmptyDatasetError, DimensionMismatchError, FormatError, InvalidConfigError,
     SingularDesignError,
 )
+from .trace import write_lines
 
 MODEL_FORMAT = "irtime-model"
 MODEL_VERSION = 1
@@ -388,11 +389,10 @@ def save_model(model: TrainedModel, path) -> None:
     leaves no file behind."""
     try:
         text = json.dumps(_model_to_dict(model), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+                          allow_nan=False)
     except ValueError as exc:
         raise FormatError(f"model has a non-finite parameter: {exc}", str(path)) from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_lines(path, [text])
 
 
 def load_model(path) -> TrainedModel:

@@ -9,7 +9,7 @@ files and feature CSVs index into it positionally.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     FormatError, DimensionMismatchError, MissingLabelError, EmptyDatasetError,
@@ -32,40 +32,46 @@ FEATURE_NAMES = (
 FEATURE_COUNT = len(FEATURE_NAMES)
 _FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
-# Opcodes whose executions appear 1:1 as a feature component.
-_PLAIN_OPCODES = (
-    "add", "fadd", "sub", "fsub", "and", "or", "xor", "shl", "lshr", "ashr",
-    "icmp", "fcmp", "zext", "sext", "fptosi", "uitofp", "sitofp", "fneg",
-    "sdiv", "fdiv", "mul", "udiv", "urem", "fmul", "srem",
-    "switch", "getelementptr", "phi", "alloca",
-)
-
 # Executed but deliberately absent from the feature table.
 UNTRACKED_OPCODES = ("ret", "call")
+
+
+def _counter(key, feature):
+    """A scalar counter: its `key` in a trace file and the feature it fills,
+    None for a diagnostic that feeds no model."""
+    return field(default=0, metadata={"key": key, "feature": feature})
 
 
 @dataclass(frozen=True)
 class ExecutionTrace:
     block_counts: dict = field(default_factory=dict)   # "func:label" -> entries
     op_counts: dict = field(default_factory=dict)      # opcode -> executions
-    load_hit: int = 0
-    load_miss: int = 0
-    store_hit: int = 0
-    store_miss: int = 0
-    br_hit: int = 0
-    br_miss: int = 0
-    br_uncond: int = 0
-    bb_jump: int = 0
-    inst_miss: int = 0
-    memset_bytes: int = 0
-    memcpy_bytes: int = 0
-    calloc_bytes: int = 0
-    malloc_bytes: int = 0
-    dirty_evictions: int = 0
-    uninitialized_loads: int = 0
+    load_hit: int = _counter("cache.load_hit", "load_hit")
+    load_miss: int = _counter("cache.load_miss", "load_miss")
+    store_hit: int = _counter("cache.store_hit", "store_hit")
+    store_miss: int = _counter("cache.store_miss", "store_miss")
+    br_hit: int = _counter("branch.br_hit", "br_hit")
+    br_miss: int = _counter("branch.br_miss", "br_miss")
+    br_uncond: int = _counter("branch.br_uncond", "br_uncond")
+    bb_jump: int = _counter("branch.bb_jump", "bb_jump")
+    inst_miss: int = _counter("icache.inst_miss", "inst_miss")
+    memset_bytes: int = _counter("mem.memset", "memset")
+    memcpy_bytes: int = _counter("mem.memcpy", "memcpy")
+    calloc_bytes: int = _counter("mem.calloc", "calloc")
+    malloc_bytes: int = _counter("mem.malloc", "malloc")
+    dirty_evictions: int = _counter("diag.dirty_evictions", None)
+    uninitialized_loads: int = _counter("diag.uninitialized_loads", None)
 
     def total_instructions(self) -> int:
         return sum(self.op_counts.values())
+
+
+# (trace-file key, ExecutionTrace field, feature or None) per scalar counter,
+# in trace-file order; every other feature is an opcode's execution count
+SCALAR_COUNTERS = tuple((f.metadata["key"], f.name, f.metadata["feature"])
+                        for f in fields(ExecutionTrace) if "key" in f.metadata)
+_FIELD_OF_KEY = {key: name for key, name, _ in SCALAR_COUNTERS}
+_FIELD_OF_FEATURE = {feature: name for _, name, feature in SCALAR_COUNTERS if feature}
 
 
 class TraceBuilder:
@@ -77,7 +83,8 @@ class TraceBuilder:
 
     Only block entries are counted: every block a finished run enters runs
     to completion, so build() derives the opcode counts and inst_miss
-    exactly from the entry counts and each block's instructions.
+    exactly from the entry counts and each block's instructions.  Each
+    scalar counter is an attribute named after its ExecutionTrace field.
     """
 
     def __init__(self, module, cache, predictor):
@@ -90,12 +97,8 @@ class TraceBuilder:
         self._predictor = predictor
         self._entries = dict.fromkeys(self._blocks, 0)
         self._last_block = None
-        self._load_hit = self._load_miss = 0
-        self._store_hit = self._store_miss = 0
-        self._br_hit = self._br_miss = 0
-        self._bb_jump = 0
-        self._volumes = {"memset": 0, "memcpy": 0, "calloc": 0, "malloc": 0}
-        self._dirty_evictions = 0
+        for _, name, _ in SCALAR_COUNTERS:
+            setattr(self, name, 0)
 
     # probe handlers
 
@@ -103,35 +106,36 @@ class TraceBuilder:
         self._entries[block_id] += 1
         if block_id != self._last_block:
             if self._last_block is not None:
-                self._bb_jump += 1      # a transition that leaves its block
+                self.bb_jump += 1       # a transition that leaves its block
             self._last_block = block_id
 
     def on_load(self, addr, nbytes):
         outcome = self._cache.access(addr, "load")
         if outcome.hit:
-            self._load_hit += 1
+            self.load_hit += 1
         else:
-            self._load_miss += 1
+            self.load_miss += 1
         if outcome.evicted_dirty:
-            self._dirty_evictions += 1
+            self.dirty_evictions += 1
 
     def on_store(self, addr, nbytes):
         outcome = self._cache.access(addr, "store")
         if outcome.hit:
-            self._store_hit += 1
+            self.store_hit += 1
         else:
-            self._store_miss += 1
+            self.store_miss += 1
         if outcome.evicted_dirty:
-            self._dirty_evictions += 1
+            self.dirty_evictions += 1
 
     def on_cond_branch(self, site_id, taken):
         if self._predictor.predict_and_update(site_id, taken):
-            self._br_hit += 1
+            self.br_hit += 1
         else:
-            self._br_miss += 1
+            self.br_miss += 1
 
     def on_mem_intrinsic(self, kind, nbytes):
-        self._volumes[kind] += nbytes
+        name = _FIELD_OF_FEATURE[kind]
+        setattr(self, name, getattr(self, name) + nbytes)
 
     def build(self, uninitialized_loads: int = 0) -> ExecutionTrace:
         blocks, ops, inst_miss = {}, {}, 0
@@ -142,26 +146,11 @@ class TraceBuilder:
                 inst_miss += len(instructions)
                 for ins in instructions:
                     ops[ins.opcode] = ops.get(ins.opcode, 0) + count
-        br_total = ops.get("br", 0)
-        return ExecutionTrace(
-            block_counts=blocks,
-            op_counts=ops,
-            load_hit=self._load_hit,
-            load_miss=self._load_miss,
-            store_hit=self._store_hit,
-            store_miss=self._store_miss,
-            br_hit=self._br_hit,
-            br_miss=self._br_miss,
-            br_uncond=br_total - self._br_hit - self._br_miss,
-            bb_jump=self._bb_jump,
-            inst_miss=inst_miss,
-            memset_bytes=self._volumes["memset"],
-            memcpy_bytes=self._volumes["memcpy"],
-            calloc_bytes=self._volumes["calloc"],
-            malloc_bytes=self._volumes["malloc"],
-            dirty_evictions=self._dirty_evictions,
-            uninitialized_loads=uninitialized_loads,
-        )
+        self.br_uncond = ops.get("br", 0) - self.br_hit - self.br_miss
+        self.inst_miss = inst_miss
+        self.uninitialized_loads = uninitialized_loads
+        return ExecutionTrace(block_counts=blocks, op_counts=ops,
+                              **{name: getattr(self, name) for _, name, _ in SCALAR_COUNTERS})
 
 
 # --- feature vectors -------------------------------------------------------
@@ -193,86 +182,77 @@ class FeatureVector:
 def extract_features(trace: ExecutionTrace) -> FeatureVector:
     """Project a trace onto the canonical feature order."""
     ops = trace.op_counts
-    values = []
-    for name in _PLAIN_OPCODES[:25]:
-        values.append(ops.get(name, 0))
-    values.extend([trace.br_hit, trace.br_miss, trace.br_uncond,
-                   trace.store_miss, trace.store_hit,
-                   trace.load_miss, trace.load_hit])
-    for name in ("switch", "getelementptr", "phi", "alloca"):
-        values.append(ops.get(name, 0))
-    values.extend([trace.memset_bytes, trace.memcpy_bytes,
-                   trace.calloc_bytes, trace.malloc_bytes,
-                   trace.inst_miss, trace.bb_jump])
-    return FeatureVector(tuple(values))
+    return FeatureVector(tuple(
+        getattr(trace, _FIELD_OF_FEATURE[name]) if name in _FIELD_OF_FEATURE
+        else ops.get(name, 0)
+        for name in FEATURE_NAMES
+    ))
 
 
-# --- trace files -------------------------------------------------------------
+# --- text files and traces ---------------------------------------------------
 
-_SCALAR_KEYS = (
-    ("cache.load_hit", "load_hit"),
-    ("cache.load_miss", "load_miss"),
-    ("cache.store_hit", "store_hit"),
-    ("cache.store_miss", "store_miss"),
-    ("branch.br_hit", "br_hit"),
-    ("branch.br_miss", "br_miss"),
-    ("branch.br_uncond", "br_uncond"),
-    ("branch.bb_jump", "bb_jump"),
-    ("icache.inst_miss", "inst_miss"),
-    ("mem.memset", "memset_bytes"),
-    ("mem.memcpy", "memcpy_bytes"),
-    ("mem.calloc", "calloc_bytes"),
-    ("mem.malloc", "malloc_bytes"),
-    ("diag.dirty_evictions", "dirty_evictions"),
-    ("diag.uninitialized_loads", "uninitialized_loads"),
-)
+
+def write_lines(path, lines) -> None:
+    """Write `lines` as UTF-8 text, each ended by a newline, whatever the
+    platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_lines(path):
+    """The lines of a text file that hold data, as (line number, line)
+    pairs, and the unit of its last `# unit:` comment, or None.  Blank lines
+    and `#` comments hold no data."""
+    lines, unit = [], None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            text = line.strip()
+            if text.startswith("#"):
+                comment = text[1:].strip()
+                if comment.startswith("unit:"):
+                    unit = comment[len("unit:"):].strip()
+            elif text:
+                lines.append((lineno, line))
+    return lines, unit
 
 
 def write_trace(trace: ExecutionTrace, path) -> None:
     """Write one counter per line as `key<TAB>value`; block and opcode keys
     are sorted so output bytes are reproducible."""
     lines = ["# execution trace, format v1"]
-    for name in sorted(trace.block_counts):
-        lines.append(f"block.{name}\t{trace.block_counts[name]}")
-    for name in sorted(trace.op_counts):
-        lines.append(f"op.{name}\t{trace.op_counts[name]}")
-    for key, attr in _SCALAR_KEYS:
-        lines.append(f"{key}\t{getattr(trace, attr)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [f"block.{name}\t{trace.block_counts[name]}" for name in sorted(trace.block_counts)]
+    lines += [f"op.{name}\t{trace.op_counts[name]}" for name in sorted(trace.op_counts)]
+    lines += [f"{key}\t{getattr(trace, name)}" for key, name, _ in SCALAR_COUNTERS]
+    write_lines(path, lines)
 
 
 def read_trace(path) -> ExecutionTrace:
-    blocks = {}
-    ops = {}
-    scalars = {}
-    known = dict(_SCALAR_KEYS)
-    seen = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise FormatError("expected key<TAB>value", path=path, line=lineno)
-            key, _, value = line.partition("\t")
-            try:
-                count = int(value)
-            except ValueError:
-                raise FormatError(f"non-integer counter value {value!r}",
-                                  path=path, line=lineno) from None
-            if count < 0:
-                raise FormatError(f"negative counter {key}", path=path, line=lineno)
-            if key.startswith("block."):
-                blocks[key[len("block."):]] = count
-            elif key.startswith("op."):
-                ops[key[len("op."):]] = count
-            elif key in known:
-                scalars[known[key]] = count
-                seen.add(key)
-            else:
-                raise FormatError(f"unknown counter key {key!r}", path=path, line=lineno)
-    missing = [key for key, _ in _SCALAR_KEYS if key not in seen]
+    blocks, ops, scalars = {}, {}, {}
+    lines, _ = read_lines(path)
+    for lineno, line in lines:
+        if "\t" not in line:
+            raise FormatError("expected key<TAB>value", path=path, line=lineno)
+        key, _, value = line.partition("\t")
+        try:
+            count = int(value)
+        except ValueError:
+            raise FormatError(f"non-integer counter value {value!r}",
+                              path=path, line=lineno) from None
+        if count < 0:
+            raise FormatError(f"negative counter {key}", path=path, line=lineno)
+        if key.startswith("block."):
+            counts, name = blocks, key[len("block."):]
+        elif key.startswith("op."):
+            counts, name = ops, key[len("op."):]
+        elif key in _FIELD_OF_KEY:
+            counts, name = scalars, _FIELD_OF_KEY[key]
+        else:
+            raise FormatError(f"unknown counter key {key!r}", path=path, line=lineno)
+        if name in counts:
+            raise FormatError(f"counter {key!r} listed twice", path=path, line=lineno)
+        counts[name] = count
+    missing = [key for key, name, _ in SCALAR_COUNTERS if name not in scalars]
     if missing:
         raise FormatError(f"missing counters: {', '.join(missing)}", path=path)
     return ExecutionTrace(block_counts=blocks, op_counts=ops, **scalars)
@@ -331,90 +311,74 @@ def write_features(dataset: Dataset, path) -> None:
                 raise MissingLabelError(row.sample_id)
             cells.append(_format_number(row.label))
         lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_features(path) -> Dataset:
     """Read a feature CSV.  Header columns may arrive in any order; they are
     mapped back onto the canonical order.  Unknown, missing, or duplicate
     feature columns are an error."""
-    unit = "ns"
     header = None
     rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                stripped = line.lstrip()[1:].strip()
-                if stripped.startswith("unit:"):
-                    unit = stripped[len("unit:"):].strip()
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = [c.strip() for c in cells]
-                if "sample_id" not in header:
-                    raise FormatError("header must contain sample_id", path=path, line=lineno)
-                names = [c for c in header if c not in ("sample_id", "label")]
-                if sorted(names) != sorted(FEATURE_NAMES):
-                    missing = set(FEATURE_NAMES) - set(names)
-                    extra = set(names) - set(FEATURE_NAMES)
-                    parts = []
-                    if missing:
-                        parts.append(f"missing {sorted(missing)}")
-                    if extra:
-                        parts.append(f"unknown {sorted(extra)}")
-                    raise DimensionMismatchError(
-                        f"feature header does not match the {FEATURE_COUNT} canonical "
-                        f"names: {'; '.join(parts) or 'duplicated columns'}"
-                    )
-                continue
-            if len(cells) != len(header):
-                raise FormatError(
-                    f"row has {len(cells)} cells, header has {len(header)}",
-                    path=path, line=lineno,
+    lines, unit = read_lines(path)
+    for lineno, line in lines:
+        cells = line.split(",")
+        if header is None:
+            header = [c.strip() for c in cells]
+            if "sample_id" not in header:
+                raise FormatError("header must contain sample_id", path=path, line=lineno)
+            names = [c for c in header if c not in ("sample_id", "label")]
+            if sorted(names) != sorted(FEATURE_NAMES):
+                missing = set(FEATURE_NAMES) - set(names)
+                extra = set(names) - set(FEATURE_NAMES)
+                parts = []
+                if missing:
+                    parts.append(f"missing {sorted(missing)}")
+                if extra:
+                    parts.append(f"unknown {sorted(extra)}")
+                raise DimensionMismatchError(
+                    f"feature header does not match the {FEATURE_COUNT} canonical "
+                    f"names: {'; '.join(parts) or 'duplicated columns'}"
                 )
-            record = dict(zip(header, cells))
+            continue
+        if len(cells) != len(header):
+            raise FormatError(
+                f"row has {len(cells)} cells, header has {len(header)}",
+                path=path, line=lineno,
+            )
+        record = dict(zip(header, cells))
+        try:
+            values = tuple(float(record[name]) for name in FEATURE_NAMES)
+        except ValueError as e:
+            raise FormatError(f"bad feature value ({e})", path=path, line=lineno) from None
+        label = None
+        if "label" in record and record["label"] != "":
             try:
-                values = tuple(float(record[name]) for name in FEATURE_NAMES)
-            except ValueError as e:
-                raise FormatError(f"bad feature value ({e})", path=path, line=lineno) from None
-            label = None
-            if "label" in record and record["label"] != "":
-                try:
-                    label = float(record["label"])
-                except ValueError:
-                    raise FormatError(f"bad label {record['label']!r}",
-                                      path=path, line=lineno) from None
-            rows.append(DatasetRow(record["sample_id"], FeatureVector(values), label))
+                label = float(record["label"])
+            except ValueError:
+                raise FormatError(f"bad label {record['label']!r}",
+                                  path=path, line=lineno) from None
+        rows.append(DatasetRow(record["sample_id"], FeatureVector(values), label))
     if header is None:
         raise FormatError("no header row", path=path)
-    return Dataset(tuple(rows), unit=unit)
+    return Dataset(tuple(rows), unit="ns" if unit is None else unit)
 
 
 def read_labels(path):
     """Two-column text: sample_id and time per line.  Returns (labels, unit)
     where unit is taken from an optional `# unit:` comment."""
+    lines, unit = read_lines(path)
     labels = {}
-    unit = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                stripped = line[1:].strip()
-                if stripped.startswith("unit:"):
-                    unit = stripped[len("unit:"):].strip()
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError("expected `sample_id value`", path=path, line=lineno)
-            try:
-                labels[parts[0]] = float(parts[1])
-            except ValueError:
-                raise FormatError(f"bad time value {parts[1]!r}",
-                                  path=path, line=lineno) from None
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError("expected `sample_id value`", path=path, line=lineno)
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise FormatError(f"bad time value {parts[1]!r}",
+                              path=path, line=lineno) from None
+        if parts[0] in labels:
+            raise FormatError(f"sample {parts[0]!r} listed twice", path=path, line=lineno)
+        labels[parts[0]] = value
     return labels, unit

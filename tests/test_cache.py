@@ -54,10 +54,6 @@ def test_config_validation():
         CacheConfig(line_size=48).validate()  # not a power of two
     with pytest.raises(InvalidConfigError):
         CacheConfig(cache_size=100, line_size=32, associativity=2).validate()
-    with pytest.raises(InvalidConfigError):
-        CacheConfig(write_policy="write-through").validate()
-    with pytest.raises(InvalidConfigError):
-        CacheConfig(replacement="fifo").validate()
 
 
 def test_pencil_trace():

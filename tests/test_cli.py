@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -230,3 +231,34 @@ def test_module_is_runnable():
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
     assert "gen-corpus" in proc.stdout
+
+
+# sha256 of the text artifacts written over the traces of samples/ plus a
+# seeded corpus, recorded before the trace layer's readers and writers were
+# folded into one routine each
+_TEXT_ARTIFACT_SHA256 = {
+    "features.csv": "7e573146627ba7605753ea6c63bce4d2f24aa95beaac27d9186c8e0a0d343514",
+    "predictions.txt": "68ae4c9f206a3273b51a6f1710890f83ed0feba622b2e270dada808158e3aaf4",
+    "report.csv": "e3a4f5b60b8e24d68af77fa72caf5ed3d2c3c97333700a0c2d91e3e0907f0980",
+}
+
+
+def test_text_artifact_bytes_pinned(tmp_path, samples_dir):
+    corpus, traces = tmp_path / "corpus", tmp_path / "traces"
+    assert main(["gen-corpus", "--opcode", "add,fmul,sdiv,sitofp,icmp",
+                 "--counts", "3:63:12", "--out", str(corpus), "--seed", "5"]) == 0
+    assert main(["simulate", str(samples_dir), str(corpus),
+                 "--out", str(traces)]) == 0
+    labels = _labels_for(traces)
+    out = {name: tmp_path / name for name in _TEXT_ARTIFACT_SHA256}
+    model = tmp_path / "linear.json"
+    assert main(["features", str(traces), "--labels", str(labels),
+                 "--out", str(out["features.csv"])]) == 0
+    assert main(["train", "--features", str(out["features.csv"]),
+                 "--model", "linear", "--out", str(model), "--seed", "1"]) == 0
+    assert main(["predict", "--model", str(model), "--features",
+                 str(out["features.csv"]), "--out", str(out["predictions.txt"])]) == 0
+    assert main(["eval", "--model", str(model), "--features",
+                 str(out["features.csv"]), "--out", str(out["report.csv"])]) == 0
+    for name, path in out.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _TEXT_ARTIFACT_SHA256[name], name

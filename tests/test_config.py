@@ -52,6 +52,8 @@ def test_unknown_keys_rejected_everywhere():
         config_from_dict({"hyperparameters": {"svm": {}}})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"hyperparameters": {"huber": {"delta": 2.0}}})
+    with pytest.raises(InvalidConfigError):
+        config_from_dict({"cache": {"write_policy": "write-back"}})
 
 
 def test_bad_values_rejected():

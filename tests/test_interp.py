@@ -366,6 +366,30 @@ entry:
     assert t.calloc_bytes == 64
 
 
+def test_globals_are_defined_before_main_runs():
+    # a zero initializer leaves every byte of its global defined, as a
+    # string initializer does, so neither load is an uninitialized one
+    m = parse_module("""
+@z = global [4 x i32] zeroinitializer
+@s = global [4 x i8] c"hi\\00\\00"
+
+define i32 @main() {
+entry:
+  %a = getelementptr [4 x i32], ptr @z, i32 0, i32 3
+  %x = load i32, ptr %a
+  %b = getelementptr [4 x i8], ptr @s, i32 0, i32 1
+  %c = load i8, ptr %b
+  %y = zext i8 %c to i32
+  %r = add i32 %x, %y
+  ret i32 %r
+}
+""")
+    interp = Interpreter(m)
+    assert interp.execute("main") == ord("i")
+    assert interp.uninitialized_loads == 0
+    assert run(m).uninitialized_loads == 0
+
+
 def test_memset_fills():
     src = """
 declare void @llvm.memset.p0.i32(ptr, i8, i32, i1)

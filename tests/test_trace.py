@@ -113,6 +113,13 @@ def test_trace_file_rejects_garbage(tmp_path, example_b):
     with pytest.raises(FormatError):
         read_trace(bad)
 
+    # a key listed twice is an error naming the second line, not a new value
+    second = len(text.splitlines()) + 1
+    for key in ("cache.load_hit", "op.add", "block.main:loop"):
+        bad.write_text(text + f"{key}\t999\n")
+        with pytest.raises(FormatError, match=f"bad.trace:{second}: "):
+            read_trace(bad)
+
 
 def _vector(rng):
     return FeatureVector(tuple(rng.randrange(0, 500) for _ in range(42)))
@@ -217,12 +224,20 @@ def test_labels_file(tmp_path):
     labels, unit = read_labels(p)
     assert labels == {"alpha": 12.5, "beta": 7.0}
     assert unit == "us"
+    # the last unit comment wins, and an empty one stays empty
+    p.write_text("# unit: us\nalpha 1\n  #unit:ms\n")
+    assert read_labels(p) == ({"alpha": 1.0}, "ms")
+    p.write_text("# unit: us\n# unit:\nalpha 1\n")
+    assert read_labels(p)[1] == ""
 
     p.write_text("alpha 1 2\n")
     with pytest.raises(FormatError):
         read_labels(p)
     p.write_text("alpha twelve\n")
     with pytest.raises(FormatError):
+        read_labels(p)
+    p.write_text("a 1\nb 2\na 3\n")
+    with pytest.raises(FormatError, match="times.txt:3: "):
         read_labels(p)
 
 
