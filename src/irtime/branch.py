@@ -41,21 +41,33 @@ TRANSITIONS = {
 }
 
 
+# The table stores each state as its index in _CODED, ordered from strongly
+# not-taken to strongly taken.  _STEP[code] is ((next code, hit) if taken,
+# (next code, hit) if not taken), read off TRANSITIONS and predicts_taken.
+_CODED = (_S.SNT, _S.WNT, _S.WT, _S.ST)
+_CODE = {state: i for i, state in enumerate(_CODED)}
+_STEP = tuple(
+    tuple((_CODE[TRANSITIONS[(state, taken)]], state.predicts_taken == taken)
+          for taken in (True, False))
+    for state in _CODED
+)
+
+
 class BranchPredictorTable:
     """Maps branch site ids to predictor states, allocating on first use."""
 
     def __init__(self, initial_state: PredictorState = PredictorState.WNT):
         self.initial_state = initial_state
+        self._initial = _CODE[initial_state]
         self._states = {}
 
     def state_of(self, site) -> PredictorState:
-        return self._states.get(site, self.initial_state)
+        return _CODED[self._states.get(site, self._initial)]
 
     def predict_and_update(self, site, taken: bool) -> bool:
         """Feed one outcome; returns True when the prediction was correct."""
-        state = self._states.get(site, self.initial_state)
-        hit = state.predicts_taken == bool(taken)
-        self._states[site] = TRANSITIONS[(state, bool(taken))]
+        states = self._states
+        states[site], hit = _STEP[states.get(site, self._initial)][not taken]
         return hit
 
     def reset(self) -> None:

@@ -44,40 +44,54 @@ class AccessOutcome:
 _HIT = AccessOutcome(hit=True)
 _CLEAN_MISS = AccessOutcome(hit=False)
 _DIRTY_MISS = AccessOutcome(hit=False, evicted_dirty=True)
+_OUTCOMES = (_HIT, _CLEAN_MISS, _DIRTY_MISS)   # by the code touch() returns
 
 
 class CacheModel:
-    """One cache instance.  Each set is a list of [tag, dirty] entries kept
-    in most-recently-used-first order, so the LRU victim is the last entry."""
+    """One cache instance.  Each set is a list of line numbers (address //
+    line_size) in most-recently-used-first order, so the LRU victim is the
+    last entry; the dirty lines of every set are kept in one `set`."""
 
     def __init__(self, config: CacheConfig = CacheConfig()):
         config.validate()
         self.config = config
-        self._sets = [[] for _ in range(config.set_count)]
+        self._shift = config.line_size.bit_length() - 1
+        self._set_count = config.set_count
+        self._assoc = config.associativity
+        self._sets = [[] for _ in range(self._set_count)]
+        self._dirty = set()
 
     def access(self, addr: int, kind: str) -> AccessOutcome:
         if addr < 0:
             raise InvalidConfigError(f"negative address {addr}")
         if kind not in ("load", "store"):
             raise InvalidConfigError(f"access kind must be 'load' or 'store', got {kind!r}")
-        cfg = self.config
-        line = addr // cfg.line_size
-        index = line % cfg.set_count
-        tag = line // cfg.set_count
-        ways = self._sets[index]
-        for i, entry in enumerate(ways):
-            if entry[0] == tag:
-                ways.insert(0, ways.pop(i))
-                if kind == "store":
-                    entry[1] = True
-                return _HIT
-        evicted_dirty = False
-        if len(ways) >= cfg.associativity:
+        return _OUTCOMES[self.touch(addr, kind == "store")]
+
+    def touch(self, addr: int, is_store: bool) -> int:
+        """The LRU update for one access to a non-negative `addr`, unchecked:
+        returns 0 for a hit, 1 for a clean miss, 2 for a miss that evicts a
+        dirty line."""
+        line = addr >> self._shift
+        ways = self._sets[line % self._set_count]
+        if line in ways:
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            if is_store:
+                self._dirty.add(line)
+            return 0
+        ways.insert(0, line)
+        if is_store:
+            self._dirty.add(line)
+        if len(ways) > self._assoc:
             victim = ways.pop()
-            evicted_dirty = victim[1]
-        ways.insert(0, [tag, kind == "store"])
-        return _DIRTY_MISS if evicted_dirty else _CLEAN_MISS
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                return 2
+        return 1
 
     def reset(self) -> None:
         for ways in self._sets:
             ways.clear()
+        self._dirty.clear()

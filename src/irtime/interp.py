@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import (
     IrTimeError, InterpreterError, StepLimitExceeded, OutOfBoundsAccess,
     DivisionByZero, StackOverflow, HeapExhausted, InvalidConfigError,
-    UnresolvedReferenceError,
+    UnresolvedReferenceError, ParseError,
 )
 from .irtypes import gep_offset
 from .irmodel import (
@@ -117,13 +117,14 @@ class MemoryImage:
         self.stack = _Region("stack", STACK_BASE, limits.max_stack_bytes)
         self.heap = _Region("heap", HEAP_BASE, limits.max_heap_bytes)
         self.global_addrs = {}
+        # addr // REGION_SPAN -> the region whose span holds addr
+        self._regions = {r.base // REGION_SPAN: r for r in (self.globals, self.stack, self.heap)}
 
     def _locate(self, addr, nbytes):
-        for region in (self.globals, self.stack, self.heap):
-            if region.base <= addr < region.base + REGION_SPAN:
-                off = addr - region.base
-                if off + nbytes > region.top:
-                    raise OutOfBoundsAccess(addr, nbytes)
+        region = self._regions.get(addr // REGION_SPAN)
+        if region is not None:
+            off = addr - region.base
+            if off + nbytes <= region.top:
                 return region, off
         raise OutOfBoundsAccess(addr, nbytes)
 
@@ -298,6 +299,37 @@ def _pure(fn, reads, res):
         def step(regs):
             regs[res] = fn(*[g(regs) for g in gets])
     return step
+
+
+def _fold_gep(src, reads, bits):
+    """A getelementptr's offset as (constant, terms): the constant indices
+    and struct field offsets summed, and one (index getter, 2**(bits-1),
+    2**bits, stride) per register index, which is sign-extended from `bits`
+    and scaled by `stride`.  None where gep_offset may raise: a register
+    index into a struct, an index into a scalar, a field index out of range
+    or a type without a size."""
+    const, terms, cur = 0, [], src
+    try:
+        for k, (read, b) in enumerate(zip(reads, bits)):
+            is_reg, x = read
+            if k == 0:
+                stride = src.size()
+            elif cur.kind == "array":
+                stride, cur = cur.elem.size(), cur.elem
+            elif cur.kind == "struct" and not is_reg:
+                field = _signed(x, b)
+                const += cur.field_offset(field)
+                cur = cur.fields[field]
+                continue
+            else:
+                return None
+            if is_reg:
+                terms.append((_getter(read), 1 << (b - 1), 1 << b, stride))
+            else:
+                const += _signed(x, b) * stride
+    except ParseError:
+        return None
+    return const, terms
 
 
 class _Frame:
@@ -504,13 +536,27 @@ class Interpreter:
             if ins.type.kind == "float":
                 return _pure(lambda v: _to_f32(to_float(v)), reads, res)
             return _pure(to_float, reads, res)
-        if op == "getelementptr":
-            src, bits = ins.source_type, [o.type.int_bits for o in ins.operands[1:]]
-            return _pure(lambda base, *indices: (base + gep_offset(src, [
-                _signed(i, b) for i, b in zip(indices, bits)])) & _MASK32, reads, res)
-        if op in ("alloca", "load", "store", "call", "ret"):
+        if op in ("getelementptr", "alloca", "load", "store", "call", "ret"):
             return getattr(self, "_decode_" + op)(ins, reads)
         raise InterpreterError("phi outside block entry; module was not linked")
+
+    def _decode_getelementptr(self, ins, reads):
+        src, res = ins.source_type, ins.result
+        bits = [o.type.int_bits for o in ins.operands[1:]]
+        folded = _fold_gep(src, reads[1:], bits)
+        if folded is None:      # any error of gep_offset is raised at run time
+            return _pure(lambda base, *indices: (base + gep_offset(src, [
+                _signed(i, b) for i, b in zip(indices, bits)])) & _MASK32, reads, res)
+        const, terms = folded
+        base = _getter(reads[0])
+
+        def gep(regs):
+            addr = base(regs) + const
+            for index, half, span, stride in terms:
+                i = index(regs)
+                addr += (i - span if i >= half else i) * stride
+            regs[res] = addr & _MASK32
+        return gep
 
     def _decode_alloca(self, ins, reads):
         count, res = _getter(reads[0]), ins.result

@@ -79,7 +79,8 @@ class TraceBuilder:
 
     Wire its `on_*` methods into a ProbeSet, drive the interpreter, then
     call build().  The cache and predictor instances are owned by the
-    caller; the builder only consults them through the events.
+    caller; the builder only updates them through the events, with
+    `cache.touch` and `predictor.predict_and_update`.
 
     Only block entries are counted: every block a finished run enters runs
     to completion, so build() derives the opcode counts and inst_miss
@@ -93,8 +94,8 @@ class TraceBuilder:
             for f in module.functions
             for b in f.blocks
         }
-        self._cache = cache
-        self._predictor = predictor
+        self._touch = cache.touch
+        self._predict = predictor.predict_and_update
         self._entries = dict.fromkeys(self._blocks, 0)
         self._last_block = None
         for _, name, _ in SCALAR_COUNTERS:
@@ -110,25 +111,25 @@ class TraceBuilder:
             self._last_block = block_id
 
     def on_load(self, addr, nbytes):
-        outcome = self._cache.access(addr, "load")
-        if outcome.hit:
-            self.load_hit += 1
-        else:
+        code = self._touch(addr, False)     # 0 hit, 1 clean miss, 2 dirty miss
+        if code:
             self.load_miss += 1
-        if outcome.evicted_dirty:
-            self.dirty_evictions += 1
+            if code == 2:
+                self.dirty_evictions += 1
+        else:
+            self.load_hit += 1
 
     def on_store(self, addr, nbytes):
-        outcome = self._cache.access(addr, "store")
-        if outcome.hit:
-            self.store_hit += 1
-        else:
+        code = self._touch(addr, True)
+        if code:
             self.store_miss += 1
-        if outcome.evicted_dirty:
-            self.dirty_evictions += 1
+            if code == 2:
+                self.dirty_evictions += 1
+        else:
+            self.store_hit += 1
 
     def on_cond_branch(self, site_id, taken):
-        if self._predictor.predict_and_update(site_id, taken):
+        if self._predict(site_id, taken):
             self.br_hit += 1
         else:
             self.br_miss += 1
@@ -317,9 +318,9 @@ def write_features(dataset: Dataset, path) -> None:
 def read_features(path) -> Dataset:
     """Read a feature CSV.  Header columns may arrive in any order; they are
     mapped back onto the canonical order.  Unknown, missing, or duplicate
-    feature columns are an error."""
+    feature columns are an error, and so is a sample id listed twice."""
     header = None
-    rows = []
+    rows, seen = [], set()
     lines, unit = read_lines(path)
     for lineno, line in lines:
         cells = line.split(",")
@@ -347,6 +348,10 @@ def read_features(path) -> Dataset:
                 path=path, line=lineno,
             )
         record = dict(zip(header, cells))
+        if record["sample_id"] in seen:
+            raise FormatError(f"sample {record['sample_id']!r} listed twice",
+                              path=path, line=lineno)
+        seen.add(record["sample_id"])
         try:
             values = tuple(float(record[name]) for name in FEATURE_NAMES)
         except ValueError as e:

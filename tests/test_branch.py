@@ -1,3 +1,5 @@
+from hypothesis import given, settings, strategies as st
+
 from irtime import BranchPredictorTable, PredictorState, count_bb_jump
 from irtime.branch import TRANSITIONS
 
@@ -88,3 +90,22 @@ def test_bb_jump_counting():
     mixed = [(0, 0), (0, 1), (1, 1), (1, 0)]
     assert count_bb_jump(mixed) == 2
     assert count_bb_jump([]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(initial=st.sampled_from(list(PredictorState)),
+       stream=st.lists(st.tuples(st.integers(0, 4),
+                                 st.one_of(st.booleans(), st.sampled_from([0, 1, 2]))),
+                       max_size=60))
+def test_table_matches_a_walk_over_transitions(initial, stream):
+    # `taken` may be any truthy or falsy value; the walk reads it as a bool
+    table = BranchPredictorTable(initial)
+    walk = {}
+    for site, taken in stream:
+        state = walk.get(site, initial)
+        predicted = state in (PredictorState.ST, PredictorState.WT)
+        walk[site] = TRANSITIONS[(state, bool(taken))]
+        assert table.predict_and_update(site, taken) is (predicted == bool(taken))
+    for site in range(5):
+        assert table.state_of(site) is walk.get(site, initial)
+    assert len(table) == len(walk)

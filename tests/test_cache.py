@@ -98,10 +98,24 @@ def test_store_hit_after_load_miss():
 
 def test_reset_forgets_everything():
     cache = CacheModel(CacheConfig())
-    cache.access(0, "load")
+    cache.access(0, "store")
     assert cache.access(0, "load").hit
     cache.reset()
     assert not cache.access(0, "load").hit
+    # the line came back clean, so evicting it writes nothing back
+    span = 32 * 256
+    cache.access(span, "load")
+    assert not cache.access(2 * span, "load").evicted_dirty
+
+
+def test_access_checks_its_arguments():
+    cache = CacheModel(CacheConfig())
+    with pytest.raises(InvalidConfigError, match="negative address -4"):
+        cache.access(-4, "load")
+    with pytest.raises(InvalidConfigError, match="access kind must be 'load' or 'store'"):
+        cache.access(0, "fetch")
+    with pytest.raises(InvalidConfigError):
+        cache.access(0, True)
 
 
 def test_lru_order_within_set():

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from irtime import (
     Interpreter, ProbeSet, RunLimits, parse_module, parse_file, run,
 )
 from irtime.errors import (
     StepLimitExceeded, OutOfBoundsAccess, DivisionByZero, StackOverflow,
-    UnresolvedReferenceError,
+    UnresolvedReferenceError, ParseError,
 )
+from irtime.interp import MemoryImage, GLOBAL_BASE, HEAP_BASE
+from irtime.irtypes import SCALARS, array_of, struct_of, gep_offset
 
 from conftest import EXAMPLE_B
 
@@ -284,6 +287,35 @@ def test_wild_pointer_access():
     )
     with pytest.raises(OutOfBoundsAccess):
         _ret(src)
+
+
+@pytest.mark.parametrize("addr, nbytes", [
+    (0, 4),                 # null
+    (0x0FFF_FFFF, 1),       # just below the globals
+    (0x4000_0000, 4),       # just above the heap's span
+    (0xFFFF_FFFC, 4),
+    (-4, 4),
+    (HEAP_BASE, 1),         # nothing allocated on the heap yet
+])
+def test_addresses_outside_every_region(addr, nbytes):
+    mem = MemoryImage(RunLimits())
+    with pytest.raises(OutOfBoundsAccess) as info:
+        mem.read(addr, nbytes)
+    assert str(info.value) == f"out-of-bounds access of {nbytes} byte(s) at 0x{addr:08x}"
+
+
+@pytest.mark.parametrize("region", ["globals", "stack", "heap"])
+def test_accesses_past_a_regions_top(region):
+    mem = MemoryImage(RunLimits())
+    addr = getattr(mem, region).allocate(8, 4)
+    top = addr + 8
+    assert mem.read(top - 4, 4) == (bytes(4), True)
+    for start, nbytes in ((top, 4), (top, 1), (top - 2, 4), (top + 64, 4)):
+        with pytest.raises(OutOfBoundsAccess,
+                           match=f"^out-of-bounds access of {nbytes} byte\\(s\\) at 0x{start:08x}$"):
+            mem.read(start, nbytes)
+        with pytest.raises(OutOfBoundsAccess):
+            mem.write(start, bytes(nbytes))
 
 
 def test_stack_overflow_on_big_alloca():
@@ -609,3 +641,86 @@ entry:
     assert t.bb_jump == 2
     assert t.block_counts == {
         "main:entry": 1, "leaf:entry": 2, "other:entry": 1}
+
+
+# --- getelementptr ------------------------------------------------------------
+
+_GEP_LEAVES = st.sampled_from([SCALARS[k] for k in ("i8", "i16", "i32", "i64",
+                                                     "float", "double", "ptr")])
+_GEP_TYPES = st.recursive(_GEP_LEAVES, lambda inner: st.one_of(
+    st.builds(array_of, inner, st.integers(1, 5)),
+    st.lists(inner, min_size=1, max_size=3).map(struct_of)), max_leaves=8)
+
+
+@st.composite
+def _gep_index(draw, struct_fields=None):
+    """(bits, signed value, is_register); a struct takes a constant field.
+    The result wraps to 32 bits, so only i8 and i16 indices would show a
+    wrong sign extension."""
+    bits = draw(st.sampled_from([8, 16, 32, 64]))
+    if struct_fields is not None:
+        return bits, draw(st.integers(0, struct_fields - 1)), False
+    return bits, draw(st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)), draw(st.booleans())
+
+
+@st.composite
+def _gep_case(draw):
+    src = draw(_GEP_TYPES)
+    indices, cur = [draw(_gep_index())], src
+    while cur.kind in ("array", "struct") and draw(st.booleans()):
+        if cur.kind == "array":
+            indices.append(draw(_gep_index()))
+            cur = cur.elem
+        else:
+            indices.append(draw(_gep_index(len(cur.fields))))
+            cur = cur.fields[indices[-1][1]]
+    return src, indices, draw(st.integers(0, 0xFFFF_FFFF))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gep_case())
+@example((array_of(SCALARS["i32"], 4), [(8, -128, True)], GLOBAL_BASE))
+@example((array_of(array_of(SCALARS["i16"], 3), 2),
+          [(16, -1, True), (8, -128, True), (16, -32768, True)], 0x1234))
+def test_getelementptr_matches_gep_offset(case):
+    src, indices, base = case
+    params, operands, args = ["ptr %base"], [], [base]
+    for k, (bits, value, is_reg) in enumerate(indices):
+        if is_reg:
+            params.append(f"i{bits} %x{k}")
+            operands.append(f"i{bits} %x{k}")
+            args.append(value & ((1 << bits) - 1))
+        else:
+            operands.append(f"i{bits} {value}")
+    text = (f"define ptr @main({', '.join(params)}) {{\nentry:\n"
+            f"  %q = getelementptr {src!r}, ptr %base, {', '.join(operands)}\n"
+            "  ret ptr %q\n}\n")
+    got = Interpreter(parse_module(text)).execute("main", tuple(args))
+    assert got == (base + gep_offset(src, [v for _, v, _ in indices])) & 0xFFFF_FFFF
+
+
+def _gep(gep, args=(GLOBAL_BASE, 1)):
+    text = (f"define ptr @main(ptr %b, i32 %a) {{\nentry:\n  %q = {gep}\n"
+            "  ret ptr %q\n}\n")
+    return Interpreter(parse_module(text)).execute("main", args)
+
+
+def test_getelementptr_shapes_left_to_run_time():
+    # a register index into a struct picks its field when the instruction runs
+    assert _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 %a") == GLOBAL_BASE + 8
+    with pytest.raises(ParseError, match="^struct field index 5 out of range for {i8, i64}$"):
+        _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 %a", (GLOBAL_BASE, 5))
+    with pytest.raises(ParseError, match="^struct field index 2 out of range for {i8, i64}$"):
+        _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 2")
+    with pytest.raises(ParseError, match="^cannot index into type i32$"):
+        _gep("getelementptr [2 x i32], ptr %b, i32 %a, i32 1, i32 0")
+    # ... and only when it runs: the base is read first
+    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'nob'"):
+        _gep("getelementptr { i8 }, ptr %nob, i32 0, i32 %a")
+
+
+def test_getelementptr_names_the_first_unresolved_register():
+    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'nope'"):
+        _gep("getelementptr [4 x i32], ptr %b, i32 %a, i32 %nope")
+    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'nob'"):
+        _gep("getelementptr [4 x i32], ptr %nob, i32 %nope, i32 %a")

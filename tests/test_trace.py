@@ -5,7 +5,7 @@ import pytest
 from irtime import (
     FEATURE_NAMES, FEATURE_COUNT, UNTRACKED_OPCODES,
     FeatureVector, Dataset, DatasetRow,
-    extract_features, run, parse_file,
+    extract_features, run, parse_file, parse_module,
     write_trace, read_trace, write_features, read_features, read_labels,
 )
 from irtime.errors import (
@@ -70,6 +70,28 @@ def test_cache_and_branch_splits_cover_opcodes(samples_dir):
         assert t.load_hit + t.load_miss == t.op_counts.get("load", 0)
         assert t.store_hit + t.store_miss == t.op_counts.get("store", 0)
         assert t.br_hit + t.br_miss + t.br_uncond == t.op_counts.get("br", 0)
+
+
+def test_dirty_evictions_from_stores_and_loads():
+    # bytes 0, 8192 and 16384 of @a share set 0 of the default 2-way cache
+    src = """@a = global [4097 x i32] zeroinitializer
+
+define i32 @main() {
+entry:
+  %p1 = getelementptr [4097 x i32], ptr @a, i32 0, i32 2048
+  %p2 = getelementptr [4097 x i32], ptr @a, i32 0, i32 4096
+  store i32 1, ptr @a
+  store i32 2, ptr %p1
+  store i32 3, ptr %p1
+  store i32 4, ptr %p2
+  %r = load i32, ptr @a
+  ret i32 %r
+}
+"""
+    t = run(parse_module(src))
+    # the store to %p2 evicts @a's dirty line, the load evicts %p1's
+    assert (t.store_miss, t.store_hit, t.load_miss, t.load_hit) == (3, 1, 1, 0)
+    assert t.dirty_evictions == 2
 
 
 def test_trace_file_round_trip(tmp_path, example_b):
@@ -185,6 +207,15 @@ def test_features_row_width_checked(tmp_path):
         + "s0," + ",".join("1" for _ in range(41)) + "\n"
     )
     with pytest.raises(FormatError):
+        read_features(p)
+
+
+def test_features_reject_a_repeated_sample_id(tmp_path):
+    p = tmp_path / "twice.csv"
+    ones = ",".join("1" for _ in FEATURE_NAMES)
+    p.write_text(f"# unit: ns\nsample_id,{','.join(FEATURE_NAMES)},label\n"
+                 f"a,{ones},5\nb,{ones},6\na,{ones},7\n")
+    with pytest.raises(FormatError, match="twice.csv:5: sample 'a' listed twice"):
         read_features(p)
 
 
