@@ -20,11 +20,11 @@ import struct
 from dataclasses import dataclass
 
 from .errors import (
-    IrTimeError, InterpreterError, StepLimitExceeded, OutOfBoundsAccess,
+    InterpreterError, StepLimitExceeded, OutOfBoundsAccess,
     DivisionByZero, StackOverflow, HeapExhausted, InvalidConfigError,
-    UnresolvedReferenceError, ParseError,
+    UnresolvedReferenceError,
 )
-from .irtypes import gep_offset
+from .irtypes import signed as _signed
 from .irmodel import (
     Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
 )
@@ -166,10 +166,6 @@ _CMP = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
         "ge": operator.ge, "lt": operator.lt, "le": operator.le}
 
 
-def _signed(v, bits):
-    return v - (1 << bits) if v >= 1 << (bits - 1) else v
-
-
 def _to_f32(x):
     try:
         return _F32.unpack(_F32.pack(x))[0]
@@ -301,42 +297,11 @@ def _pure(fn, reads, res):
     return step
 
 
-def _fold_gep(src, reads, bits):
-    """A getelementptr's offset as (constant, terms): the constant indices
-    and struct field offsets summed, and one (index getter, 2**(bits-1),
-    2**bits, stride) per register index, which is sign-extended from `bits`
-    and scaled by `stride`.  None where gep_offset may raise: a register
-    index into a struct, an index into a scalar, a field index out of range
-    or a type without a size."""
-    const, terms, cur = 0, [], src
-    try:
-        for k, (read, b) in enumerate(zip(reads, bits)):
-            is_reg, x = read
-            if k == 0:
-                stride = src.size()
-            elif cur.kind == "array":
-                stride, cur = cur.elem.size(), cur.elem
-            elif cur.kind == "struct" and not is_reg:
-                field = _signed(x, b)
-                const += cur.field_offset(field)
-                cur = cur.fields[field]
-                continue
-            else:
-                return None
-            if is_reg:
-                terms.append((_getter(read), 1 << (b - 1), 1 << b, stride))
-            else:
-                const += _signed(x, b) * stride
-    except ParseError:
-        return None
-    return const, terms
-
-
 class _Frame:
-    __slots__ = ("func", "regs", "stack_mark", "ret_reg", "resume")
+    __slots__ = ("regs", "stack_mark", "ret_reg", "resume")
 
-    def __init__(self, func, regs, stack_mark, ret_reg=None, resume=None):
-        self.func, self.regs, self.stack_mark = func, regs, stack_mark
+    def __init__(self, regs, stack_mark, ret_reg=None, resume=None):
+        self.regs, self.stack_mark = regs, stack_mark
         self.ret_reg, self.resume = ret_reg, resume   # caller register and segment
 
 
@@ -346,8 +311,10 @@ class Interpreter:
 
     Steps are charged a whole block at a time, on entry, so `steps` is exact
     for a run that finishes and a run fails with StepLimitExceeded if and
-    only if its total exceeds `limits.max_steps`.  An operand, label or
-    callee that does not resolve fails when its instruction executes.
+    only if its total exceeds `limits.max_steps`.  The parser has checked
+    every label, global, callee, call signature, type and getelementptr
+    shape, so decoding a parsed module cannot fail; a register that is never
+    assigned fails when an instruction that reads it executes.
     """
 
     def __init__(self, module, probes=(), limits: RunLimits | None = None):
@@ -371,8 +338,7 @@ class Interpreter:
         self._setup_globals()
         functions = module.functions
         self._segments = {b.static_id: [(), None] for f in functions for b in f.blocks}
-        self._entries = {f.name: self._safely(self._edge, f, None, f.entry.label)
-                         for f in reversed(functions)}   # the first definition wins
+        self._entries = {f.name: self._edge(f, None, f.entry.label) for f in functions}
         for f in functions:
             for block in f.blocks:
                 self._decode_block(f, block)
@@ -408,34 +374,20 @@ class Interpreter:
                 stride = ty.elem.size()
                 for i, item in enumerate(init):
                     self._write_init(addr + i * stride, ty.elem, item)
-            elif ty.kind == "struct":
+            else:
                 for i, item in enumerate(init):
                     self._write_init(addr + ty.field_offset(i), ty.fields[i], item)
-            else:
-                raise InterpreterError(f"aggregate initializer for scalar type {ty!r}")
             return
         mem.write(addr, _encoder(ty)(init))
 
     # --- decoding -------------------------------------------------------------
-
-    @staticmethod
-    def _safely(decode, *args):
-        """decode(*args), or a closure raising its error when executed."""
-        try:
-            return decode(*args)
-        except (IrTimeError, LookupError) as exc:
-            error = exc
-
-        def fail(regs):
-            raise error
-        return fail
 
     def _decode_block(self, func, block):
         seg, body = self._segments[block.static_id], []
         for ins in block.instructions[block.phi_count:]:
             invoke = ins.opcode == "call" and not is_recognized_callee(ins.callee or "")
             resume = [(), None] if invoke else None
-            op = self._safely(self._decode, func, block, ins, resume)
+            op = self._decode(func, block, ins, resume)
             if self._on_instruction:
                 op = self._observed(self._on_instruction, ins.static_id, ins.opcode, op)
             if invoke or ins.opcode in ("br", "switch", "ret"):
@@ -459,28 +411,18 @@ class Interpreter:
             return True, op.name
         if cls is Const:
             return False, op.value
-        if cls is GlobalRef or cls is ConstGep:
-            name = op.name if cls is GlobalRef else op.base.name
-            if name not in self.memory.global_addrs:
-                raise UnresolvedReferenceError(name, "global")
-            addr = self.memory.global_addrs[name]
-            return False, addr if cls is GlobalRef else (addr + op.offset) & _MASK32
-        raise InterpreterError(f"cannot evaluate operand {op!r}")
+        if cls is GlobalRef:
+            return False, self.memory.global_addrs[op.name]
+        return False, (self.memory.global_addrs[op.base.name] + op.offset) & _MASK32
 
     def _edge(self, func, pred_label, label):
         """Closure entering block `label` from `pred_label` (None on a call):
         charges the block's steps, fires block_enter, assigns the phis in
         parallel and returns the block's first segment."""
-        block = func.block_map.get(label)
-        if block is None:
-            raise UnresolvedReferenceError(label, "label")
+        block = func.block_map[label]
         interp, limit, hooks = self, self.limits.max_steps, self._on_block_enter
         seg, sid, size = self._segments[block.static_id], block.static_id, len(block.instructions)
         phis = block.instructions[:block.phi_count]
-        for p in phis:
-            if pred_label not in p.incoming_map:
-                raise InterpreterError(f"phi %{p.result} has no incoming value for "
-                                       f"predecessor '%{pred_label}'")
         dsts = [p.result for p in phis]
         gets = [_getter(self._read(p.incoming_map[pred_label])) for p in phis]
         inst_hooks = self._on_instruction
@@ -536,19 +478,16 @@ class Interpreter:
             if ins.type.kind == "float":
                 return _pure(lambda v: _to_f32(to_float(v)), reads, res)
             return _pure(to_float, reads, res)
-        if op in ("getelementptr", "alloca", "load", "store", "call", "ret"):
-            return getattr(self, "_decode_" + op)(ins, reads)
-        raise InterpreterError("phi outside block entry; module was not linked")
+        # getelementptr, alloca, load, store, call and ret
+        return getattr(self, "_decode_" + op)(ins, reads)
 
     def _decode_getelementptr(self, ins, reads):
-        src, res = ins.source_type, ins.result
-        bits = [o.type.int_bits for o in ins.operands[1:]]
-        folded = _fold_gep(src, reads[1:], bits)
-        if folded is None:      # any error of gep_offset is raised at run time
-            return _pure(lambda base, *indices: (base + gep_offset(src, [
-                _signed(i, b) for i, b in zip(indices, bits)])) & _MASK32, reads, res)
-        const, terms = folded
-        base = _getter(reads[0])
+        """The offset the parser folded, plus each register index
+        sign-extended from its width and scaled by its stride."""
+        const, terms = ins.gep
+        base, res = _getter(reads[0]), ins.result
+        terms = [(_getter(self._read(op)), 1 << (bits - 1), 1 << bits, stride)
+                 for op, bits, stride in terms]
 
         def gep(regs):
             addr = base(regs) + const
@@ -626,7 +565,7 @@ class Interpreter:
 
     def _decode_branch(self, func, block, ins):
         def edge(label):
-            return self._safely(self._edge, func, block.label, label)
+            return self._edge(func, block.label, label)
 
         if ins.opcode == "switch":
             value, default, table = _getter(self._read(ins.operands[0])), edge(ins.labels[0]), {}
@@ -657,9 +596,6 @@ class Interpreter:
                 interp._result = result
                 return None
             if fr.ret_reg is not None:
-                if result is None:
-                    raise InterpreterError(
-                        f"'@{fr.func}' returned void but the caller expects a value")
                 frames[-1].regs[fr.ret_reg] = result
             return fr.resume
         return ret
@@ -668,9 +604,6 @@ class Interpreter:
         """A call into a function body; `resume` is the caller's next segment."""
         callee, res = ins.callee, ins.result
         func = self.module.function(callee)
-        if len(ins.operands) != len(func.params):
-            raise InterpreterError(f"call to '@{callee}' passes {len(ins.operands)} "
-                                   f"arguments, function takes {len(func.params)}")
         params = [name for name, _ in func.params]
         gets = [_getter(self._read(o)) for o in ins.operands]
         frames, stack, enter = self._frames, self.memory.stack, self._entries[callee]
@@ -679,7 +612,7 @@ class Interpreter:
             callee_regs = {}
             for name, g in zip(params, gets):
                 callee_regs[name] = g(regs)
-            frames.append(_Frame(callee, callee_regs, stack.top, res, resume))
+            frames.append(_Frame(callee_regs, stack.top, res, resume))
             return enter(callee_regs)
         return invoke
 
@@ -696,7 +629,7 @@ class Interpreter:
         for i, (pname, pty) in enumerate(func.params):
             regs[pname] = args[i] if args else (0.0 if pty.is_float() else 0)
         frames = self._frames
-        frames[:] = [_Frame(func.name, regs, self.memory.stack.top)]
+        frames[:] = [_Frame(regs, self.memory.stack.top)]
         self._result = None
         body, transfer = self._entries[func.name](regs)
         while True:

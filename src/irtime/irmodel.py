@@ -141,6 +141,7 @@ class IrInstruction:
     incoming_map: dict = field(default_factory=dict, repr=False)
     callee: str | None = None
     source_type: IrType | None = None  # getelementptr pointee / alloca element
+    gep: tuple = ()   # getelementptr: (constant offset, ((index operand, bits, stride), ...))
     align: int = 0
     line: int = 0
 
@@ -165,9 +166,6 @@ class IrBlock:
     preds: list = field(default_factory=list)   # predecessor labels
     succs: list = field(default_factory=list)   # successor labels
     phi_count: int = 0
-
-    def terminator(self):
-        return self.instructions[-1] if self.instructions else None
 
 
 @dataclass
@@ -226,31 +224,3 @@ class IrModule:
                                 ins.opcode, ins.summary()))
         return out
 
-
-def link_function(func: IrFunction) -> None:
-    """Fill in derived structure: block map, preds/succs, phi lookup maps."""
-    func.block_map = {b.label: b for b in func.blocks}
-    for b in func.blocks:
-        b.succs = []
-        b.preds = []
-    for b in func.blocks:
-        term = b.terminator()
-        if term is None:
-            continue
-        targets = list(term.labels) + [lbl for _, lbl in term.cases]
-        for lbl in targets:
-            if lbl not in b.succs:
-                b.succs.append(lbl)
-    for b in func.blocks:
-        for s in b.succs:
-            target = func.block_map.get(s)
-            if target is not None and b.label not in target.preds:
-                target.preds.append(b.label)
-    for b in func.blocks:
-        n = 0
-        for ins in b.instructions:
-            if ins.opcode != "phi":
-                break
-            ins.incoming_map = {lbl: op for op, lbl in ins.incoming}
-            n += 1
-        b.phi_count = n

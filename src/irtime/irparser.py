@@ -11,14 +11,12 @@ program we cannot simulate faithfully is rejected instead of guessed at.
 import re
 
 from .errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
-from .irtypes import (
-    IrType, SCALARS, PTR, VOID, I1, I32, array_of, struct_of, gep_offset,
-)
+from .irtypes import IrType, SCALARS, PTR, VOID, I1, I32, array_of, signed, struct_of
 from .irmodel import (
     IrModule, IrFunction, IrBlock, IrInstruction, GlobalVar,
     Const, LocalRef, GlobalRef, ConstGep,
     SUPPORTED_OPCODES, KNOWN_LLVM_OPCODES, TERMINATORS,
-    link_function, is_recognized_callee,
+    is_recognized_callee, mem_intrinsic_kind,
 )
 
 ICMP_PREDS = frozenset({"eq", "ne", "ugt", "uge", "ult", "ule", "sgt", "sge", "slt", "sle"})
@@ -41,6 +39,8 @@ _LINKAGE_WORDS = frozenset({
 })
 
 _CCONV_WORDS = frozenset({"ccc", "fastcc", "coldcc", "tailcc", "cc"})
+_RETURN_ATTR_WORDS = frozenset({"noundef", "signext", "zeroext", "inreg", "noalias", "nonnull"})
+_CALL_PREFIX_WORDS = _CCONV_WORDS | _RETURN_ATTR_WORDS
 
 _VALUE_WORDS = frozenset({
     "true", "false", "null", "undef", "poison", "zeroinitializer",
@@ -59,6 +59,10 @@ _CASTS = {
 }
 
 MAX_NESTING = 256   # deeper types and initializers would exhaust the Python stack
+
+# modelled routine -> how many arguments it reads, each an integer or a
+# pointer; memcpy and memset may take more (the volatile flag)
+_ROUTINE_ARGS = {"memcpy": 3, "memset": 3, "malloc": 1, "calloc": 2}
 
 
 class Token:
@@ -227,6 +231,47 @@ def _too_deep(tok):
                       tok.line, tok.col)
 
 
+def _typed_operand_follows(cur):
+    """Whether `cur` is at a comma and a type, which start one more operand
+    (not `, align N` or metadata)."""
+    tok, nxt = cur.peek(), cur.peek(1)
+    return (tok is not None and tok.kind == "," and nxt is not None
+            and (nxt.kind in ("[", "{", "lid")
+                 or (nxt.kind == "word"
+                     and (nxt.value in SCALARS or re.fullmatch(r"i\d+", nxt.value) is not None))))
+
+
+def _fold_gep(src, indices, line):
+    """The layout of a getelementptr over `src`, as (offset, terms): the
+    byte offset of its literal indices and struct fields, and one (operand,
+    bits, stride) per other index, which is sign-extended from `bits` and
+    scaled by `stride` when the instruction runs.  `indices` holds
+    (operand, integer type) pairs."""
+    offset, terms, cur = 0, [], src
+    for k, (op, ity) in enumerate(indices):
+        literal = op.__class__ is Const
+        if k == 0:
+            stride = src.size()
+        elif cur.kind == "array":
+            stride, cur = cur.elem.size(), cur.elem
+        elif cur.kind == "struct":
+            if not literal:
+                raise ParseError(f"index into struct {cur!r} must be an integer literal", line)
+            field = signed(op.value, ity.int_bits)
+            if not 0 <= field < len(cur.fields):
+                raise ParseError(f"struct field index {field} out of range for {cur!r}", line)
+            offset += cur.field_offset(field)
+            cur = cur.fields[field]
+            continue
+        else:
+            raise ParseError(f"cannot index into type {cur!r}", line)
+        if literal:
+            offset += signed(op.value, ity.int_bits) * stride
+        else:
+            terms.append((op, ity.int_bits, stride))
+    return offset, tuple(terms)
+
+
 class _Cursor:
     """A window over one logical line of tokens."""
 
@@ -259,6 +304,14 @@ class _Cursor:
             raise ParseError(f"expected {want!r}, found {tok.value!r}", tok.line, tok.col)
         return tok
 
+    def expect_count(self):
+        """A non-negative decimal integer, as an int."""
+        tok = self.expect("num")
+        if not tok.value.isdigit():
+            raise ParseError(f"expected a non-negative integer, found {tok.value!r}",
+                             tok.line, tok.col)
+        return int(tok.value)
+
     def accept(self, kind, value=None):
         tok = self.peek()
         if tok is not None and tok.kind == kind and (value is None or tok.value == value):
@@ -278,6 +331,7 @@ class _Parser:
         self.type_defs = {}        # name -> token list (unresolved)
         self.types = {}            # name -> IrType (resolved)
         self._resolving = []
+        self._global_refs = []     # every @name token read as a value
         self.module = IrModule(source_name=source_name)
 
     # --- types ----------------------------------------------------------
@@ -313,16 +367,16 @@ class _Parser:
                                      tok.line, tok.col)
                 raise ParseError(f"expected a type, found {tok.value!r}", tok.line, tok.col)
         elif tok.kind == "[":
-            count_tok = cur.expect("num")
+            count = cur.expect_count()
             cur.expect("word", "x")
-            elem = self.parse_type(cur, depth + 1)
+            elem = self.parse_sized_type(cur, "an array element", depth + 1)
             cur.expect("]")
-            base = array_of(elem, int(count_tok.value))
+            base = array_of(elem, count)
         elif tok.kind == "{":
             fields = []
             if not cur.accept("}"):
                 while True:
-                    fields.append(self.parse_type(cur, depth + 1))
+                    fields.append(self.parse_sized_type(cur, "a struct field", depth + 1))
                     if cur.accept("}"):
                         break
                     cur.expect(",")
@@ -344,6 +398,14 @@ class _Parser:
             raise _too_deep(tok)
         return base
 
+    def parse_sized_type(self, cur: _Cursor, what: str, depth: int = 0) -> IrType:
+        """parse_type for a type that needs a size: anything but void."""
+        tok = cur.peek()
+        ty = self.parse_type(cur, depth)
+        if ty.kind == "void":
+            raise ParseError(f"{what} cannot be void", tok.line, tok.col)
+        return ty
+
     # --- constants and operands ------------------------------------------
 
     def parse_value(self, cur: _Cursor, ty: IrType):
@@ -351,6 +413,7 @@ class _Parser:
         if tok.kind == "lid":
             return LocalRef(tok.value, ty)
         if tok.kind == "gid":
+            self._global_refs.append(tok)
             return GlobalRef(tok.value)
         if tok.kind == "num":
             return Const(ty, self._number(tok, ty))
@@ -376,40 +439,48 @@ class _Parser:
 
     def _number(self, tok: Token, ty: IrType):
         text = tok.value
-        if ty.is_float():
-            if text.startswith("0x") or text.startswith("-0x"):
-                import struct as _s
-                bits = int(text.lstrip("-"), 16)
-                if bits > 0xFFFFFFFFFFFFFFFF:
-                    raise ParseError("bad float literal", tok.line, tok.col)
-                val = _s.unpack("<d", bits.to_bytes(8, "little"))[0]
-                return -val if text.startswith("-") else val
-            return float(text)
-        if ty.is_int() or ty.kind == "ptr":
-            base = 16 if text.lstrip("-").startswith("0x") else 10
-            value = int(text, base)
-            bits = 32 if ty.kind == "ptr" else ty.int_bits
-            return value & ((1 << bits) - 1)
+        try:
+            if ty.is_float():
+                if text.lstrip("-").startswith("0x"):
+                    import struct as _s
+                    val = _s.unpack("<d", int(text.lstrip("-"), 16).to_bytes(8, "little"))[0]
+                    return -val if text.startswith("-") else val
+                return float(text)
+            if ty.is_int() or ty.kind == "ptr":
+                base = 16 if text.lstrip("-").startswith("0x") else 10
+                value = int(text, base)
+                bits = 32 if ty.kind == "ptr" else ty.int_bits
+                return value & ((1 << bits) - 1)
+        except (ValueError, OverflowError):      # not a number, or a double over 64 bits
+            raise ParseError(f"bad {ty!r} literal {text!r}", tok.line, tok.col) from None
         raise ParseError(f"literal not valid for type {ty!r}", tok.line, tok.col)
 
     def parse_const_gep(self, cur: _Cursor) -> ConstGep:
         cur.accept("word", "inbounds")
         cur.expect("(")
-        src = self.parse_type(cur)
+        src = self.parse_sized_type(cur, "a getelementptr source")
         cur.expect(",")
         self.parse_type(cur)  # pointer type of the base
         base_tok = cur.expect("gid")
-        indices = []
-        while cur.accept(","):
-            ity = self.parse_type(cur)
-            itok = cur.expect("num")
-            raw = self._number(itok, ity)
-            bits = ity.int_bits
-            if raw >= 1 << (bits - 1):
-                raw -= 1 << bits
-            indices.append(raw)
+        self._global_refs.append(base_tok)
+        indices = self._gep_indices(cur)
         cur.expect(")")
-        return ConstGep(GlobalRef(base_tok.value), gep_offset(src, indices))
+        if any(op.__class__ is not Const for op, _ in indices):
+            raise ParseError("constant getelementptr indices must be integer literals",
+                             base_tok.line, base_tok.col)
+        offset, _ = _fold_gep(src, indices, base_tok.line)
+        return ConstGep(GlobalRef(base_tok.value), offset)
+
+    def _gep_indices(self, cur: _Cursor):
+        """The `, type value` indices of a getelementptr, as (operand, type)."""
+        indices = []
+        while _typed_operand_follows(cur):
+            cur.next()
+            ity = self.parse_type(cur)
+            if not ity.is_int():
+                cur.error("getelementptr indices must be integers")
+            indices.append((self.parse_value(cur, ity), ity))
+        return indices
 
     def _skip_attrs(self, cur: _Cursor):
         """Skip parameter/return attributes: bare words, word(...) groups,
@@ -427,7 +498,7 @@ class _Parser:
                 return
             if tok.value == "align":
                 cur.next()
-                cur.expect("num")
+                cur.expect_count()
                 continue
             # a generic attribute word, possibly with a parenthesized payload
             cur.next()
@@ -510,7 +581,7 @@ class _Parser:
                         cur.next()
                 continue
             cur.error(f"unexpected token {tok.value!r} in global definition")
-        ty = self.parse_type(cur)
+        ty = self.parse_sized_type(cur, "a global")
         init = None
         tok = cur.peek()
         if tok is not None and tok.kind != ",":
@@ -522,7 +593,7 @@ class _Parser:
                 break
             if tok.kind == "word" and tok.value == "align":
                 cur.next()
-                align = int(cur.expect("num").value)
+                align = cur.expect_count()
             else:
                 # section, comdat, !annotations: decoration we do not model
                 cur.next()
@@ -532,6 +603,8 @@ class _Parser:
 
     def _parse_init(self, cur: _Cursor, ty: IrType, depth: int = 0):
         tok = cur.peek()
+        if tok is None:
+            cur.error("missing initializer")
         if depth > MAX_NESTING:
             raise _too_deep(tok)
         if tok.kind == "cstr":
@@ -543,27 +616,23 @@ class _Parser:
         if tok.kind == "word" and tok.value in ("undef", "poison"):
             cur.next()
             return ("zero",)
-        if ty.kind == "array":
-            cur.expect("[")
-            items = []
-            if not cur.accept("]"):
+        if ty.kind in ("array", "struct"):
+            close = "]" if ty.kind == "array" else "}"
+            cur.expect("[" if ty.kind == "array" else "{")
+            types, items = [], []
+            if not cur.accept(close):
                 while True:
-                    ety = self.parse_type(cur)
-                    items.append(self._parse_init(cur, ety, depth + 1))
-                    if cur.accept("]"):
+                    types.append(self.parse_type(cur))
+                    items.append(self._parse_init(cur, types[-1], depth + 1))
+                    if cur.accept(close):
                         break
                     cur.expect(",")
-            return items
-        if ty.kind == "struct":
-            cur.expect("{")
-            items = []
-            if not cur.accept("}"):
-                while True:
-                    fty = self.parse_type(cur)
-                    items.append(self._parse_init(cur, fty, depth + 1))
-                    if cur.accept("}"):
-                        break
-                    cur.expect(",")
+            if ty.kind == "array":
+                matches = len(types) == ty.count and all(t == ty.elem for t in types)
+            else:
+                matches = types == list(ty.fields)
+            if not matches:
+                raise ParseError(f"initializer does not match type {ty!r}", tok.line, tok.col)
             return items
         value = self.parse_value(cur, ty)
         if isinstance(value, Const):
@@ -589,8 +658,7 @@ class _Parser:
                 if tok.value == "cc":
                     cur.accept("num")
                 continue
-            if tok.kind == "word" and tok.value in ("noundef", "signext", "zeroext",
-                                                    "inreg", "noalias", "nonnull"):
+            if tok.kind == "word" and tok.value in _RETURN_ATTR_WORDS:
                 cur.next()
                 continue
             break
@@ -667,19 +735,47 @@ class _Parser:
                          self.lines[-1][0].line if self.lines else None, 0)
 
     def _link(self, func: IrFunction):
-        """Derive the control-flow graph, check every edge against it, and
-        add the function to the module."""
-        link_function(func)
+        """Derive the control-flow graph (block map, successors,
+        predecessors, phi maps), check every edge and every use of a
+        register against it, and add the function to the module."""
+        func.block_map = {b.label: b for b in func.blocks}
+        types = dict(func.params)   # register -> the type it is defined with
         for b in func.blocks:
-            for ins in b.instructions[:b.phi_count]:
-                seen = sorted(lbl for _, lbl in ins.incoming)
-                if seen != sorted(b.preds):
-                    raise ParseError(f"phi predecessors {seen} do not match block "
-                                     f"predecessors {sorted(b.preds)}", ins.line)
+            for ins in b.instructions:
+                if ins.result is not None:
+                    if ins.result in types:
+                        raise ParseError(f"register '%{ins.result}' is defined twice", ins.line)
+                    types[ins.result] = ins.type
             term = b.instructions[-1]
             for lbl in term.labels + [lbl for _, lbl in term.cases]:
-                if lbl not in func.block_map:
+                target = func.block_map.get(lbl)
+                if target is None:
                     raise ParseError(f"branch to unknown label '%{lbl}'", term.line)
+                if target is func.entry:
+                    raise ParseError(f"branch to the entry block '%{lbl}'", term.line)
+                if lbl not in b.succs:
+                    b.succs.append(lbl)
+                    target.preds.append(b.label)
+            if term.opcode == "ret" and term.type != func.return_type:
+                raise ParseError(f"'ret {term.type!r}' in a function returning "
+                                 f"{func.return_type!r}", term.line)
+        for b in func.blocks:
+            for ins in b.instructions:
+                uses = ins.operands
+                if ins.opcode == "phi":     # phis lead their block
+                    b.phi_count += 1
+                    ins.incoming_map = {lbl: op for op, lbl in ins.incoming}
+                    seen = sorted(lbl for _, lbl in ins.incoming)
+                    if seen != sorted(b.preds):
+                        raise ParseError(f"phi predecessors {seen} do not match block "
+                                         f"predecessors {sorted(b.preds)}", ins.line)
+                    uses = [op for op, _ in ins.incoming]
+                for op in uses:
+                    if op.__class__ is LocalRef:
+                        ty = types.get(op.name, op.type)
+                        if ty is not op.type and ty != op.type:
+                            raise ParseError(f"'%{op.name}' is {ty!r}, used as {op.type!r}",
+                                             ins.line)
         self.module.functions.append(func)
 
     # --- instructions ---------------------------------------------------------
@@ -712,14 +808,11 @@ class _Parser:
         else:
             getattr(self, "_ins_" + opcode, self._ins_binop)(cur, ins)
         self._finish_statement(cur, ins)
-        if ins.opcode in TERMINATORS or (ins.opcode == "call" and ins.type is VOID):
-            if ins.result is not None:
-                raise ParseError(f"'{ins.opcode}' cannot produce a result", tok.line, tok.col)
-        elif ins.opcode == "store":
-            if ins.result is not None:
-                raise ParseError("'store' cannot produce a result", tok.line, tok.col)
-        elif ins.result is None:
-            raise ParseError(f"'{ins.opcode}' must assign its result", tok.line, tok.col)
+        produces = not (opcode in TERMINATORS or opcode == "store"
+                        or (opcode == "call" and ins.type is VOID))
+        if (result is not None) != produces:
+            raise ParseError(f"'{opcode}' {'must assign its' if produces else 'cannot produce a'}"
+                             " result", tok.line, tok.col)
         if block.instructions:
             prev = block.instructions[-1].opcode
             if prev in TERMINATORS:
@@ -729,7 +822,7 @@ class _Parser:
                 raise ParseError("phi after a non-phi instruction", first.line, first.col)
         block.instructions.append(ins)
 
-    def _finish_statement(self, cur: _Cursor, ins=None):
+    def _finish_statement(self, cur: _Cursor, ins: IrInstruction):
         while not cur.at_end():
             tok = cur.peek()
             if tok.kind in ("md", "attr"):
@@ -740,22 +833,19 @@ class _Parser:
                 if nxt is not None and nxt.kind == "word" and nxt.value == "align":
                     cur.next()
                     cur.next()
-                    amount = cur.expect("num")
-                    if ins is not None:
-                        ins.align = int(amount.value)
+                    ins.align = cur.expect_count()
                     continue
                 if nxt is not None and nxt.kind == "md":
                     cur.next()
                     continue
             cur.error(f"unexpected trailing token {tok.value!r}")
 
-    def _skip_flags(self, cur: _Cursor):
-        while True:
-            tok = cur.peek()
-            if tok is not None and tok.kind == "word" and tok.value in _FLAG_WORDS:
-                cur.next()
-                continue
-            return
+    def _skip_flags(self, cur: _Cursor, words=_FLAG_WORDS):
+        """Skip a run of `words`, and the number after `cc`."""
+        while (tok := cur.peek()) is not None and tok.kind == "word" and tok.value in words:
+            cur.next()
+            if tok.value == "cc":
+                cur.accept("num")
 
     def _ins_binop(self, cur: _Cursor, ins: IrInstruction):
         self._skip_flags(cur)
@@ -787,6 +877,8 @@ class _Parser:
         ty = self.parse_type(cur)
         if ins.opcode == "fcmp" and not ty.is_float():
             cur.error("'fcmp' needs a float type")
+        if ins.opcode == "icmp" and not (ty.is_int() or ty.kind == "ptr"):
+            cur.error("'icmp' needs an integer or pointer type")
         a = self.parse_value(cur, ty)
         cur.expect(",")
         b = self.parse_value(cur, ty)
@@ -808,76 +900,57 @@ class _Parser:
 
     def _ins_alloca(self, cur, ins):
         cur.accept("word", "inalloca")
-        ty = self.parse_type(cur)
+        ty = self.parse_sized_type(cur, "'alloca'")
         count = Const(I32, 1)
-        align = 0
-        while cur.peek() is not None and cur.peek().kind == ",":
-            nxt = cur.peek(1)
-            if nxt is not None and nxt.kind == "word" and nxt.value == "align":
-                cur.next()
-                cur.next()
-                align = int(cur.expect("num").value)
-                continue
-            if nxt is not None and (nxt.kind in ("md",) or nxt.kind == "attr"):
-                break
+        if _typed_operand_follows(cur):
             cur.next()
             cty = self.parse_type(cur)
+            if not cty.is_int():
+                cur.error("'alloca' count must be an integer")
             count = self.parse_value(cur, cty)
         ins.type = PTR
         ins.source_type = ty
         ins.operands = [count]
-        ins.align = align
+
+    def _pointer(self, cur, opcode):
+        """The typed pointer operand of a load, store or getelementptr."""
+        if self.parse_type(cur).kind != "ptr":
+            cur.error(f"'{opcode}' needs a pointer operand")
+        return self.parse_value(cur, PTR)
 
     def _ins_load(self, cur, ins):
         self._skip_flags(cur)
         if cur.peek() is not None and cur.peek().kind == "word" and cur.peek().value == "atomic":
             cur.error("atomic loads are not supported")
-        ty = self.parse_type(cur)
+        ty = self.parse_sized_type(cur, "'load'")
         cur.expect(",")
-        pty = self.parse_type(cur)
-        if pty.kind != "ptr":
-            cur.error("'load' needs a pointer operand")
-        ptr = self.parse_value(cur, PTR)
         ins.type = ty
-        ins.operands = [ptr]
+        ins.operands = [self._pointer(cur, "load")]
 
     def _ins_store(self, cur, ins):
         self._skip_flags(cur)
         if cur.peek() is not None and cur.peek().kind == "word" and cur.peek().value == "atomic":
             cur.error("atomic stores are not supported")
-        ty = self.parse_type(cur)
+        tok = cur.peek()
+        ty = self.parse_sized_type(cur, "'store'")
+        if ty.kind in ("array", "struct"):
+            raise ParseError(f"'store' of an aggregate value {ty!r} is not supported",
+                             tok.line, tok.col)
         val = self.parse_value(cur, ty)
         cur.expect(",")
-        pty = self.parse_type(cur)
-        if pty.kind != "ptr":
-            cur.error("'store' needs a pointer operand")
-        ptr = self.parse_value(cur, PTR)
         ins.type = ty
-        ins.operands = [val, ptr]
+        ins.operands = [val, self._pointer(cur, "store")]
 
     def _ins_getelementptr(self, cur, ins):
         self._skip_flags(cur)
-        src = self.parse_type(cur)
+        src = self.parse_sized_type(cur, "a getelementptr source")
         cur.expect(",")
-        pty = self.parse_type(cur)
-        if pty.kind != "ptr":
-            cur.error("'getelementptr' needs a pointer operand")
-        base = self.parse_value(cur, PTR)
-        operands = [base]
-        while cur.peek() is not None and cur.peek().kind == ",":
-            nxt = cur.peek(1)
-            if nxt is None or not (nxt.kind in ("[", "{", "lid")
-                                   or (nxt.kind == "word" and nxt.value in SCALARS)
-                                   or (nxt.kind == "word" and re.fullmatch(r"i\d+", nxt.value))):
-                break
-            cur.next()
-            ity = self.parse_type(cur)
-            if not ity.is_int():
-                cur.error("getelementptr indices must be integers")
-            operands.append(self.parse_value(cur, ity))
+        base = self._pointer(cur, "getelementptr")
+        indices = self._gep_indices(cur)
         ins.type = PTR
         ins.source_type = src
-        ins.operands = operands
+        ins.operands = [base] + [op for op, _ in indices]
+        ins.gep = _fold_gep(src, indices, ins.line)
 
     def _ins_phi(self, cur, ins):
         self._skip_flags(cur)
@@ -895,17 +968,7 @@ class _Parser:
 
     def _ins_call(self, cur, ins):
         self._skip_flags(cur)
-        while True:
-            tok = cur.peek()
-            if tok is not None and tok.kind == "word" and (
-                tok.value in _CCONV_WORDS
-                or tok.value in ("noundef", "signext", "zeroext", "inreg", "nonnull", "noalias")
-            ):
-                cur.next()
-                if tok.value == "cc":
-                    cur.accept("num")
-                continue
-            break
+        self._skip_flags(cur, _CALL_PREFIX_WORDS)
         rty = self.parse_type(cur)
         if cur.peek() is not None and cur.peek().kind == "(":
             # explicit function-type suffix, e.g. `call i32 (ptr, ...) @f(...)`
@@ -989,8 +1052,14 @@ class _Parser:
     # --- finishing -------------------------------------------------------
 
     def _finish(self):
-        """Number blocks and instructions in source order and resolve every
-        callee, which may be defined after its first call."""
+        """Number blocks and instructions in source order, and resolve what
+        may be defined after its first use: every global named as a value,
+        and every callee, against which each call is checked."""
+        defined = {g.name for g in self.module.globals}
+        for tok in self._global_refs:
+            if tok.value not in defined:
+                raise UnresolvedReferenceError(tok.value, "global", tok.line)
+        functions = {f.name: f for f in self.module.functions}
         block_id = 0
         inst_id = 0
         for f in self.module.functions:
@@ -1000,9 +1069,31 @@ class _Parser:
                 for ins in b.instructions:
                     ins.static_id = inst_id
                     inst_id += 1
-                    if ins.opcode == "call" and not (self.module.has_function(ins.callee)
-                                                     or is_recognized_callee(ins.callee)):
-                        raise UnresolvedReferenceError(ins.callee, "call target", ins.line)
+                    if ins.opcode == "call":
+                        _check_call(ins, functions.get(ins.callee))
+
+
+def _check_call(ins: IrInstruction, callee: IrFunction | None):
+    """A call passes what its callee takes: a defined function's parameter
+    types and returns its type, and a modelled routine gets the integer or
+    pointer arguments it reads."""
+    if callee is not None:
+        want = [ty for _, ty in callee.params]
+        if [op.type for op in ins.operands] != want or ins.type != callee.return_type:
+            raise ParseError(f"call to '@{callee.name}' does not match its type "
+                             f"{callee.return_type!r} ({', '.join(map(repr, want))})", ins.line)
+        return
+    if not is_recognized_callee(ins.callee):
+        raise UnresolvedReferenceError(ins.callee, "call target", ins.line)
+    kind = mem_intrinsic_kind(ins.callee)
+    n = _ROUTINE_ARGS.get(kind or ins.callee)
+    if n is None:       # free and the no-op intrinsics read no argument
+        return
+    args = ins.operands
+    if (len(args) < n or (kind is None and len(args) > n)
+            or not all(op.type.is_int() or op.type.kind == "ptr" for op in args[:n])):
+        raise ParseError(f"'@{ins.callee}' takes {'at least ' if kind else ''}"
+                         f"{n} integer or pointer arguments", ins.line)
 
 
 def parse_module(text: str, source_name: str = "<string>") -> IrModule:

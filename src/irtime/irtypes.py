@@ -90,6 +90,11 @@ class IrType:
         raise AssertionError("unreachable")
 
 
+def signed(value: int, bits: int) -> int:
+    """`value`, an unsigned `bits`-wide integer, read as two's complement."""
+    return value - (1 << bits) if value >= 1 << (bits - 1) else value
+
+
 def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 

@@ -84,6 +84,14 @@ def test_simulate_partial_failure(tmp_path, capsys):
 
 DEEP_TYPE = "[1 x " * 3000 + "i32" + "]" * 3000
 
+# sample -> (the body of its main, the line of its fault)
+FAULTY_MAINS = {
+    "b_icmp": ("  %c = icmp eq double 1.0, 2.0", 3),
+    "c_malloc": ("  %p = call ptr @malloc()", 3),
+    "d_store": ("  %p = alloca [2 x i32]\n  %v = load [2 x i32], ptr %p\n"
+                "  store [2 x i32] %v, ptr %p", 5),
+}
+
 
 @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
 def test_simulate_isolates_a_deeply_nested_type(tmp_path, capsys, samples_dir, workers):
@@ -91,10 +99,17 @@ def test_simulate_isolates_a_deeply_nested_type(tmp_path, capsys, samples_dir, w
     src.mkdir()
     (src / "a_deep.ll").write_text(f"@deep = global {DEEP_TYPE} zeroinitializer\n"
                                    + (samples_dir / "sum_loop.ll").read_text())
+    for name, (body, _) in FAULTY_MAINS.items():
+        (src / f"{name}.ll").write_text(f"define i32 @main() {{\nentry:\n{body}\n"
+                                        "  ret i32 0\n}\n")
     (src / "sum_loop.ll").write_text((samples_dir / "sum_loop.ll").read_text())
     out = tmp_path / "traces"
     assert main(["simulate", str(src), "--out", str(out), *workers]) == 1
-    assert "FAIL a_deep: 1:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAIL a_deep: 1:" in err
+    for name, (_, line) in FAULTY_MAINS.items():
+        assert f"FAIL {name}: {line}:" in err
+    assert "4 of 5 samples failed" in err
     assert (out / "sum_loop.trace").exists()
 
 

@@ -548,19 +548,19 @@ ok:
   ret i32 7
 }
 """
-    m = parse_module(src)
+    # a global is resolved while parsing, a register only when it is read
+    with pytest.raises(UnresolvedReferenceError, match=r"unresolved global 'nope' \(line 7\)"):
+        parse_module(src)
+    m = parse_module(src.replace("load i32, ptr @nope", "add i32 1, 2"))
     assert Interpreter(m).execute("main", (0,)) == 7
-    with pytest.raises(UnresolvedReferenceError, match="unresolved global 'nope'"):
-        Interpreter(m).execute("main", (1,))
     with pytest.raises(UnresolvedReferenceError, match="unresolved register 'undefined'"):
-        Interpreter(parse_module(src.replace("load i32, ptr @nope", "add i32 1, 2"))).execute(
-            "main", (1,))
+        Interpreter(m).execute("main", (1,))
 
 
 def test_initializer_naming_an_undefined_global():
     src = "@p = global ptr @nope\n\ndefine i32 @main() {\nentry:\n  ret i32 0\n}\n"
-    with pytest.raises(UnresolvedReferenceError, match="unresolved global 'nope'"):
-        Interpreter(parse_module(src))
+    with pytest.raises(UnresolvedReferenceError, match=r"unresolved global 'nope' \(line 1\)"):
+        parse_module(src)
 
 
 def test_entry_params_default_to_zero():
@@ -705,18 +705,22 @@ def _gep(gep, args=(GLOBAL_BASE, 1)):
     return Interpreter(parse_module(text)).execute("main", args)
 
 
-def test_getelementptr_shapes_left_to_run_time():
-    # a register index into a struct picks its field when the instruction runs
-    assert _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 %a") == GLOBAL_BASE + 8
-    with pytest.raises(ParseError, match="^struct field index 5 out of range for {i8, i64}$"):
-        _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 %a", (GLOBAL_BASE, 5))
-    with pytest.raises(ParseError, match="^struct field index 2 out of range for {i8, i64}$"):
+def test_getelementptr_shapes_rejected_while_parsing():
+    with pytest.raises(ParseError, match="^3:0: index into struct {i8, i64} must be an integer "
+                                         "literal$"):
+        _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 %a")
+    with pytest.raises(ParseError, match="^3:0: struct field index 2 out of range for {i8, i64}$"):
         _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i32 2")
-    with pytest.raises(ParseError, match="^cannot index into type i32$"):
+    with pytest.raises(ParseError, match="^3:0: struct field index -1 out of range for {i8, i64}$"):
+        _gep("getelementptr { i8, i64 }, ptr %b, i32 0, i8 255")
+    with pytest.raises(ParseError, match="^3:0: cannot index into type i32$"):
         _gep("getelementptr [2 x i32], ptr %b, i32 %a, i32 1, i32 0")
-    # ... and only when it runs: the base is read first
-    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'nob'"):
-        _gep("getelementptr { i8 }, ptr %nob, i32 0, i32 %a")
+    # a constant expression is folded by the same routine
+    text = ("@g = global { i8, i64 } zeroinitializer\n"
+            "@p = global ptr getelementptr ({ i8, i64 }, ptr @g, i32 0, i32 FIELD)\n")
+    assert parse_module(text.replace("FIELD", "1")).global_var("p").init.offset == 8
+    with pytest.raises(ParseError, match="^2:0: struct field index 2 out of range for {i8, i64}$"):
+        parse_module(text.replace("FIELD", "2"))
 
 
 def test_getelementptr_names_the_first_unresolved_register():

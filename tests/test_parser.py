@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from irtime import parse_module
@@ -394,8 +396,14 @@ entry:
 
 # Each body holds one structural fault on the line marked `; here` (the
 # lexer drops the comment).  The check runs where the fault is read, so the
-# ParseError names that line.
+# error names that line.
 _MAIN = "define i32 @main() {\nentry:\n  ret i32 0\n}\n"
+
+
+def _in_main(body, params=""):
+    return f"define i32 @main({params}) {{\nentry:\n{body}\n  ret i32 0\n}}\n"
+
+
 STRUCTURAL_FAULTS = {
     "duplicate_function": _MAIN + "define i32 @main() { ; here\nentry:\n  ret i32 1\n}\n",
     "duplicate_label": """
@@ -468,6 +476,56 @@ bogus:
   ret i32 0
 }
 """,
+    "icmp_on_a_float": _in_main("  %c = icmp eq double 1.0, 2.0 ; here"),
+    "void_load": _in_main("  %v = load void, ptr null ; here"),
+    "void_store": _in_main("  store void undef, ptr null ; here"),
+    "void_alloca": _in_main("  %p = alloca void ; here"),
+    "void_getelementptr_source": _in_main("  %q = getelementptr void, ptr null, i32 1 ; here"),
+    "void_global": "@g = global void zeroinitializer ; here\n" + _MAIN,
+    "void_array_element": "@g = global [2 x void] zeroinitializer ; here\n" + _MAIN,
+    "store_of_an_aggregate": _in_main("  %p = alloca [2 x i32]\n  %v = load [2 x i32], ptr %p\n"
+                                      "  store [2 x i32] %v, ptr %p ; here"),
+    "alloca_count_not_an_integer": _in_main("  %p = alloca i32, double 2.0 ; here"),
+    "alignment_not_an_integer": _in_main("  %p = alloca i32, align 1.5 ; here"),
+    "array_count_not_an_integer": "@g = global [0x10 x i32] zeroinitializer ; here\n" + _MAIN,
+    "integer_literal_not_an_integer": _in_main("  %r = add i32 1.5, 2 ; here"),
+    "getelementptr_into_a_scalar": _in_main(
+        "  %q = getelementptr [2 x i32], ptr null, i32 0, i32 1, i32 0 ; here"),
+    "getelementptr_struct_field_out_of_range": _in_main(
+        "  %q = getelementptr { i8, i64 }, ptr null, i32 0, i32 2 ; here"),
+    "getelementptr_register_index_into_a_struct": _in_main(
+        "  %q = getelementptr { i8, i64 }, ptr null, i32 0, i32 %a ; here", "i32 %a"),
+    "constant_getelementptr_out_of_range": "@g = global { i8, i64 } zeroinitializer\n"
+        "@p = global ptr getelementptr ({ i8, i64 }, ptr @g, i32 0, i32 2) ; here\n" + _MAIN,
+    "call_with_too_few_arguments": "define i32 @f(i32 %x) {\nentry:\n  ret i32 %x\n}\n"
+        + _in_main("  %r = call i32 @f() ; here"),
+    "call_with_a_wrong_argument_type": "define i32 @f(i32 %x) {\nentry:\n  ret i32 %x\n}\n"
+        + _in_main("  %r = call i32 @f(double 1.0) ; here"),
+    "call_expecting_a_wrong_result": "define void @f() {\nentry:\n  ret void\n}\n"
+        + _in_main("  %r = call i32 @f() ; here"),
+    "malloc_without_arguments": _in_main("  %p = call ptr @malloc() ; here"),
+    "calloc_with_one_argument": _in_main("  %p = call ptr @calloc(i32 4) ; here"),
+    "memcpy_with_two_arguments": _in_main(
+        "  call void @llvm.memcpy.p0.p0.i32(ptr null, ptr null) ; here"),
+    "memset_of_a_float_length": _in_main(
+        "  call void @llvm.memset.p0.i32(ptr null, i8 0, double 4.0, i1 false) ; here"),
+    "operand_naming_no_global": _in_main("  %v = load i32, ptr @nope ; here"),
+    "initializer_naming_no_global": "@p = global ptr @nope ; here\n" + _MAIN,
+    "initializer_of_another_type": "@a = global [2 x i32] [i32 1, double 2.0] ; here\n" + _MAIN,
+    "initializer_of_another_count": "@a = global [4294967295 x i32] [i32 1] ; here\n" + _MAIN,
+    "entry_block_with_predecessors": """
+define i32 @main() {
+entry:
+  %c = icmp eq i32 0, 0
+  br i1 %c, label %entry, label %done ; here
+done:
+  ret i32 0
+}
+""",
+    "register_used_at_another_type": _in_main(
+        "  %f = fadd double 1.0, 2.0\n  %r = add i32 %f, 1 ; here"),
+    "register_defined_twice": _in_main("  %r = add i32 1, 2\n  %r = add i32 3, 4 ; here"),
+    "ret_of_another_type": "define i32 @main() {\nentry:\n  ret double 1.0 ; here\n}\n",
     "first_of_two_faults": """
 define i32 @f() {
 entry:
@@ -487,10 +545,10 @@ entry:
 def test_structural_fault_names_its_line(name):
     src = STRUCTURAL_FAULTS[name]
     line = next(i for i, text in enumerate(src.split("\n"), 1) if "; here" in text)
-    with pytest.raises(ParseError) as info:
+    with pytest.raises((ParseError, UnresolvedReferenceError)) as info:
         parse_module(src)
     assert info.value.line == line
-    assert str(info.value).startswith(f"{line}:")
+    assert re.fullmatch(rf"{line}:\d+: .*|.* \(line {line}\)", str(info.value))
 
 
 def test_duplicate_function_rejected():
