@@ -12,10 +12,14 @@ outcomes, memory-routine volumes, and calls.  The memcpy/memset/calloc/
 malloc routines move bytes but bypass the load/store probes; they report a
 single volume event instead, mirroring how the feature table accounts for
 them.
+
+Each segment of a block is compiled into one generated Python function when
+the Interpreter is constructed; see "generated segment functions" below.
 """
 
+import contextlib
+import functools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -26,7 +30,7 @@ from .errors import (
 )
 from .irtypes import signed as _signed
 from .irmodel import (
-    Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
+    TERMINATORS, Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
 )
 from .cache import CacheModel, CacheConfig
 from .branch import BranchPredictorTable, PredictorState
@@ -110,13 +114,15 @@ class _Region:
 
 class MemoryImage:
     """Three bump regions; reads return zeros for allocated-but-unwritten
-    bytes and report that so the run can flag uninitialized loads."""
+    bytes and report that, and `load` counts such loads in
+    `uninitialized_loads` so the run can flag them."""
 
     def __init__(self, limits: RunLimits):
         self.globals = _Region("globals", GLOBAL_BASE, REGION_SPAN)
         self.stack = _Region("stack", STACK_BASE, limits.max_stack_bytes)
         self.heap = _Region("heap", HEAP_BASE, limits.max_heap_bytes)
         self.global_addrs = {}
+        self.uninitialized_loads = 0
         # addr // REGION_SPAN -> the region whose span holds addr
         self._regions = {r.base // REGION_SPAN: r for r in (self.globals, self.stack, self.heap)}
 
@@ -131,14 +137,41 @@ class MemoryImage:
     def read(self, addr, nbytes):
         region, off = self._locate(addr, nbytes)
         end = off + nbytes
-        uninit = 0 in region.shadow[off:end]
-        return bytes(region.data[off:end]), uninit
+        return bytes(region.data[off:end]), region.shadow.find(0, off, end) >= 0
 
     def write(self, addr, data):
         region, off = self._locate(addr, len(data))
         end = off + len(data)
         region.data[off:end] = data
         region.shadow[off:end] = b"\x01" * len(data)
+
+    # load and store run once per executed instruction, so they inline
+    # _locate and copy no bytes beyond the value's own.
+
+    def load(self, addr, nbytes, unpack_from):
+        """unpack_from(data, offset)[0] for the `nbytes` at `addr`."""
+        region = self._regions.get(addr // REGION_SPAN)
+        if region is not None:
+            off = addr - region.base
+            end = off + nbytes
+            if end <= region.top:
+                if region.shadow.find(0, off, end) >= 0:
+                    self.uninitialized_loads += 1
+                return unpack_from(region.data, off)[0]
+        raise OutOfBoundsAccess(addr, nbytes)
+
+    def store(self, addr, nbytes, pack_into, value, written):
+        """pack_into(data, offset, value) at `addr`; `written` is `nbytes`
+        one-bytes for the shadow."""
+        region = self._regions.get(addr // REGION_SPAN)
+        if region is not None:
+            off = addr - region.base
+            end = off + nbytes
+            if end <= region.top:
+                pack_into(region.data, off, value)
+                region.shadow[off:end] = written
+                return
+        raise OutOfBoundsAccess(addr, nbytes)
 
     def copy(self, dst, src, nbytes):
         if nbytes == 0:
@@ -162,8 +195,6 @@ class MemoryImage:
 
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
-_CMP = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
-        "ge": operator.ge, "lt": operator.lt, "le": operator.le}
 
 
 def _to_f32(x):
@@ -196,42 +227,6 @@ def _divide(a, b, bits, signed, rem):
     return a - b * q if rem else q
 
 
-def _int_binop(op, bits):
-    """fn(a, b) for an integer binop, its result wrapped to `bits`."""
-    m = (1 << bits) - 1
-    if op in ("udiv", "sdiv", "urem", "srem"):
-        signed, rem = op[0] == "s", op.endswith("rem")
-        return lambda a, b: _divide(a, b, bits, signed, rem) & m
-    return {
-        "add": lambda a, b: (a + b) & m,
-        "sub": lambda a, b: (a - b) & m,
-        "mul": lambda a, b: (a * b) & m,
-        "and": lambda a, b: a & b & m,
-        "or": lambda a, b: (a | b) & m,
-        "xor": lambda a, b: (a ^ b) & m,
-        "shl": lambda a, b: (a << b if b < bits else 0) & m,
-        "lshr": lambda a, b: (a >> b if b < bits else 0) & m,
-        "ashr": lambda a, b: (_signed(a, bits) >> min(b, bits - 1)) & m,
-    }[op]
-
-
-def _icmp(pred, bits):
-    cmp = _CMP[pred[-2:]]
-    if pred[0] != "s":
-        return lambda a, b: 1 if cmp(a, b) else 0
-    half, span = 1 << (bits - 1), 1 << bits
-    return lambda a, b: 1 if cmp(a - span if a >= half else a,
-                                 b - span if b >= half else b) else 0
-
-
-def _fcmp(pred):
-    """fn(a, b) -> 0 | 1.  With a NaN operand only 'u' predicates and "true"
-    hold; otherwise each compares as its base ("ord" always, "uno" never)."""
-    cmp = _CMP.get(pred[1:], lambda a, b: pred in ("true", "ord"))
-    when_nan = 1 if pred[0] == "u" or pred == "true" else 0
-    return lambda a, b: when_nan if math.isnan(a) or math.isnan(b) else (1 if cmp(a, b) else 0)
-
-
 def _type_bits(ty):
     return 32 if ty.kind == "ptr" else ty.int_bits
 
@@ -246,75 +241,523 @@ def _encoder(ty):
     return lambda v: (v & m).to_bytes(size, "little")
 
 
-def _decoder(ty):
-    """fn(bytes) -> the value a load of type `ty` yields."""
-    if ty.kind in ("float", "double"):
-        unpack = (_F32 if ty.kind == "float" else _F64).unpack
-        return lambda data: unpack(data)[0]
-    if ty.kind == "i1":
-        return lambda data: data[0] & 1
-    return lambda data: int.from_bytes(data, "little")
+def _address(global_addrs, op):
+    """The address a GlobalRef or ConstGep operand names."""
+    if op.__class__ is GlobalRef:
+        return global_addrs[op.name]
+    return (global_addrs[op.base.name] + op.offset) & _MASK32
 
 
-# --- decoded instructions ----------------------------------------------------
-# Each instruction is decoded once into a closure fn(regs) over its operands,
-# read as (is_register, register name | value).  A block is a chain of
-# segments [body, transfer]: `body` is a tuple of closures and
-# `transfer(regs)` (a terminator, or a call into a function body) returns the
-# next segment, or None once the entry function returns.
-
-
-def _getter(read):
-    """fn(regs) -> the value of a decoded operand."""
-    is_reg, x = read
-    if not is_reg:
-        return lambda regs: x
-
-    def get(regs):
-        try:
-            return regs[x]
-        except KeyError:
-            raise UnresolvedReferenceError(x, "register") from None
-    return get
-
-
-def _pure(fn, reads, res):
-    """Closure storing fn(operand values) into register `res`."""
-    gets = [_getter(r) for r in reads]
-    if len(gets) == 1:
-        a, = gets
-
-        def step(regs):
-            regs[res] = fn(a(regs))
-    elif len(gets) == 2:
-        a, b = gets
-
-        def step(regs):
-            regs[res] = fn(a(regs), b(regs))
-    else:
-        def step(regs):
-            regs[res] = fn(*[g(regs) for g in gets])
-    return step
+# --- generated segment functions ---------------------------------------------
+# A segment is a block's non-phi instructions up to its terminator, or up to
+# a call into a function body.  Each becomes one Python function fn(regs),
+# built as source and compiled with every other segment of the module in one
+# compile() when the Interpreter is constructed.  fn returns the index of
+# the next segment in the segment table, or 0 once the entry function
+# returns.  Inside it:
+# - a register is read into a Python local once, in operand order, and every
+#   instruction is an inline expression over locals; its result is also
+#   stored in `regs` only where code outside the function reads it;
+# - each successor's edge is inlined: charge the target block's steps, check
+#   the limit, call the block_enter probes, read the phis' incoming values,
+#   assign them, return the target's index.  A conditional `br` tests its
+#   condition once and calls the cond_branch probes in each arm; a `switch`
+#   searches its sorted case values, then tests the last few for equality;
+# - a call into a function body pushes a frame and inlines the callee's entry
+#   edge; `ret` pops the frame through `_returner`.
+# Probe calls are unrolled, one per registered callable, and the instruction
+# observer is emitted only when one is registered.
+#
+# Two rules keep the source safe and exact.  Text from the IR reaches it only
+# as repr() of a register name: every constant, global address and string is
+# bound by name in the namespace, and the only literals are integers the
+# interpreter computes (masks, sizes, static ids, limits, segment indices).
+# A KeyError becomes UnresolvedReferenceError only in a `try` that holds no
+# probe call, where it can only come from reading an unassigned register; a
+# KeyError raised by a probe passes through unchanged.  The namespace never
+# holds the Interpreter or the segment table, so an Interpreter is freed by
+# reference counting alone.
 
 
 class _Frame:
     __slots__ = ("regs", "stack_mark", "ret_reg", "resume")
 
-    def __init__(self, regs, stack_mark, ret_reg=None, resume=None):
+    def __init__(self, regs, stack_mark, ret_reg=None, resume=0):
         self.regs, self.stack_mark = regs, stack_mark
         self.ret_reg, self.resume = ret_reg, resume   # caller register and segment
+
+
+class _State:
+    """What the generated code counts and returns, besides registers and memory."""
+
+    __slots__ = ("steps", "result")
+
+    def __init__(self):
+        self.steps, self.result = 0, None
+
+
+def _returner(frames, state, release):
+    """ret(value) -> the caller's next segment, or 0 when the entry returns."""
+    def ret(result):
+        fr = frames.pop()
+        release(fr.stack_mark)
+        if not frames:
+            state.result = result
+            return 0
+        if fr.ret_reg is not None:
+            frames[-1].regs[fr.ret_reg] = result
+        return fr.resume
+    return ret
+
+
+def _aggregate_unpacker(nbytes):
+    """unpack_from for a load of an array or struct: its bytes, as one
+    little-endian unsigned integer."""
+    return lambda data, off: (int.from_bytes(data[off:off + nbytes], "little"),)
+
+
+_FORMATS = {"i1": "B", "i8": "B", "i16": "H", "i32": "I", "i64": "Q", "ptr": "I",
+            "float": "f", "double": "d"}
+
+_RUNTIME = {
+    "F32": _to_f32, "FDIV": _fdiv, "DIV": _divide, "SGN": _signed, "ISFIN": math.isfinite,
+    "FRAME": _Frame, "SLE": StepLimitExceeded, "SOVF": StackOverflow, "HEXH": HeapExhausted,
+    "UNRES": UnresolvedReferenceError,
+    **{"U" + f: struct.Struct("<" + f).unpack_from for f in "BHIQfd"},
+    **{"P" + f: struct.Struct("<" + f).pack_into for f in "BHIQfd"},
+    **{f"O{n}": b"\x01" * n for n in (1, 2, 4, 8)},
+}
+
+_INT_BINOPS = {
+    "add": "({a} + {b}) & {m}", "sub": "({a} - {b}) & {m}", "mul": "({a} * {b}) & {m}",
+    "and": "{a} & {b} & {m}", "or": "({a} | {b}) & {m}", "xor": "({a} ^ {b}) & {m}",
+    "ashr": "(SGN({a}, {bits}) >> min({b}, {bits} - 1)) & {m}",
+}
+# operations with a floating-point result; sitofp's {a} is the signed view
+_FLOAT_OPS = {"fadd": "{a} + {b}", "fsub": "{a} - {b}", "fmul": "{a} * {b}",
+              "fdiv": "FDIV({a}, {b})", "fneg": "-{a}", "uitofp": "float({a})",
+              "sitofp": "float({a})"}
+_ICMP = {"eq": "==", "ne": "!=", "gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+# With a NaN operand only the 'u' predicates and "true" hold; otherwise each
+# compares as its base ("ord" always holds, "uno" never).
+_FCMP = {
+    "false": "False", "true": "True",
+    "oeq": "{a} == {b}", "ogt": "{a} > {b}", "oge": "{a} >= {b}",
+    "olt": "{a} < {b}", "ole": "{a} <= {b}", "one": "({a} < {b} or {a} > {b})",
+    "ord": "({a} == {a} and {b} == {b})", "uno": "({a} != {a} or {b} != {b})",
+    "ueq": "not ({a} < {b} or {a} > {b})", "ugt": "not {a} <= {b}", "uge": "not {a} < {b}",
+    "ult": "not {a} >= {b}", "ule": "not {a} > {b}", "une": "{a} != {b}",
+}
+
+# kinds of generated line: a register read, a statement that calls no probe,
+# a probe call, and control flow
+_READ, _PURE, _PROBE, _FLOW = range(4)
+
+
+def _invokes(ins):
+    """Whether `ins` calls into a function body."""
+    return ins.opcode == "call" and not is_recognized_callee(ins.callee)
+
+
+def _split(block):
+    """The block's segments: its non-phi instructions, cut after the
+    terminator and after each call into a function body."""
+    segments, current = [], []
+    for ins in block.instructions[block.phi_count:]:
+        current.append(ins)
+        if ins.opcode in TERMINATORS or _invokes(ins):
+            segments.append(current)
+            current = []
+    return segments
+
+
+def _register_uses(func, segments):
+    """(registers kept in `regs`, number of reads of each register) for
+    `segments`, the function's (block, instructions) pairs.  A result is
+    kept unless every read of it comes later in the segment that defines
+    it; phi results are assigned on edges, in their predecessors'
+    segments, so they are kept whenever something reads them."""
+    home, reads = {}, []
+    for key, (block, insts) in enumerate(segments):
+        for pos, ins in enumerate(insts):
+            if ins.result is not None and not _invokes(ins):
+                home[ins.result] = key, pos
+            reads += [(op.name, key, pos) for op in ins.operands if op.__class__ is LocalRef]
+        for label in insts[-1].labels + [label for _, label in insts[-1].cases]:
+            target = func.block_map[label]
+            for phi in target.instructions[:target.phi_count]:
+                op = phi.incoming_map[block.label]
+                if op.__class__ is LocalRef:
+                    reads.append((op.name, key, len(insts)))
+    kept, counts = set(), {}
+    for name, key, pos in reads:
+        counts[name] = counts.get(name, 0) + 1
+        where = home.get(name)
+        if where is None or where[0] != key or pos <= where[1]:
+            kept.add(name)
+    return kept, counts
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(source):
+    """The code object of generated source.  Constants are bound by name,
+    not written into the source, so modules that differ only in their
+    constants share one compilation."""
+    return compile(source, "<irtime segments>", "exec")
+
+
+def _render(lines):
+    """Source text for (indent, text, kind) lines.  Each run of reads and
+    probe-free statements at one indent that reads a register is wrapped in
+    a `try` that reports a missing register."""
+    out, i = [], 0
+    while i < len(lines):
+        indent, text, kind = lines[i]
+        pad = "    " * indent
+        j = i + 1
+        if kind <= _PURE:
+            while j < len(lines) and lines[j][2] <= _PURE and lines[j][0] == indent:
+                j += 1
+        run = [pad + t for _, t, _ in lines[i:j]]
+        if any(k == _READ for _, _, k in lines[i:j]):
+            out += [pad + "try:", *("    " + t for t in run),
+                    pad + "except KeyError as e:",
+                    pad + "    raise UNRES(e.args[0], 'register') from None"]
+        else:
+            out += run
+        i = j
+    return out
+
+
+class _Generator:
+    """The source of every segment function of a module, and the namespace
+    it runs in."""
+
+    def __init__(self, module, memory, limits, state, frames, probes):
+        self.module, self.global_addrs, self.limits = module, memory.global_addrs, limits
+        stack = memory.stack
+        self.ns = dict(_RUNTIME, S=state, FR=frames, STK=stack, LD=memory.load,
+                       ST=memory.store, MCPY=memory.copy, MSET=memory.fill,
+                       ALLOC=stack.allocate, HALLOC=memory.heap.allocate,
+                       RET=_returner(frames, state, stack.release_to))
+        self.consts = {}
+        self.probes = {kind: [self._bind(getattr(ps, kind), "h") for ps in probes
+                              if getattr(ps, kind)] for kind in ProbeSet.__slots__}
+        self.first = {}         # block static id -> index of its first segment
+        self.indent = 1
+
+    def _bind(self, value, prefix):
+        name = f"{prefix}{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def _const(self, value):
+        """The name bound to `value`; floats are told apart by their bits."""
+        key = value.__class__, _F64.pack(value) if value.__class__ is float else value
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = self._bind(value, "k")
+        return name
+
+    def _line(self, text, kind=_PURE):
+        self.lines.append((self.indent, text, kind))
+
+    def build(self):
+        """(segment functions, {function name: index of its entry}); index 0
+        is the halt that the entry function's `ret` returns."""
+        plan, entries, count = [], {}, 1
+        for f in self.module.functions:
+            entries[f.name] = count
+            segments = []
+            for b in f.blocks:
+                self.first[b.static_id] = count + 1 + len(segments)
+                segments += [(b, insts) for insts in _split(b)]
+            plan.append((f, segments))
+            count += 1 + len(segments)
+        source = []
+        for f, segments in plan:
+            self.kept, self.reads = _register_uses(f, segments)
+            index = entries[f.name]
+            self._begin()
+            self._edge(f, None, f.entry.label)
+            self._emit(index, source)
+            for index, (block, insts) in enumerate(segments, index + 1):
+                self._begin()
+                self._segment(f, block, insts, index + 1)
+                self._emit(index, source)
+        namespace = self.ns
+        exec(_compile("\n".join(source)), namespace)
+        return [None] + [namespace.pop(f"s{i}") for i in range(1, count)], entries
+
+    def _begin(self):
+        # register -> the local holding it; fused compare -> its test
+        self.lines, self.held, self.fused, self.n_locals = [], {}, {}, 0
+
+    def _emit(self, index, source):
+        source.append(f"def s{index}(regs):")
+        source += _render(self.lines)
+
+    def _new_local(self):
+        self.n_locals += 1
+        return f"v{self.n_locals}"
+
+    # --- operands and results ---------------------------------------------
+
+    def _operand(self, op):
+        """A local or constant name holding the operand's value; a register
+        is read into a local the first time the function reads it."""
+        cls = op.__class__
+        if cls is LocalRef:
+            name = self.fused.get(op.name) or self.held.get(op.name)
+            if name is None:
+                name = self.held[op.name] = self._new_local()
+                self._line(f"{name} = regs[{op.name!r}]", _READ)
+            return name
+        if cls is Const:
+            return self._const(op.value)
+        return self._const(_address(self.global_addrs, op))
+
+    def _define(self, ins, expr):
+        """Assign `expr` to a new local for ins.result, and to the register
+        too when code outside this function reads it."""
+        name = self.held[ins.result] = self._new_local()
+        if ins.result in self.kept:
+            self._line(f"regs[{ins.result!r}] = {name} = {expr}")
+        else:
+            self._line(f"{name} = {expr}")
+        return name
+
+    def _signed(self, op, bits):
+        """The operand read as a `bits`-wide two's complement integer."""
+        if op.__class__ is Const:
+            return self._const(_signed(op.value, bits))
+        x = self._operand(op)
+        return f"({x} - {1 << bits} if {x} >= {1 << (bits - 1)} else {x})"
+
+    def _probe(self, kind, *args):
+        for name in self.probes[kind]:
+            self._line(f"{name}({', '.join(map(str, args))})", _PROBE)
+
+    def _observe(self, ins):
+        if self.probes["instruction"]:
+            self._probe("instruction", ins.static_id, self._const(ins.opcode))
+
+    # --- segments and edges -----------------------------------------------
+
+    def _segment(self, func, block, insts, resume):
+        *body, last = insts
+        cond = last.operands[0] if last.opcode == "br" and last.operands else None
+        # a compare that only this br reads is tested in place
+        fused = (cond.name if cond.__class__ is LocalRef and cond.name not in self.kept
+                 and self.reads.get(cond.name) == 1 else None)
+        for ins in body:
+            self._observe(ins)
+            self._instruction(ins, fused is not None and ins.result == fused)
+        self._observe(last)
+        if last.opcode == "br":
+            if cond is not None:
+                with self._arm(self._operand(cond)):
+                    self._probe("cond_branch", last.static_id, True)
+                    self._edge(func, block.label, last.labels[0])
+                self._probe("cond_branch", last.static_id, False)
+                self._edge(func, block.label, last.labels[1])
+            else:
+                self._edge(func, block.label, last.labels[0])
+        elif last.opcode == "switch":
+            self._switch(func, block, last)
+        elif last.opcode == "ret":
+            value = self._operand(last.operands[0]) if last.operands else "None"
+            self._line(f"return RET({value})", _FLOW)
+        else:
+            self._invoke(last, resume)
+
+    def _edge(self, func, pred, label):
+        """Enter block `label` from block `pred` (None on a call)."""
+        block = func.block_map[label]
+        limit = self.limits.max_steps
+        self._line(f"S.steps += {len(block.instructions)}")
+        self._line(f"if S.steps > {limit}: raise SLE({limit})")
+        self._probe("block_enter", block.static_id)
+        phis = block.instructions[:block.phi_count]
+        values = [self._operand(p.incoming_map[pred]) for p in phis]
+        for p in phis:
+            self._observe(p)
+        for p, value in zip(phis, values):
+            if p.result in self.kept:
+                self._line(f"regs[{p.result!r}] = {value}")
+        self._line(f"return {self.first[block.static_id]}", _FLOW)
+
+    @contextlib.contextmanager
+    def _arm(self, test):
+        """What is written inside runs under `if test:`; the registers it
+        reads are not held after it."""
+        held = dict(self.held)
+        self._line(f"if {test}:", _FLOW)
+        self.indent += 1
+        yield
+        self.indent -= 1
+        self.held = held
+
+    def _switch(self, func, block, ins):
+        value, default = self._operand(ins.operands[0]), ins.labels[0]
+        cases = {}
+        for cval, label in ins.cases:      # the first case of a value wins
+            cases.setdefault(cval, label)
+        cases = sorted((v, label) for v, label in cases.items() if label != default)
+        self._cases(value, cases, func, block.label, default)
+
+    def _cases(self, value, cases, func, pred, default):
+        """A binary search over `cases`, sorted (value, label) pairs, down to
+        a few equality tests and the default edge."""
+        if len(cases) > 4:
+            half = len(cases) // 2
+            with self._arm(f"{value} < {self._const(cases[half][0])}"):
+                self._cases(value, cases[:half], func, pred, default)
+            self._cases(value, cases[half:], func, pred, default)
+            return
+        for cval, label in cases:
+            with self._arm(f"{value} == {self._const(cval)}"):
+                self._edge(func, pred, label)
+        self._edge(func, pred, default)
+
+    def _invoke(self, ins, resume):
+        callee = self.module.function(ins.callee)
+        args = [self._operand(op) for op in ins.operands]
+        regs = ", ".join(f"{name!r}: {a}" for (name, _), a in zip(callee.params, args))
+        self._line(f"FR.append(FRAME({{{regs}}}, STK.top, {ins.result!r}, {resume}))")
+        self._edge(callee, None, callee.entry.label)
+
+    # --- instructions -----------------------------------------------------
+
+    def _instruction(self, ins, fuse):
+        op = ins.opcode
+        if op in ("getelementptr", "alloca", "load", "store", "call"):
+            getattr(self, "_" + op)(ins)
+        elif op in ("icmp", "fcmp"):
+            test = self._compare(ins)
+            if fuse:
+                self.fused[ins.result] = test
+            else:
+                self._define(ins, f"1 if {test} else 0")
+        else:
+            self._define(ins, self._expression(ins))
+
+    def _expression(self, ins):
+        op, ty = ins.opcode, ins.type
+        x = [self._operand(o) for o in ins.operands]
+        if op in _FLOAT_OPS:
+            a = self._signed(ins.operands[0], ins.source_type.int_bits) if op == "sitofp" else x[0]
+            expr = _FLOAT_OPS[op].format(a=a, b=x[-1])
+            return f"F32({expr})" if ty.kind == "float" else expr
+        if op == "zext":
+            return x[0]
+        bits = ty.int_bits
+        m = (1 << bits) - 1
+        if op == "sext":
+            return f"{self._signed(ins.operands[0], ins.source_type.int_bits)} & {m}"
+        if op == "fptosi":
+            return f"(int({x[0]}) if ISFIN({x[0]}) else 0) & {m}"
+        a, b = x
+        if op in ("udiv", "sdiv", "urem", "srem"):
+            return f"DIV({a}, {b}, {bits}, {op[0] == 's'}, {op.endswith('rem')}) & {m}"
+        if op in ("shl", "lshr"):
+            shift = "<<" if op == "shl" else ">>"
+            amount = ins.operands[1]
+            if amount.__class__ is Const:
+                return f"({a} {shift} {b}) & {m}" if amount.value < bits else "0"
+            return f"({a} {shift} {b} if {b} < {bits} else 0) & {m}"
+        return _INT_BINOPS[op].format(a=a, b=b, m=m, bits=bits)
+
+    def _compare(self, ins):
+        """A Python boolean expression for an icmp or fcmp."""
+        left, right = ins.operands
+        if ins.opcode == "fcmp":
+            a, b = self._operand(left), self._operand(right)
+            return _FCMP[ins.pred].format(a=a, b=b)
+        if ins.pred[0] == "s":
+            bits = _type_bits(left.type)
+            a, b = self._signed(left, bits), self._signed(right, bits)
+        else:
+            a, b = self._operand(left), self._operand(right)
+        return f"{a} {_ICMP[ins.pred[-2:]]} {b}"
+
+    def _getelementptr(self, ins):
+        """The offset the parser folded, plus each register index
+        sign-extended from its width and scaled by its stride."""
+        const, terms = ins.gep
+        parts = [self._operand(ins.operands[0])]
+        if const:
+            parts.append(self._const(const))
+        for op, bits, stride in terms:
+            parts.append(f"{self._signed(op, bits)} * {stride}")
+        self._define(ins, f"({' + '.join(parts)}) & {_MASK32}")
+
+    def _alloca(self, ins):
+        count, ty = self._operand(ins.operands[0]), ins.source_type
+        align = self._const(max(ins.align, ty.alignment()))
+        addr = self._define(ins, f"ALLOC({ty.size()} * {count}, {align})")
+        self._line(f"if {addr} is None: raise SOVF({self.limits.max_stack_bytes})")
+
+    def _load(self, ins):
+        addr, ty, nbytes = self._operand(ins.operands[0]), ins.type, ins.type.size()
+        fmt = _FORMATS.get(ty.kind)
+        unpack = "U" + fmt if fmt else self._bind(_aggregate_unpacker(nbytes), "u")
+        expr = f"LD({addr}, {nbytes}, {unpack})" + (" & 1" if ty.kind == "i1" else "")
+        if self.probes["load"]:
+            value = self._new_local()
+            self._line(f"{value} = {expr}")
+            self._probe("load", addr, nbytes)
+            expr = value
+        self._define(ins, expr)
+
+    def _store(self, ins):
+        value, addr = (self._operand(o) for o in ins.operands)
+        ty, nbytes = ins.type, ins.type.size()
+        if ty.kind == "float":
+            value = f"F32({value})"
+        elif ty.kind != "double":
+            value = f"{value} & {(1 << _type_bits(ty)) - 1}"
+        self._line(f"ST({addr}, {nbytes}, P{_FORMATS[ty.kind]}, {value}, O{nbytes})")
+        self._probe("store", addr, nbytes)
+
+    def _call(self, ins):
+        """A call to a memory routine, a heap function or a no-op intrinsic."""
+        callee, kind = ins.callee, mem_intrinsic_kind(ins.callee)
+        if kind is not None:
+            dst, src_or_byte, n = (self._operand(o) for o in ins.operands[:3])
+            self._line(f"{'MCPY' if kind == 'memcpy' else 'MSET'}({dst}, {src_or_byte}, {n})")
+            self._probe("mem_intrinsic", self._const(kind), n)
+            if ins.result is not None:
+                self._define(ins, dst)
+        elif callee in ("malloc", "calloc"):
+            n = self._operand(ins.operands[0])
+            if callee == "calloc":
+                n = f"{n} * {self._operand(ins.operands[1])}"
+            nbytes, addr = self._new_local(), self._new_local()
+            self._line(f"{nbytes} = {n}")
+            self._line(f"{addr} = HALLOC({nbytes}, 8)")
+            self._line(f"if {addr} is None: raise HEXH({self.limits.max_heap_bytes})")
+            if callee == "calloc":
+                self._line(f"MSET({addr}, 0, max({nbytes}, 1))")
+            self._probe("mem_intrinsic", self._const(callee), nbytes)
+            if ins.result is not None:
+                self._define(ins, addr)
 
 
 class Interpreter:
     """Drives one module.  Use execute() for the raw return value; the
     module-level run() wraps an interpreter with the standard trace probes.
 
-    Steps are charged a whole block at a time, on entry, so `steps` is exact
-    for a run that finishes and a run fails with StepLimitExceeded if and
-    only if its total exceeds `limits.max_steps`.  The parser has checked
-    every label, global, callee, call signature, type and getelementptr
-    shape, so decoding a parsed module cannot fail; a register that is never
-    assigned fails when an instruction that reads it executes.
+    Construction compiles every segment of the module into one generated
+    Python function (see "generated segment functions" above), specialised
+    to the probes given here.  Steps are charged a whole block at a time, on
+    entry, so `steps` is exact for a run that finishes and a run fails with
+    StepLimitExceeded if and only if its total exceeds `limits.max_steps`.
+    The parser has checked every label, global, callee, call signature, type
+    and getelementptr shape, so decoding a parsed module cannot fail; a
+    register that is never assigned fails with UnresolvedReferenceError when
+    an instruction that reads it executes, after every earlier instruction
+    has taken effect.
     """
 
     def __init__(self, module, probes=(), limits: RunLimits | None = None):
@@ -324,24 +767,20 @@ class Interpreter:
         self.limits = limits or RunLimits()
         self.limits.validate()
         self.memory = MemoryImage(self.limits)
-        self.steps = 0
-        self.uninitialized_loads = 0
+        self._state = _State()
         self._frames = []
-        self._result = None
-        probes = [p for p in probes if p is not None]
-        self._on_block_enter = [p.block_enter for p in probes if p.block_enter]
-        self._on_instruction = [p.instruction for p in probes if p.instruction]
-        self._on_load = [p.load for p in probes if p.load]
-        self._on_store = [p.store for p in probes if p.store]
-        self._on_cond_branch = [p.cond_branch for p in probes if p.cond_branch]
-        self._on_mem_intrinsic = [p.mem_intrinsic for p in probes if p.mem_intrinsic]
         self._setup_globals()
-        functions = module.functions
-        self._segments = {b.static_id: [(), None] for f in functions for b in f.blocks}
-        self._entries = {f.name: self._edge(f, None, f.entry.label) for f in functions}
-        for f in functions:
-            for block in f.blocks:
-                self._decode_block(f, block)
+        generator = _Generator(module, self.memory, self.limits, self._state, self._frames,
+                               [p for p in probes if p is not None])
+        self._segments, self._entries = generator.build()
+
+    @property
+    def steps(self):
+        return self._state.steps
+
+    @property
+    def uninitialized_loads(self):
+        return self.memory.uninitialized_loads
 
     # --- setup --------------------------------------------------------------
 
@@ -367,7 +806,7 @@ class Interpreter:
             mem.write(addr, init[: ty.size()])
             return
         if isinstance(init, (GlobalRef, ConstGep)):
-            mem.write(addr, _encoder(ty)(self._read(init)[1]))
+            mem.write(addr, _encoder(ty)(_address(mem.global_addrs, init)))
             return
         if isinstance(init, list):
             if ty.kind == "array":
@@ -379,242 +818,6 @@ class Interpreter:
                     self._write_init(addr + ty.field_offset(i), ty.fields[i], item)
             return
         mem.write(addr, _encoder(ty)(init))
-
-    # --- decoding -------------------------------------------------------------
-
-    def _decode_block(self, func, block):
-        seg, body = self._segments[block.static_id], []
-        for ins in block.instructions[block.phi_count:]:
-            invoke = ins.opcode == "call" and not is_recognized_callee(ins.callee or "")
-            resume = [(), None] if invoke else None
-            op = self._decode(func, block, ins, resume)
-            if self._on_instruction:
-                op = self._observed(self._on_instruction, ins.static_id, ins.opcode, op)
-            if invoke or ins.opcode in ("br", "switch", "ret"):
-                seg[:] = tuple(body), op
-                seg, body = resume, []
-            else:
-                body.append(op)
-
-    @staticmethod
-    def _observed(hooks, sid, opcode, op):
-        def observed(regs):
-            for h in hooks:
-                h(sid, opcode)
-            return op(regs)
-        return observed
-
-    def _read(self, op):
-        """Decode an operand into (is_register, register name | value)."""
-        cls = op.__class__
-        if cls is LocalRef:
-            return True, op.name
-        if cls is Const:
-            return False, op.value
-        if cls is GlobalRef:
-            return False, self.memory.global_addrs[op.name]
-        return False, (self.memory.global_addrs[op.base.name] + op.offset) & _MASK32
-
-    def _edge(self, func, pred_label, label):
-        """Closure entering block `label` from `pred_label` (None on a call):
-        charges the block's steps, fires block_enter, assigns the phis in
-        parallel and returns the block's first segment."""
-        block = func.block_map[label]
-        interp, limit, hooks = self, self.limits.max_steps, self._on_block_enter
-        seg, sid, size = self._segments[block.static_id], block.static_id, len(block.instructions)
-        phis = block.instructions[:block.phi_count]
-        dsts = [p.result for p in phis]
-        gets = [_getter(self._read(p.incoming_map[pred_label])) for p in phis]
-        inst_hooks = self._on_instruction
-        phi_ids = [p.static_id for p in phis] if inst_hooks else ()
-
-        def enter(regs):
-            interp.steps += size
-            if interp.steps > limit:
-                raise StepLimitExceeded(limit)
-            for h in hooks:
-                h(sid)
-            if gets:
-                values = [g(regs) for g in gets]
-                for pid in phi_ids:
-                    for h in inst_hooks:
-                        h(pid, "phi")
-                regs.update(zip(dsts, values))
-            return seg
-        return enter
-
-    def _decode(self, func, block, ins, resume):
-        op, res = ins.opcode, ins.result
-        if resume is not None:
-            return self._decode_invoke(ins, resume)
-        if op in ("br", "switch"):
-            return self._decode_branch(func, block, ins)
-        reads = [self._read(o) for o in ins.operands]
-        if op in ("add", "sub", "mul", "udiv", "sdiv", "urem", "srem",
-                  "and", "or", "xor", "shl", "lshr", "ashr"):
-            return _pure(_int_binop(op, ins.type.int_bits), reads, res)
-        if op in ("fadd", "fsub", "fmul", "fdiv"):
-            fn = {"fadd": operator.add, "fsub": operator.sub,
-                  "fmul": operator.mul, "fdiv": _fdiv}[op]
-            return _pure((lambda a, b: _to_f32(fn(a, b))) if ins.type.kind == "float" else fn,
-                         reads, res)
-        if op == "icmp":
-            return _pure(_icmp(ins.pred, _type_bits(ins.operands[0].type)), reads, res)
-        if op == "fcmp":
-            return _pure(_fcmp(ins.pred), reads, res)
-        if op == "fneg":
-            return _pure(operator.neg, reads, res)
-        if op == "zext":
-            return _pure(lambda v: v, reads, res)
-        if op == "sext":
-            src_bits, m = ins.source_type.int_bits, (1 << ins.type.int_bits) - 1
-            return _pure(lambda v: _signed(v, src_bits) & m, reads, res)
-        if op == "fptosi":
-            m = (1 << ins.type.int_bits) - 1
-            return _pure(lambda f: (int(f) if math.isfinite(f) else 0) & m, reads, res)
-        if op in ("uitofp", "sitofp"):
-            bits = ins.source_type.int_bits if op == "sitofp" else 0
-            to_float = (lambda v: float(_signed(v, bits))) if bits else float
-            if ins.type.kind == "float":
-                return _pure(lambda v: _to_f32(to_float(v)), reads, res)
-            return _pure(to_float, reads, res)
-        # getelementptr, alloca, load, store, call and ret
-        return getattr(self, "_decode_" + op)(ins, reads)
-
-    def _decode_getelementptr(self, ins, reads):
-        """The offset the parser folded, plus each register index
-        sign-extended from its width and scaled by its stride."""
-        const, terms = ins.gep
-        base, res = _getter(reads[0]), ins.result
-        terms = [(_getter(self._read(op)), 1 << (bits - 1), 1 << bits, stride)
-                 for op, bits, stride in terms]
-
-        def gep(regs):
-            addr = base(regs) + const
-            for index, half, span, stride in terms:
-                i = index(regs)
-                addr += (i - span if i >= half else i) * stride
-            regs[res] = addr & _MASK32
-        return gep
-
-    def _decode_alloca(self, ins, reads):
-        count, res = _getter(reads[0]), ins.result
-        size, align = ins.source_type.size(), max(ins.align, ins.source_type.alignment())
-        allocate, limit = self.memory.stack.allocate, self.limits.max_stack_bytes
-
-        def alloca(regs):
-            addr = allocate(size * count(regs), align)
-            if addr is None:
-                raise StackOverflow(limit)
-            regs[res] = addr
-        return alloca
-
-    def _decode_load(self, ins, reads):
-        interp, address, res = self, _getter(reads[0]), ins.result
-        nbytes, decode = ins.type.size(), _decoder(ins.type)
-        read, hooks = self.memory.read, self._on_load
-
-        def load(regs):
-            addr = address(regs)
-            data, uninit = read(addr, nbytes)
-            if uninit:
-                interp.uninitialized_loads += 1
-            for h in hooks:
-                h(addr, nbytes)
-            regs[res] = decode(data)
-        return load
-
-    def _decode_store(self, ins, reads):
-        value, address = _getter(reads[0]), _getter(reads[1])
-        nbytes, encode = ins.type.size(), _encoder(ins.type)
-        write, hooks = self.memory.write, self._on_store
-
-        def store(regs):
-            v, addr = value(regs), address(regs)
-            write(addr, encode(v))
-            for h in hooks:
-                h(addr, nbytes)
-        return store
-
-    def _decode_call(self, ins, reads):
-        """A call to a memory routine, a heap function or a no-op intrinsic."""
-        callee, res = ins.callee, ins.result
-        gets, mem_hooks, memory = [_getter(r) for r in reads], self._on_mem_intrinsic, self.memory
-        kind, heap_limit = mem_intrinsic_kind(callee), self.limits.max_heap_bytes
-
-        def call(regs):
-            if kind is not None:
-                dst, src_or_byte, n = gets[0](regs), gets[1](regs), gets[2](regs)
-                (memory.copy if kind == "memcpy" else memory.fill)(dst, src_or_byte, n)
-                for h in mem_hooks:
-                    h(kind, n)
-                if res is not None:
-                    regs[res] = dst
-            elif callee in ("malloc", "calloc"):
-                nbytes = gets[0](regs) * (gets[1](regs) if callee == "calloc" else 1)
-                addr = memory.heap.allocate(nbytes, 8)
-                if addr is None:
-                    raise HeapExhausted(heap_limit)
-                if callee == "calloc":
-                    memory.fill(addr, 0, max(nbytes, 1))
-                for h in mem_hooks:
-                    h(callee, nbytes)
-                if res is not None:
-                    regs[res] = addr
-        return call
-
-    def _decode_branch(self, func, block, ins):
-        def edge(label):
-            return self._edge(func, block.label, label)
-
-        if ins.opcode == "switch":
-            value, default, table = _getter(self._read(ins.operands[0])), edge(ins.labels[0]), {}
-            for cval, label in ins.cases:
-                table.setdefault(cval, edge(label))
-            return lambda regs: table.get(value(regs), default)(regs)
-        if not ins.operands:
-            return edge(ins.labels[0])
-        cond, sid, hooks = _getter(self._read(ins.operands[0])), ins.static_id, self._on_cond_branch
-        on_true, on_false = edge(ins.labels[0]), edge(ins.labels[1])
-
-        def br(regs):
-            taken = cond(regs) != 0
-            for h in hooks:
-                h(sid, taken)
-            return (on_true if taken else on_false)(regs)
-        return br
-
-    def _decode_ret(self, ins, reads):
-        value = _getter(reads[0]) if reads else lambda regs: None
-        interp, frames, release = self, self._frames, self.memory.stack.release_to
-
-        def ret(regs):
-            result = value(regs)
-            fr = frames.pop()
-            release(fr.stack_mark)
-            if not frames:
-                interp._result = result
-                return None
-            if fr.ret_reg is not None:
-                frames[-1].regs[fr.ret_reg] = result
-            return fr.resume
-        return ret
-
-    def _decode_invoke(self, ins, resume):
-        """A call into a function body; `resume` is the caller's next segment."""
-        callee, res = ins.callee, ins.result
-        func = self.module.function(callee)
-        params = [name for name, _ in func.params]
-        gets = [_getter(self._read(o)) for o in ins.operands]
-        frames, stack, enter = self._frames, self.memory.stack, self._entries[callee]
-
-        def invoke(regs):
-            callee_regs = {}
-            for name, g in zip(params, gets):
-                callee_regs[name] = g(regs)
-            frames.append(_Frame(callee_regs, stack.top, res, resume))
-            return enter(callee_regs)
-        return invoke
 
     # --- main loop ---------------------------------------------------------
 
@@ -628,17 +831,14 @@ class Interpreter:
         regs = {}
         for i, (pname, pty) in enumerate(func.params):
             regs[pname] = args[i] if args else (0.0 if pty.is_float() else 0)
-        frames = self._frames
+        segments, frames = self._segments, self._frames
         frames[:] = [_Frame(regs, self.memory.stack.top)]
-        self._result = None
-        body, transfer = self._entries[func.name](regs)
+        self._state.result = None
+        index = self._entries[func.name]
         while True:
-            for op in body:
-                op(regs)
-            segment = transfer(regs)
-            if segment is None:
-                return self._result
-            body, transfer = segment
+            index = segments[index](regs)
+            if not index:
+                return self._state.result
             regs = frames[-1].regs
 
 

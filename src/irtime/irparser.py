@@ -58,6 +58,10 @@ _CASTS = {
     "sitofp": (IrType.is_int, IrType.is_float),
 }
 
+# tokens that name a block where it is defined: `loop:`, `7:` and the
+# quoted `"a b":`
+_LABEL_KINDS = ("word", "num", "str")
+
 MAX_NESTING = 256   # deeper types and initializers would exhaust the Python stack
 
 # modelled routine -> how many arguments it reads, each an integer or a
@@ -713,14 +717,14 @@ class _Parser:
                 return i
             cur = _Cursor(line)
             label = None
-            if len(line) >= 2 and first.kind in ("word", "num") and line[1].kind == ":":
+            if len(line) >= 2 and first.kind in _LABEL_KINDS and line[1].kind == ":":
                 if block is not None:
                     _end_block(block, first)
                 label = first.value
                 cur.i = 2
             elif block is None:
                 label = entry_hint
-                if any(l[0].kind in ("word", "num") and len(l) >= 2 and l[1].kind == ":"
+                if any(l[0].kind in _LABEL_KINDS and len(l) >= 2 and l[1].kind == ":"
                        and l[0].value == label for l in self.lines[i:]):
                     label = label + ".entry"
             if label is not None:
@@ -894,6 +898,8 @@ class _Parser:
         dst = self.parse_type(cur)
         if not src_ok(ty) or not dst_ok(dst):
             cur.error(f"bad operand types for '{ins.opcode}'")
+        if ins.opcode in ("zext", "sext") and dst.int_bits <= ty.int_bits:
+            cur.error(f"'{ins.opcode}' needs a destination wider than {ty!r}, found {dst!r}")
         ins.type = dst
         ins.source_type = ty
         ins.operands = [val]

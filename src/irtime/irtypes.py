@@ -33,6 +33,34 @@ class IrType:
     fields: tuple = field(default=())     # struct members
     name: str = ""                        # original name for named structs
     depth: int = field(default=0, compare=False)   # array/struct nesting levels
+    # Layout, computed once from the members' own when the type is built,
+    # so it costs time linear in the type's text however deeply it nests.
+    # None for void and for aggregates that hold it.
+    _size: int | None = field(default=None, init=False, compare=False, repr=False)
+    _align: int | None = field(default=None, init=False, compare=False, repr=False)
+    _offsets: tuple = field(default=(), init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        members = (self.elem,) if self.kind == "array" else self.fields
+        if any(m._size is None for m in members):
+            return      # void inside: size() raises, as for void itself
+        if self.kind in _SCALAR_SIZE:
+            size = align = _SCALAR_SIZE[self.kind]
+        elif self.kind == "array":
+            size, align = self.count * self.elem.size(), self.elem.alignment()
+        elif self.kind == "struct":
+            align = max((f.alignment() for f in self.fields), default=1)
+            offsets, off = [], 0
+            for f in self.fields:
+                off = _align_up(off, f.alignment())
+                offsets.append(off)
+                off += f.size()
+            size = _align_up(off, align)
+            object.__setattr__(self, "_offsets", tuple(offsets))
+        else:
+            return
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_align", align)
 
     def __repr__(self):
         if self.kind == "array":
@@ -55,25 +83,14 @@ class IrType:
 
     def size(self) -> int:
         """Allocated size in bytes, padding included."""
-        if self.kind in _SCALAR_SIZE:
-            return _SCALAR_SIZE[self.kind]
-        if self.kind == "array":
-            return self.count * self.elem.size()
-        if self.kind == "struct":
-            off = 0
-            for f in self.fields:
-                off = _align_up(off, f.alignment()) + f.size()
-            return _align_up(off, self.alignment())
-        raise ParseError(f"type {self.kind} has no size")
+        if self._size is None:
+            raise ParseError(f"type {self.kind} has no size")
+        return self._size
 
     def alignment(self) -> int:
-        if self.kind in _SCALAR_SIZE:
-            return _SCALAR_SIZE[self.kind]
-        if self.kind == "array":
-            return self.elem.alignment()
-        if self.kind == "struct":
-            return max((f.alignment() for f in self.fields), default=1)
-        raise ParseError(f"type {self.kind} has no alignment")
+        if self._align is None:
+            raise ParseError(f"type {self.kind} has no alignment")
+        return self._align
 
     def field_offset(self, index: int) -> int:
         """Byte offset of struct member `index`."""
@@ -81,13 +98,7 @@ class IrType:
             raise ParseError(f"field access into non-struct type {self!r}")
         if not 0 <= index < len(self.fields):
             raise ParseError(f"struct field index {index} out of range for {self!r}")
-        off = 0
-        for i, f in enumerate(self.fields):
-            off = _align_up(off, f.alignment())
-            if i == index:
-                return off
-            off += f.size()
-        raise AssertionError("unreachable")
+        return self._offsets[index]
 
 
 def signed(value: int, bits: int) -> int:

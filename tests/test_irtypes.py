@@ -85,3 +85,34 @@ def test_gep_offset_nested():
 def test_void_has_no_size():
     with pytest.raises(Exception):
         VOID.size()
+
+
+def test_layout_is_linear_in_nesting_depth():
+    # each struct holds two copies of the one before: recomputing member
+    # layouts on every query costs time exponential in the depth (seconds
+    # at depth 16), computing each once while parsing stays instant
+    import time
+
+    from irtime import Interpreter, parse_module
+
+    depth = 40
+    types = ["%t0 = type { i32, i8 }"] + [
+        f"%t{k} = type {{ %t{k - 1}, %t{k - 1} }}" for k in range(1, depth + 1)]
+    text = "\n".join(types) + f"""
+
+define i32 @main(ptr %p, i32 %i) {{
+entry:
+  %q = getelementptr %t{depth}, ptr %p, i32 %i, i32 1, i32 0, i32 1
+  %v = load %t{depth}, ptr %p
+  ret i32 0
+}}
+"""
+    t0 = time.perf_counter()
+    module = parse_module(text)
+    Interpreter(module)
+    assert time.perf_counter() - t0 < 2.0
+    gep = module.functions[0].blocks[0].instructions[0]
+    assert gep.source_type.size() == 8 << depth and gep.source_type.alignment() == 4
+    offset, ((index, bits, stride),) = gep.gep
+    assert (offset, index.name, bits, stride) == (
+        (8 << (depth - 1)) + (8 << (depth - 3)), "i", 32, 8 << depth)

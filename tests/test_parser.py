@@ -526,6 +526,8 @@ done:
         "  %f = fadd double 1.0, 2.0\n  %r = add i32 %f, 1 ; here"),
     "register_defined_twice": _in_main("  %r = add i32 1, 2\n  %r = add i32 3, 4 ; here"),
     "ret_of_another_type": "define i32 @main() {\nentry:\n  ret double 1.0 ; here\n}\n",
+    "zext_to_a_narrower_type": _in_main("  %z = zext i32 300 to i8 ; here"),
+    "sext_to_the_same_width": _in_main("  %s = sext i16 %x to i16 ; here", "i16 %x"),
     "first_of_two_faults": """
 define i32 @f() {
 entry:
