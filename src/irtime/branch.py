@@ -53,6 +53,18 @@ _STEP = tuple(
 )
 
 
+def state_code(state: PredictorState) -> int:
+    """The code a state is stored as."""
+    return _CODE[state]
+
+
+def outcome_table(taken: bool, hit, miss) -> tuple:
+    """For each state code, (next code, `hit` or `miss`) for one outcome:
+    the update of a site and what to count, in one lookup, read off _STEP."""
+    return tuple((code, hit if correct else miss)
+                 for code, correct in (step[not taken] for step in _STEP))
+
+
 class BranchPredictorTable:
     """Maps branch site ids to predictor states, allocating on first use."""
 

@@ -33,19 +33,30 @@ from .irmodel import (
     TERMINATORS, Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
 )
 from .cache import CacheModel, CacheConfig
-from .branch import BranchPredictorTable, PredictorState
-from .trace import TraceBuilder, ExecutionTrace
+from .branch import PredictorState
+from .trace import (
+    TraceBuilder, ExecutionTrace, JUMP, LOADS, STORES, VOLUMES, TAKEN, NOT_TAKEN,
+)
 
 GLOBAL_BASE = 0x1000_0000
 STACK_BASE = 0x2000_0000
 HEAP_BASE = 0x3000_0000
 REGION_SPAN = 0x1000_0000
+FRAME_BYTES = 64        # charged per call frame against max_stack_bytes
 
 _MASK32 = 0xFFFF_FFFF
 
 
 @dataclass(frozen=True)
 class RunLimits:
+    """Bounds on one run.  `max_stack_bytes` bounds the `alloca` stack plus
+    FRAME_BYTES for each call frame, the entry's included: a call whose
+    frame would not fit raises StackOverflow, so recursion without `alloca`
+    is bounded by memory as well as by steps.  The frames move no stack
+    address.  `max_heap_bytes` bounds the heap, and also the globals
+    region: a module whose globals do not fit fails with InterpreterError
+    before it runs.  There is no separate limit for globals."""
+
     max_steps: int = 100_000_000
     max_stack_bytes: int = 16 * 1024 * 1024
     max_heap_bytes: int = 64 * 1024 * 1024
@@ -66,7 +77,9 @@ class ProbeSet:
     load(addr, nbytes), store(addr, nbytes), cond_branch(site_id, taken),
     mem_intrinsic(kind, nbytes).  Consecutive block_enter events are the
     block transitions.  An instruction observer slows every instruction;
-    without one, no per-instruction work is done.
+    without one, no per-instruction work is done.  The trace of run() is
+    not counted through these callbacks but inline in the generated code
+    (see TraceBuilder); a ProbeSet passed to run() still sees every event.
     """
 
     __slots__ = ("block_enter", "instruction", "load", "store", "cond_branch",
@@ -118,7 +131,7 @@ class MemoryImage:
     `uninitialized_loads` so the run can flag them."""
 
     def __init__(self, limits: RunLimits):
-        self.globals = _Region("globals", GLOBAL_BASE, REGION_SPAN)
+        self.globals = _Region("globals", GLOBAL_BASE, limits.max_heap_bytes)
         self.stack = _Region("stack", STACK_BASE, limits.max_stack_bytes)
         self.heap = _Region("heap", HEAP_BASE, limits.max_heap_bytes)
         self.global_addrs = {}
@@ -259,24 +272,40 @@ def _address(global_addrs, op):
 #   instruction is an inline expression over locals; its result is also
 #   stored in `regs` only where code outside the function reads it;
 # - each successor's edge is inlined: charge the target block's steps, check
-#   the limit, call the block_enter probes, read the phis' incoming values,
-#   assign them, return the target's index.  A conditional `br` tests its
-#   condition once and calls the cond_branch probes in each arm; a `switch`
-#   searches its sorted case values, then tests the last few for equality;
-# - a call into a function body pushes a frame and inlines the callee's entry
-#   edge; `ret` pops the frame through `_returner`.
+#   the limit, count the entry, call the block_enter probes, read the phis'
+#   incoming values, assign them, return the target's index.  A conditional
+#   `br` tests its condition once and counts its outcome and calls the
+#   cond_branch probes in each arm; a `switch` searches its sorted case
+#   values, then tests the last few for equality;
+# - a call into a function body charges a frame against the stack limit,
+#   pushes the frame and inlines the callee's entry edge; `ret` pops the
+#   frame through `_returner`.
 # Probe calls are unrolled, one per registered callable, and the instruction
 # observer is emitted only when one is registered.
+#
+# Given a TraceBuilder, the code counts the trace itself, with no call into
+# the builder: `E[block] += 1` on each edge; `P[site], c = TAKEN[P[site]]`
+# and `C[c] += 1` in each arm of a conditional `br` (NOT_TAKEN in the other);
+# `C[LOADS + TOUCH(addr, False)] += 1` after a load and the same with STORES
+# after a store; `C[VOLUMES[kind]] += nbytes` after a memory routine.  These
+# lines hold only static ids and slots as literals.  bb_jump is known at
+# generation time on an edge out of a block's first segment, where the last
+# block entered is that block, so `C[JUMP] += 1` is emitted only where the
+# target differs.  Only a call changes the last block entered: a `ret` in a
+# first segment records its block in S.last_block, a later segment's `ret`
+# leaves the id a deeper `ret` recorded, and the edges and call entries of a
+# segment that resumes after a call compare against it.  The entry stub
+# counts no jump.  ProbeSets given beside the builder see the same events.
 #
 # Two rules keep the source safe and exact.  Text from the IR reaches it only
 # as repr() of a register name: every constant, global address and string is
 # bound by name in the namespace, and the only literals are integers the
-# interpreter computes (masks, sizes, static ids, limits, segment indices).
-# A KeyError becomes UnresolvedReferenceError only in a `try` that holds no
-# probe call, where it can only come from reading an unassigned register; a
-# KeyError raised by a probe passes through unchanged.  The namespace never
-# holds the Interpreter or the segment table, so an Interpreter is freed by
-# reference counting alone.
+# interpreter computes (masks, sizes, static ids, slots, limits, segment
+# indices).  A KeyError becomes UnresolvedReferenceError only in a `try` that
+# holds no probe call or cache update, where it can only come from reading an
+# unassigned register; a KeyError raised by a probe passes through unchanged.
+# The namespace never holds the Interpreter or the segment table, so an
+# Interpreter is freed by reference counting alone.
 
 
 class _Frame:
@@ -290,10 +319,10 @@ class _Frame:
 class _State:
     """What the generated code counts and returns, besides registers and memory."""
 
-    __slots__ = ("steps", "result")
+    __slots__ = ("steps", "result", "last_block")
 
     def __init__(self):
-        self.steps, self.result = 0, None
+        self.steps, self.result, self.last_block = 0, None, None
 
 
 def _returner(frames, state, release):
@@ -352,6 +381,9 @@ _FCMP = {
 # kinds of generated line: a register read, a statement that calls no probe,
 # a probe call, and control flow
 _READ, _PURE, _PROBE, _FLOW = range(4)
+
+# _Generator.entered when the last block entered is in S.last_block
+_RECORDED = "S.last_block"
 
 
 def _invokes(ins):
@@ -440,9 +472,18 @@ class _Generator:
                        ST=memory.store, MCPY=memory.copy, MSET=memory.fill,
                        ALLOC=stack.allocate, HALLOC=memory.heap.allocate,
                        RET=_returner(frames, state, stack.release_to))
+        builders = [p for p in probes if isinstance(p, TraceBuilder)]
+        if len(builders) > 1:
+            raise InterpreterError("an interpreter counts into one TraceBuilder at most")
+        self.counting = bool(builders)
+        if builders:
+            b = builders[0]
+            self.ns.update(E=b.entries, P=b.states, C=b.counts, TOUCH=b.touch,
+                           TAKEN=TAKEN, NOT_TAKEN=NOT_TAKEN)
         self.consts = {}
         self.probes = {kind: [self._bind(getattr(ps, kind), "h") for ps in probes
-                              if getattr(ps, kind)] for kind in ProbeSet.__slots__}
+                              if isinstance(ps, ProbeSet) and getattr(ps, kind)]
+                       for kind in ProbeSet.__slots__}
         self.first = {}         # block static id -> index of its first segment
         self.indent = 1
 
@@ -478,20 +519,25 @@ class _Generator:
         for f, segments in plan:
             self.kept, self.reads = _register_uses(f, segments)
             index = entries[f.name]
-            self._begin()
+            self._begin(None)
             self._edge(f, None, f.entry.label)
             self._emit(index, source)
             for index, (block, insts) in enumerate(segments, index + 1):
-                self._begin()
+                bid = block.static_id
+                self._begin(bid if self.first[bid] == index else _RECORDED)
                 self._segment(f, block, insts, index + 1)
                 self._emit(index, source)
         namespace = self.ns
         exec(_compile("\n".join(source)), namespace)
         return [None] + [namespace.pop(f"s{i}") for i in range(1, count)], entries
 
-    def _begin(self):
+    def _begin(self, entered):
+        """Start a function.  `entered` is the static id of the block last
+        entered when it starts, _RECORDED when that is known only at run
+        time, or None before any block is entered."""
         # register -> the local holding it; fused compare -> its test
         self.lines, self.held, self.fused, self.n_locals = [], {}, {}, 0
+        self.entered = entered
 
     def _emit(self, index, source):
         source.append(f"def s{index}(regs):")
@@ -542,6 +588,20 @@ class _Generator:
         if self.probes["instruction"]:
             self._probe("instruction", ins.static_id, self._const(ins.opcode))
 
+    def _count(self, text, kind=_PURE):
+        """A line of the trace's own counting, when there is a trace."""
+        if self.counting:
+            self._line(text, kind)
+
+    def _count_branch(self, site, taken):
+        self._count(f"P[{site}], c = {'TAKEN' if taken else 'NOT_TAKEN'}[P[{site}]]")
+        self._count("C[c] += 1")
+
+    def _count_access(self, addr, is_store):
+        # outside the KeyError `try`, like a probe call
+        self._count(f"C[{STORES if is_store else LOADS} + TOUCH({addr}, {is_store})] += 1",
+                    _PROBE)
+
     # --- segments and edges -----------------------------------------------
 
     def _segment(self, func, block, insts, resume):
@@ -557,8 +617,10 @@ class _Generator:
         if last.opcode == "br":
             if cond is not None:
                 with self._arm(self._operand(cond)):
+                    self._count_branch(last.static_id, True)
                     self._probe("cond_branch", last.static_id, True)
                     self._edge(func, block.label, last.labels[0])
+                self._count_branch(last.static_id, False)
                 self._probe("cond_branch", last.static_id, False)
                 self._edge(func, block.label, last.labels[1])
             else:
@@ -567,6 +629,8 @@ class _Generator:
             self._switch(func, block, last)
         elif last.opcode == "ret":
             value = self._operand(last.operands[0]) if last.operands else "None"
+            if self.entered != _RECORDED:
+                self._count(f"S.last_block = {self.entered}")
             self._line(f"return RET({value})", _FLOW)
         else:
             self._invoke(last, resume)
@@ -575,9 +639,15 @@ class _Generator:
         """Enter block `label` from block `pred` (None on a call)."""
         block = func.block_map[label]
         limit = self.limits.max_steps
+        bid = block.static_id
         self._line(f"S.steps += {len(block.instructions)}")
         self._line(f"if S.steps > {limit}: raise SLE({limit})")
-        self._probe("block_enter", block.static_id)
+        self._count(f"E[{bid}] += 1")
+        if self.entered == _RECORDED:
+            self._count(f"if {_RECORDED} != {bid}: C[{JUMP}] += 1")
+        elif self.entered not in (None, bid):
+            self._count(f"C[{JUMP}] += 1")
+        self._probe("block_enter", bid)
         phis = block.instructions[:block.phi_count]
         values = [self._operand(p.incoming_map[pred]) for p in phis]
         for p in phis:
@@ -585,7 +655,7 @@ class _Generator:
         for p, value in zip(phis, values):
             if p.result in self.kept:
                 self._line(f"regs[{p.result!r}] = {value}")
-        self._line(f"return {self.first[block.static_id]}", _FLOW)
+        self._line(f"return {self.first[bid]}", _FLOW)
 
     @contextlib.contextmanager
     def _arm(self, test):
@@ -624,6 +694,10 @@ class _Generator:
         callee = self.module.function(ins.callee)
         args = [self._operand(op) for op in ins.operands]
         regs = ", ".join(f"{name!r}: {a}" for (name, _), a in zip(callee.params, args))
+        limit = self.limits.max_stack_bytes
+        # the alloca'd stack and every frame, the one pushed here included
+        self._line(f"if STK.top + {FRAME_BYTES} * len(FR) > {limit - FRAME_BYTES}: "
+                   f"raise SOVF({limit})")
         self._line(f"FR.append(FRAME({{{regs}}}, STK.top, {ins.result!r}, {resume}))")
         self._edge(callee, None, callee.entry.label)
 
@@ -703,9 +777,10 @@ class _Generator:
         fmt = _FORMATS.get(ty.kind)
         unpack = "U" + fmt if fmt else self._bind(_aggregate_unpacker(nbytes), "u")
         expr = f"LD({addr}, {nbytes}, {unpack})" + (" & 1" if ty.kind == "i1" else "")
-        if self.probes["load"]:
+        if self.counting or self.probes["load"]:
             value = self._new_local()
             self._line(f"{value} = {expr}")
+            self._count_access(addr, False)
             self._probe("load", addr, nbytes)
             expr = value
         self._define(ins, expr)
@@ -718,6 +793,7 @@ class _Generator:
         elif ty.kind != "double":
             value = f"{value} & {(1 << _type_bits(ty)) - 1}"
         self._line(f"ST({addr}, {nbytes}, P{_FORMATS[ty.kind]}, {value}, O{nbytes})")
+        self._count_access(addr, True)
         self._probe("store", addr, nbytes)
 
     def _call(self, ins):
@@ -726,6 +802,7 @@ class _Generator:
         if kind is not None:
             dst, src_or_byte, n = (self._operand(o) for o in ins.operands[:3])
             self._line(f"{'MCPY' if kind == 'memcpy' else 'MSET'}({dst}, {src_or_byte}, {n})")
+            self._count(f"C[{VOLUMES[kind]}] += {n}")
             self._probe("mem_intrinsic", self._const(kind), n)
             if ins.result is not None:
                 self._define(ins, dst)
@@ -739,6 +816,7 @@ class _Generator:
             self._line(f"if {addr} is None: raise HEXH({self.limits.max_heap_bytes})")
             if callee == "calloc":
                 self._line(f"MSET({addr}, 0, max({nbytes}, 1))")
+            self._count(f"C[{VOLUMES[callee]}] += {nbytes}")
             self._probe("mem_intrinsic", self._const(callee), nbytes)
             if ins.result is not None:
                 self._define(ins, addr)
@@ -750,9 +828,11 @@ class Interpreter:
 
     Construction compiles every segment of the module into one generated
     Python function (see "generated segment functions" above), specialised
-    to the probes given here.  Steps are charged a whole block at a time, on
-    entry, so `steps` is exact for a run that finishes and a run fails with
-    StepLimitExceeded if and only if its total exceeds `limits.max_steps`.
+    to the probes given here: ProbeSets, and at most one TraceBuilder, whose
+    counts the generated code keeps inline.  Steps are charged a whole block
+    at a time, on entry, so `steps` is exact for a run that finishes and a
+    run fails with StepLimitExceeded if and only if its total exceeds
+    `limits.max_steps`.
     The parser has checked every label, global, callee, call signature, type
     and getelementptr shape, so decoding a parsed module cannot fail; a
     register that is never assigned fails with UnresolvedReferenceError when
@@ -848,21 +928,12 @@ def run(module, entry: str = "main", probes: ProbeSet | None = None,
         predictor_initial_state: PredictorState | None = None) -> ExecutionTrace:
     """Simulate `entry` and return the accumulated ExecutionTrace.
 
-    Every run starts with a cold cache and predictor of its own.  Extra
-    probes observe the same event stream the trace is built from.
+    Every run starts with a cold cache and predictor of its own.  The
+    generated code counts the trace inline; extra probes observe the same
+    event stream the trace is counted from.
     """
-    cache = CacheModel(cache_config or CacheConfig())
-    predictor = BranchPredictorTable(predictor_initial_state or PredictorState.WNT)
-    builder = TraceBuilder(module, cache, predictor)
-    probe_list = [ProbeSet(
-        block_enter=builder.on_block_enter,
-        load=builder.on_load,
-        store=builder.on_store,
-        cond_branch=builder.on_cond_branch,
-        mem_intrinsic=builder.on_mem_intrinsic,
-    )]
-    if probes is not None:
-        probe_list.append(probes)
-    interp = Interpreter(module, probe_list, limits)
+    builder = TraceBuilder(module, CacheModel(cache_config or CacheConfig()),
+                           predictor_initial_state or PredictorState.WNT)
+    interp = Interpreter(module, [builder, probes], limits)
     interp.execute(entry)
     return builder.build(uninitialized_loads=interp.uninitialized_loads)

@@ -9,8 +9,10 @@ files and feature CSVs index into it positionally.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
+from .branch import PredictorState, outcome_table, state_code
 from .errors import (
     FormatError, DimensionMismatchError, MissingLabelError, EmptyDatasetError,
 )
@@ -74,84 +76,64 @@ _FIELD_OF_KEY = {key: name for key, name, _ in SCALAR_COUNTERS}
 _FIELD_OF_FEATURE = {feature: name for _, name, feature in SCALAR_COUNTERS if feature}
 
 
-class TraceBuilder:
-    """Accumulates probe events into an ExecutionTrace.
+# Slots of TraceBuilder.counts, which the generated segment code adds to:
+# bb_jump, predictor hits and misses, then three slots each for loads and
+# for stores, one per code that cache.touch returns (0 hit, 1 clean miss,
+# 2 dirty miss), then the byte volume of each memory routine.
+JUMP, BR_HIT, BR_MISS, LOADS, STORES = 0, 1, 2, 3, 6
+VOLUMES = {"memset": 9, "memcpy": 10, "calloc": 11, "malloc": 12}
+# by predictor state code: (next code, BR_HIT or BR_MISS) for each outcome
+TAKEN = outcome_table(True, BR_HIT, BR_MISS)
+NOT_TAKEN = outcome_table(False, BR_HIT, BR_MISS)
 
-    Wire its `on_*` methods into a ProbeSet, drive the interpreter, then
-    call build().  The cache and predictor instances are owned by the
-    caller; the builder only updates them through the events, with
-    `cache.touch` and `predictor.predict_and_update`.
+
+class TraceBuilder:
+    """The counts of one traced run, and the ExecutionTrace built from them.
+
+    Pass the builder among an Interpreter's probes, as run() does: the
+    generated segment code then counts into its lists inline, never calling
+    back into the builder, and each counting line holds only static ids and
+    slots as literals.  ProbeSets passed beside it still see every event.
+    - `entries[block static id]`: entries into the block, added on each
+      edge into it;
+    - `states[instruction static id]`: the two-bit predictor state code of
+      each conditional `br` site, updated through TAKEN and NOT_TAKEN;
+    - `counts`: the slots above; `touch` is the cache's LRU update.
+    The cache instance is owned by the caller and updated only by `touch`.
 
     Only block entries are counted: every block a finished run enters runs
     to completion, so build() derives the opcode counts and inst_miss
-    exactly from the entry counts and each block's instructions.  Each
-    scalar counter is an attribute named after its ExecutionTrace field.
+    exactly from the entry counts and each block's instructions.
     """
 
-    def __init__(self, module, cache, predictor):
-        self._blocks = {
-            b.static_id: (f"{f.name}:{b.label}", b.instructions)
-            for f in module.functions
-            for b in f.blocks
-        }
-        self._touch = cache.touch
-        self._predict = predictor.predict_and_update
-        self._entries = dict.fromkeys(self._blocks, 0)
-        self._last_block = None
-        for _, name, _ in SCALAR_COUNTERS:
-            setattr(self, name, 0)
-
-    # probe handlers
-
-    def on_block_enter(self, block_id):
-        self._entries[block_id] += 1
-        if block_id != self._last_block:
-            if self._last_block is not None:
-                self.bb_jump += 1       # a transition that leaves its block
-            self._last_block = block_id
-
-    def on_load(self, addr, nbytes):
-        code = self._touch(addr, False)     # 0 hit, 1 clean miss, 2 dirty miss
-        if code:
-            self.load_miss += 1
-            if code == 2:
-                self.dirty_evictions += 1
-        else:
-            self.load_hit += 1
-
-    def on_store(self, addr, nbytes):
-        code = self._touch(addr, True)
-        if code:
-            self.store_miss += 1
-            if code == 2:
-                self.dirty_evictions += 1
-        else:
-            self.store_hit += 1
-
-    def on_cond_branch(self, site_id, taken):
-        if self._predict(site_id, taken):
-            self.br_hit += 1
-        else:
-            self.br_miss += 1
-
-    def on_mem_intrinsic(self, kind, nbytes):
-        name = _FIELD_OF_FEATURE[kind]
-        setattr(self, name, getattr(self, name) + nbytes)
+    def __init__(self, module, cache, initial_state: PredictorState = PredictorState.WNT):
+        # static ids are dense from 0, in source order (see irmodel)
+        self._blocks = [(f"{f.name}:{b.label}", b.instructions)
+                        for f in module.functions for b in f.blocks]
+        self.entries = [0] * len(self._blocks)
+        self.states = [state_code(initial_state)] * module.instruction_count()
+        self.counts = [0] * (max(VOLUMES.values()) + 1)
+        self.touch = cache.touch
 
     def build(self, uninitialized_loads: int = 0) -> ExecutionTrace:
         blocks, ops, inst_miss = {}, {}, 0
-        for block_id, count in self._entries.items():
+        for (name, instructions), count in zip(self._blocks, self.entries):
             if count:
-                name, instructions = self._blocks[block_id]
                 blocks[name] = count
                 inst_miss += len(instructions)
                 for ins in instructions:
                     ops[ins.opcode] = ops.get(ins.opcode, 0) + count
-        self.br_uncond = ops.get("br", 0) - self.br_hit - self.br_miss
-        self.inst_miss = inst_miss
-        self.uninitialized_loads = uninitialized_loads
-        return ExecutionTrace(block_counts=blocks, op_counts=ops,
-                              **{name: getattr(self, name) for _, name, _ in SCALAR_COUNTERS})
+        c = self.counts
+        return ExecutionTrace(
+            block_counts=blocks, op_counts=ops,
+            load_hit=c[LOADS], load_miss=c[LOADS + 1] + c[LOADS + 2],
+            store_hit=c[STORES], store_miss=c[STORES + 1] + c[STORES + 2],
+            br_hit=c[BR_HIT], br_miss=c[BR_MISS],
+            br_uncond=ops.get("br", 0) - c[BR_HIT] - c[BR_MISS],
+            bb_jump=c[JUMP], inst_miss=inst_miss,
+            dirty_evictions=c[LOADS + 2] + c[STORES + 2],
+            uninitialized_loads=uninitialized_loads,
+            **{_FIELD_OF_FEATURE[kind]: c[slot] for kind, slot in VOLUMES.items()})
 
 
 # --- feature vectors -------------------------------------------------------
@@ -218,11 +200,32 @@ def read_lines(path):
     return lines, unit
 
 
+# A block name in a trace file is escaped as the IR quotes names: a
+# backslash, a control character or DEL becomes a backslash and two hex
+# digits, so no name can break a line or its tab.
+_UNSAFE = re.compile(r"[\x00-\x1f\x7f\\]")
+_ESCAPE = re.compile(r"\\([0-9A-Fa-f]{2})?")
+
+
+def _escape(name):
+    return _UNSAFE.sub(lambda m: f"\\{ord(m.group()):02X}", name)
+
+
+def _unescape(name, path, lineno):
+    def char(m):
+        if m.group(1) is None:
+            raise FormatError("backslash without two hex digits in a block name",
+                              path=path, line=lineno)
+        return chr(int(m.group(1), 16))
+    return _ESCAPE.sub(char, name)
+
+
 def write_trace(trace: ExecutionTrace, path) -> None:
     """Write one counter per line as `key<TAB>value`; block and opcode keys
     are sorted so output bytes are reproducible."""
     lines = ["# execution trace, format v1"]
-    lines += [f"block.{name}\t{trace.block_counts[name]}" for name in sorted(trace.block_counts)]
+    lines += [f"block.{_escape(name)}\t{trace.block_counts[name]}"
+              for name in sorted(trace.block_counts)]
     lines += [f"op.{name}\t{trace.op_counts[name]}" for name in sorted(trace.op_counts)]
     lines += [f"{key}\t{getattr(trace, name)}" for key, name, _ in SCALAR_COUNTERS]
     write_lines(path, lines)
@@ -243,7 +246,7 @@ def read_trace(path) -> ExecutionTrace:
         if count < 0:
             raise FormatError(f"negative counter {key}", path=path, line=lineno)
         if key.startswith("block."):
-            counts, name = blocks, key[len("block."):]
+            counts, name = blocks, _unescape(key[len("block."):], path, lineno)
         elif key.startswith("op."):
             counts, name = ops, key[len("op."):]
         elif key in _FIELD_OF_KEY:

@@ -206,6 +206,21 @@ def test_config_file_drives_limits(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_oversized_globals_and_keeps_going(tmp_path, capsys, samples_dir):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "big.ll").write_text("@big = global [33554432 x i8] zeroinitializer\n" + EXAMPLE_B)
+    (src / "sum_loop.ll").write_text((samples_dir / "sum_loop.ll").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"limits": {"max_stack_bytes": 1024, "max_heap_bytes": 1024}}')
+    out = tmp_path / "traces"
+    assert main(["simulate", str(src), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL big: global storage exhausted at '@big'" in err
+    assert not (out / "big.trace").exists()
+    assert (out / "sum_loop.trace").exists()
+
+
 def test_gen_corpus_range_and_bad_opcode(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["gen-corpus", "--opcode", "sub", "--counts", "10:30:10",

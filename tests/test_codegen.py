@@ -4,20 +4,23 @@ Register names reach the generated source only as string literals, every
 constant is bound by name, and a KeyError is reported as an unassigned
 register only when a register read raised it.  These tests hold the
 generator to that from outside: hostile names, special float constants,
-probes that raise, and the memory an interpreter leaves behind.
+probes that raise, and the memory an interpreter leaves behind.  Traces of
+programs under hostile names also read back from their files.
 """
 
 import dataclasses
 import gc
 import math
+import pathlib
 import re
 import struct
+import tempfile
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irtime import Interpreter, ProbeSet, parse_module, run
+from irtime import Interpreter, ProbeSet, parse_module, read_trace, run, write_trace
 from irtime.corpus import GENERATOR_OPCODES, generate_program
 from irtime.errors import UnresolvedReferenceError
 
@@ -90,6 +93,19 @@ def test_samples_run_the_same_under_hostile_names(path):
        st.integers(0, len(HOSTILE) - 1))
 def test_generated_programs_run_the_same_under_hostile_names(opcode, n, seed, shift):
     _assert_rename_invariant(generate_program(opcode, n, seed), shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(SAMPLE_PATHS).map(lambda p: p.read_text()),
+                 st.builds(generate_program, st.sampled_from(GENERATOR_OPCODES),
+                           st.integers(1, 40), st.integers(0, 2**16))),
+       st.integers(0, len(HOSTILE) - 1))
+def test_traces_read_back_under_hostile_names(text, shift):
+    trace = run(parse_module(_rename(text, shift)[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "t.trace"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
 
 
 def test_hostile_names_reach_the_registers():

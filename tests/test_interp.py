@@ -6,9 +6,9 @@ from irtime import (
 )
 from irtime.errors import (
     StepLimitExceeded, OutOfBoundsAccess, DivisionByZero, StackOverflow,
-    UnresolvedReferenceError, ParseError,
+    UnresolvedReferenceError, ParseError, InterpreterError,
 )
-from irtime.interp import MemoryImage, GLOBAL_BASE, HEAP_BASE
+from irtime.interp import MemoryImage, FRAME_BYTES, GLOBAL_BASE, HEAP_BASE
 from irtime.irtypes import SCALARS, array_of, struct_of, gep_offset
 
 from conftest import EXAMPLE_B
@@ -325,6 +325,64 @@ def test_stack_overflow_on_big_alloca():
     )
     with pytest.raises(StackOverflow):
         _ret(src, limits=RunLimits(max_stack_bytes=4096))
+
+
+RECURSE = """
+define i32 @down(i32 %n) {
+entry:
+  %z = icmp eq i32 %n, 0
+  br i1 %z, label %base, label %step
+
+base:
+  ret i32 0
+
+step:
+  %m = sub i32 %n, 1
+  %r = call i32 @down(i32 %m)
+  %s = add i32 %r, 1
+  ret i32 %s
+}
+
+define i32 @main(i32 %n) {
+entry:
+  %r = call i32 @down(i32 %n)
+  ret i32 %r
+}
+"""
+
+
+def test_call_frames_are_charged_against_the_stack_limit():
+    limits = RunLimits(max_stack_bytes=1024)
+    frames = 1024 // FRAME_BYTES
+    module = parse_module(RECURSE)
+    # main's frame and one for each call of @down: depth n takes n + 2
+    assert Interpreter(module, limits=limits).execute("main", (frames - 2,)) == frames - 2
+    with pytest.raises(StackOverflow, match="^stack limit of 1024 bytes exhausted$"):
+        Interpreter(module, limits=limits).execute("main", (frames - 1,))
+
+
+def test_recursion_without_alloca_stops_at_the_stack_limit():
+    src = """
+define i32 @f() {
+entry:
+  %r = call i32 @f()
+  ret i32 %r
+}
+"""
+    entered = []
+    interp = Interpreter(parse_module(src), ProbeSet(block_enter=entered.append),
+                         RunLimits(max_stack_bytes=1024))
+    with pytest.raises(StackOverflow):
+        interp.execute("f")
+    assert 0 < len(entered) <= 1024 // FRAME_BYTES
+
+
+def test_globals_are_bounded_by_the_heap_limit():
+    text = "@big = global [33554432 x i8] zeroinitializer\n" + _main("  %r = add i32 0, 0")
+    with pytest.raises(InterpreterError, match="^global storage exhausted at '@big'$"):
+        Interpreter(parse_module(text), limits=RunLimits(max_heap_bytes=1024))
+    small = "@small = global [1024 x i8] zeroinitializer\n" + _main("  %r = add i32 0, 0")
+    assert _ret(small, limits=RunLimits(max_heap_bytes=1024)) == 0
 
 
 def test_stack_frames_are_released_and_zeroed():

@@ -105,6 +105,28 @@ def test_trace_file_round_trip(tmp_path, example_b):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_quoted_names_read_back(tmp_path):
+    # a newline in a function name, and a label holding a backslash, a tab,
+    # a carriage return, DEL and a byte above 0x7F
+    module = parse_module('define i32 @"x\\0Ay"() {\n"e\\5C\\09\\0D\\7F\\E9":\n  ret i32 0\n}\n')
+    t = run(module, entry="x\ny")
+    assert t.block_counts == {"x\ny:e\\\t\r\x7f\xe9": 1}
+    p = tmp_path / "q.trace"
+    write_trace(t, p)
+    assert "block.x\\0Ay:e\\5C\\09\\0D\\7F\xe9\t1\n" in p.read_text(encoding="utf-8")
+    assert read_trace(p) == t
+
+
+def test_trace_rejects_a_bare_backslash_in_a_block_name(tmp_path, example_b):
+    p = tmp_path / "b.trace"
+    write_trace(run(example_b), p)
+    text = p.read_text()
+    for name in ("main:a\\b", "main:a\\", "main:a\\G0"):
+        p.write_text(text.replace("block.main:loop", f"block.{name}"))
+        with pytest.raises(FormatError, match="backslash without two hex digits"):
+            read_trace(p)
+
+
 def test_trace_file_rejects_garbage(tmp_path, example_b):
     t = run(example_b)
     good = tmp_path / "good.trace"

@@ -4,6 +4,10 @@ The trace builder counts block entries only and derives the opcode counts,
 inst_miss and the block statistics from them.  The oracle here observes
 every executed instruction instead, the way the counters were once kept,
 and the trace bytes are pinned to those written by that earlier builder.
+The generated code counts the trace inline, with bb_jump decided at
+generation time wherever it can be; the call paths below are where it
+cannot.  Its predictor and cache counts are checked against a replay of
+the same events through the public models.
 """
 
 import hashlib
@@ -11,7 +15,8 @@ import hashlib
 import pytest
 
 from irtime import (
-    GENERATOR_OPCODES, Interpreter, ProbeSet, RunLimits, count_bb_jump,
+    GENERATOR_OPCODES, BranchPredictorTable, CacheConfig, CacheModel, Interpreter,
+    PredictorState, ProbeSet, RunLimits, TraceBuilder, count_bb_jump,
     generate_program, parse_file, parse_module, run, write_trace,
 )
 from irtime.errors import StepLimitExceeded
@@ -113,3 +118,246 @@ def test_steps_equal_trace_total(samples_dir):
         interp = Interpreter(module)
         interp.execute()
         assert interp.steps == run(module).total_instructions(), path.name
+
+
+# --- inline counting on call paths ------------------------------------------------
+
+LEAF = """
+define i32 @leaf(i32 %x) {
+entry:
+  ret i32 %x
+}
+"""
+
+CALL_PATHS = {
+    "two_calls_in_one_block": LEAF + """
+define i32 @twice(i32 %x) {
+entry:
+  %c = icmp sgt i32 %x, 1
+  br i1 %c, label %big, label %done
+
+big:
+  br label %done
+
+done:
+  ret i32 %x
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @leaf(i32 2)
+  %b = call i32 @twice(i32 %a)
+  %s = add i32 %a, %b
+  br label %exit
+
+exit:
+  ret i32 %s
+}
+""",
+    "call_in_a_back_edge_block": LEAF + """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %j, %loop ]
+  %k = call i32 @leaf(i32 %i)
+  %j = add i32 %k, 1
+  %c = icmp slt i32 %j, 5
+  br i1 %c, label %loop, label %exit
+
+exit:
+  ret i32 %j
+}
+""",
+    "ret_after_a_call": """
+define i32 @pick(i32 %x) {
+entry:
+  %z = icmp eq i32 %x, 0
+  br i1 %z, label %zero, label %other
+
+zero:
+  ret i32 7
+
+other:
+  ret i32 %x
+}
+
+define i32 @wrap(i32 %x) {
+entry:
+  %r = call i32 @pick(i32 %x)
+  ret i32 %r
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @wrap(i32 0)
+  %b = call i32 @wrap(i32 %a)
+  %s = add i32 %a, %b
+  ret i32 %s
+}
+""",
+    "mutual_recursion": """
+define i32 @even(i32 %n) {
+entry:
+  %z = icmp eq i32 %n, 0
+  br i1 %z, label %yes, label %rec
+
+yes:
+  ret i32 1
+
+rec:
+  %m = sub i32 %n, 1
+  %r = call i32 @odd(i32 %m)
+  ret i32 %r
+}
+
+define i32 @odd(i32 %n) {
+entry:
+  %z = icmp eq i32 %n, 0
+  br i1 %z, label %no, label %rec
+
+no:
+  ret i32 0
+
+rec:
+  %m = sub i32 %n, 1
+  %r = call i32 @even(i32 %m)
+  %c = icmp eq i32 %r, 1
+  br i1 %c, label %rec, label %out
+
+out:
+  ret i32 %r
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @even(i32 7)
+  %b = call i32 @odd(i32 4)
+  %s = add i32 %a, %b
+  ret i32 %s
+}
+""",
+    "entry_block_returns": LEAF + """
+define i32 @main() {
+entry:
+  %a = call i32 @leaf(i32 1)
+  %b = call i32 @leaf(i32 %a)
+  br label %body
+
+body:
+  %c = call i32 @leaf(i32 %b)
+  %d = call i32 @leaf(i32 %c)
+  ret i32 %d
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_PATHS))
+def test_bb_jump_on_call_paths_matches_instruction_oracle(name):
+    module = parse_module(CALL_PATHS[name])
+    oracle, entered = InstructionOracle(module), []
+    trace = run(module, probes=ProbeSet(instruction=oracle.on_instruction,
+                                        block_enter=entered.append))
+    assert trace.bb_jump == oracle.bb_jump() == count_bb_jump(zip(entered, entered[1:]))
+    assert trace.block_counts == oracle.blocks
+    assert trace.op_counts == oracle.ops
+
+
+# --- inline predictor and cache counts against the public models ------------------
+
+SMALL_CACHE = CacheConfig(cache_size=1024, line_size=16, associativity=4)
+
+
+def _walk(placement, n, stride, x0):
+    """An array walk in the style of the benchmark's memwalk programs: fill n
+    i32 elements from a linear congruential sequence, then load each
+    `stride`-th one, branch on one bit of it and store it back changed."""
+    if placement == "global":
+        head, base, setup = f"@buf = global [{n} x i32] zeroinitializer\n", "@buf", ""
+    else:
+        head = "declare ptr @malloc(i32)\n"
+        base, setup = "%buf", f"  %buf = call ptr @malloc(i32 {4 * n})\n"
+    return head + f"""
+define i32 @main() {{
+entry:
+{setup}  br label %fill
+
+fill:
+  %i = phi i32 [ 0, %entry ], [ %i1, %fill ]
+  %x = phi i32 [ {x0}, %entry ], [ %x1, %fill ]
+  %xm = mul i32 %x, 1664525
+  %x1 = add i32 %xm, 1013904223
+  %pa = getelementptr i32, ptr {base}, i32 %i
+  store i32 %x1, ptr %pa
+  %i1 = add i32 %i, 1
+  %cf = icmp ult i32 %i1, {n}
+  br i1 %cf, label %fill, label %walk
+
+walk:
+  %j = phi i32 [ 0, %fill ], [ %j1, %join ]
+  %s = phi i32 [ 0, %fill ], [ %s1, %join ]
+  %pb = getelementptr i32, ptr {base}, i32 %j
+  %v = load i32, ptr %pb
+  %bit = and i32 %v, 65536
+  %odd = icmp ne i32 %bit, 0
+  br i1 %odd, label %then, label %else
+
+then:
+  %t = add i32 %v, 7
+  br label %join
+
+else:
+  %e = xor i32 %v, 5
+  br label %join
+
+join:
+  %w = phi i32 [ %t, %then ], [ %e, %else ]
+  store i32 %w, ptr %pb
+  %s1 = add i32 %s, %w
+  %j1 = add i32 %j, {stride}
+  %cw = icmp ult i32 %j1, {n}
+  br i1 %cw, label %walk, label %exit
+
+exit:
+  ret i32 %s1
+}}
+"""
+
+
+def _equivalence_modules():
+    for path in sorted(SAMPLES.glob("*.ll")):
+        yield path.stem, parse_file(path)
+    for placement in ("global", "malloc"):
+        for n, stride, x0 in ((200, 1, 12345), (700, 4, 99)):
+            yield f"{placement}-{n}-{stride}", parse_module(_walk(placement, n, stride, x0))
+
+
+@pytest.mark.parametrize("config", [CacheConfig(), SMALL_CACHE], ids=["default", "1k-16b-4way"])
+@pytest.mark.parametrize("state", list(PredictorState), ids=lambda s: s.name)
+def test_inline_counts_equal_a_replay_through_the_models(state, config):
+    for name, module in _equivalence_modules():
+        events = []
+        probes = ProbeSet(load=lambda a, n: events.append(("load", a)),
+                          store=lambda a, n: events.append(("store", a)),
+                          cond_branch=lambda site, taken: events.append((site, taken)))
+        trace = run(module, probes=probes, cache_config=config, predictor_initial_state=state)
+        cache, predictor = CacheModel(config), BranchPredictorTable(state)
+        want = dict.fromkeys(("br_hit", "br_miss", "load_hit", "load_miss", "store_hit",
+                              "store_miss", "dirty_evictions"), 0)
+        for what, value in events:
+            if what in ("load", "store"):
+                outcome = cache.access(value, what)
+                want[f"{what}_{'hit' if outcome.hit else 'miss'}"] += 1
+                want["dirty_evictions"] += outcome.evicted_dirty
+            else:
+                want["br_hit" if predictor.predict_and_update(what, value) else "br_miss"] += 1
+        assert {key: getattr(trace, key) for key in want} == want, name
+        if config == SMALL_CACHE and name.endswith("-4"):
+            assert want["load_miss"] and want["dirty_evictions"], name
+
+
+def test_trace_builder_has_no_event_handlers():
+    for name in ("on_block_enter", "on_cond_branch", "on_load", "on_store"):
+        assert not hasattr(TraceBuilder, name), name
