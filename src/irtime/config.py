@@ -14,7 +14,7 @@ from .cache import CacheConfig
 from .errors import InvalidConfigError
 from .interp import RunLimits
 from .models import Hyperparameters
-from .trace import write_lines
+from .trace import read_text, write_lines
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def config_from_file(path) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"config file is not valid JSON: {exc}") from exc
+    text = read_text(path, lambda message, line, column:
+                     InvalidConfigError(f"{path}:{line}:{column}: {message}"))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"config file is not valid JSON: {exc}") from exc
     return config_from_dict(data)

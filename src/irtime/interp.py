@@ -279,7 +279,15 @@ def _address(global_addrs, op):
 #   values, then tests the last few for equality;
 # - a call into a function body charges a frame against the stack limit,
 #   pushes the frame and inlines the callee's entry edge; `ret` pops the
-#   frame through `_returner`.
+#   frame through `_returner`;
+# - a block that makes no call into a function body and whose terminator
+#   names the block itself runs as a `while True:` loop.  Its kept phi
+#   results are read into locals before the loop, where every edge into the
+#   block has just assigned them.  The self edge emits the lines of any
+#   edge, then assigns the phi locals in one tuple assignment, as phis are
+#   parallel, and does `continue`; an edge out of the loop first stores the
+#   phi locals into `regs`.  Any other register is read on first use in the
+#   body, so again on every iteration.
 # Probe calls are unrolled, one per registered callable, and the instruction
 # observer is emitted only when one is registered.
 #
@@ -485,7 +493,6 @@ class _Generator:
                               if isinstance(ps, ProbeSet) and getattr(ps, kind)]
                        for kind in ProbeSet.__slots__}
         self.first = {}         # block static id -> index of its first segment
-        self.indent = 1
 
     def _bind(self, value, prefix):
         name = f"{prefix}{len(self.ns)}"
@@ -537,7 +544,9 @@ class _Generator:
         time, or None before any block is entered."""
         # register -> the local holding it; fused compare -> its test
         self.lines, self.held, self.fused, self.n_locals = [], {}, {}, 0
-        self.entered = entered
+        self.entered, self.indent = entered, 1
+        # the block run as a loop, and its kept phi results -> their locals
+        self.loop, self.loop_phis = None, {}
 
     def _emit(self, index, source):
         source.append(f"def s{index}(regs):")
@@ -606,6 +615,16 @@ class _Generator:
 
     def _segment(self, func, block, insts, resume):
         *body, last = insts
+        if block.label in block.succs and not any(map(_invokes, block.instructions)):
+            # every edge into the block has just assigned its kept phis, so
+            # reading them needs no KeyError check
+            for p in block.instructions[:block.phi_count]:
+                if p.result in self.kept:
+                    local = self.loop_phis[p.result] = self.held[p.result] = self._new_local()
+                    self._line(f"{local} = regs[{p.result!r}]")
+            self.loop = block
+            self._line("while True:", _FLOW)
+            self.indent += 1
         cond = last.operands[0] if last.opcode == "br" and last.operands else None
         # a compare that only this br reads is tested in place
         fused = (cond.name if cond.__class__ is LocalRef and cond.name not in self.kept
@@ -638,6 +657,9 @@ class _Generator:
     def _edge(self, func, pred, label):
         """Enter block `label` from block `pred` (None on a call)."""
         block = func.block_map[label]
+        if block is not self.loop:      # out of the loop, if there is one
+            for name, local in self.loop_phis.items():
+                self._line(f"regs[{name!r}] = {local}")
         limit = self.limits.max_steps
         bid = block.static_id
         self._line(f"S.steps += {len(block.instructions)}")
@@ -652,9 +674,15 @@ class _Generator:
         values = [self._operand(p.incoming_map[pred]) for p in phis]
         for p in phis:
             self._observe(p)
-        for p, value in zip(phis, values):
-            if p.result in self.kept:
-                self._line(f"regs[{p.result!r}] = {value}")
+        kept = [(p.result, value) for p, value in zip(phis, values) if p.result in self.kept]
+        if block is self.loop:
+            if kept:
+                self._line(f"{', '.join(self.loop_phis[name] for name, _ in kept)}"
+                           f" = {', '.join(value for _, value in kept)}")
+            self._line("continue", _FLOW)
+            return
+        for name, value in kept:
+            self._line(f"regs[{name!r}] = {value}")
         self._line(f"return {self.first[bid]}", _FLOW)
 
     @contextlib.contextmanager
@@ -829,10 +857,13 @@ class Interpreter:
     Construction compiles every segment of the module into one generated
     Python function (see "generated segment functions" above), specialised
     to the probes given here: ProbeSets, and at most one TraceBuilder, whose
-    counts the generated code keeps inline.  Steps are charged a whole block
-    at a time, on entry, so `steps` is exact for a run that finishes and a
-    run fails with StepLimitExceeded if and only if its total exceeds
-    `limits.max_steps`.
+    counts the generated code keeps inline.  A block that branches to
+    itself and calls no function body loops inside its function, its phi
+    values held in locals, with the same counts and probe events on each
+    iteration as an edge that returns to the dispatcher.  Steps are charged
+    a whole block at a time, on entry, so `steps` is exact for a run that
+    finishes and a run fails with StepLimitExceeded if and only if its
+    total exceeds `limits.max_steps`.
     The parser has checked every label, global, callee, call signature, type
     and getelementptr shape, so decoding a parsed module cannot fail; a
     register that is never assigned fails with UnresolvedReferenceError when

@@ -12,6 +12,7 @@ import re
 
 from .errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
 from .irtypes import IrType, SCALARS, PTR, VOID, I1, I32, array_of, signed, struct_of
+from .trace import read_text
 from .irmodel import (
     IrModule, IrFunction, IrBlock, IrInstruction, GlobalVar,
     Const, LocalRef, GlobalRef, ConstGep,
@@ -173,7 +174,8 @@ def _lex_string(text: str, start: int, line: int, col: int):
     """Lex a double-quoted string starting at text[start] == '"'.
 
     Returns (bytes, consumed_width).  Escapes are the IR printer's: a
-    backslash followed by two hex digits, or a doubled backslash.
+    backslash followed by two hex digits, or a doubled backslash.  Any other
+    character stands for its UTF-8 bytes, as LLVM reads the file as bytes.
     """
     assert text[start] == '"'
     out = bytearray()
@@ -195,7 +197,10 @@ def _lex_string(text: str, start: int, line: int, col: int):
                 i += 3
                 continue
             raise ParseError("bad string escape", line, col)
-        out.append(ord(c) & 0xFF)
+        try:
+            out += c.encode("utf-8")
+        except UnicodeEncodeError:      # a lone surrogate
+            raise ParseError(f"unexpected character {c!r}", line, col) from None
         i += 1
     raise ParseError("unterminated string", line, col)
 
@@ -1108,7 +1113,9 @@ def parse_module(text: str, source_name: str = "<string>") -> IrModule:
 
 
 def parse_file(path) -> IrModule:
+    """Parse the IR file at `path`, read as UTF-8; a byte that is not UTF-8
+    is a ParseError at its line and column."""
     from pathlib import Path
 
     p = Path(path)
-    return parse_module(p.read_text(), source_name=p.name)
+    return parse_module(read_text(p, ParseError), source_name=p.name)

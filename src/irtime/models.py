@@ -27,7 +27,7 @@ from .errors import (
     EmptyDatasetError, DimensionMismatchError, FormatError, InvalidConfigError,
     SingularDesignError,
 )
-from .trace import write_lines
+from .trace import read_text, write_lines
 
 MODEL_FORMAT = "irtime-model"
 MODEL_VERSION = 1
@@ -396,11 +396,11 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"model file is not valid JSON: {exc}", str(path)) from exc
+    text = read_text(path, lambda message, line, _: FormatError(message, str(path), line))
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"model file is not valid JSON: {exc}", str(path)) from exc
     if not isinstance(d, dict):
         raise FormatError("model file must hold a JSON object", str(path))
     return _model_from_dict(d, str(path))

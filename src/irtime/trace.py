@@ -8,6 +8,7 @@ model in the package; the order is frozen and must never change, since model
 files and feature CSVs index into it positionally.
 """
 
+import io
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -182,21 +183,36 @@ def write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text(path, error):
+    """The file at `path` decoded as UTF-8.  Where its bytes are not UTF-8,
+    raises error(message, line, column), both counted from 1."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        column = len(head[head.rfind(b"\n") + 1:].decode("utf-8")) + 1
+        raise error(f"byte 0x{data[exc.start]:02X} is not valid UTF-8",
+                    head.count(b"\n") + 1, column) from None
+
+
 def read_lines(path):
-    """The lines of a text file that hold data, as (line number, line)
+    """The lines of a UTF-8 text file that hold data, as (line number, line)
     pairs, and the unit of its last `# unit:` comment, or None.  Blank lines
     and `#` comments hold no data."""
     lines, unit = [], None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            text = line.strip()
-            if text.startswith("#"):
-                comment = text[1:].strip()
-                if comment.startswith("unit:"):
-                    unit = comment[len("unit:"):].strip()
-            elif text:
-                lines.append((lineno, line))
+    content = read_text(path, lambda message, line, _: FormatError(message, path, line))
+    # newline=None splits lines as reading in text mode does
+    for lineno, raw in enumerate(io.StringIO(content, newline=None), start=1):
+        line = raw.rstrip("\n")
+        text = line.strip()
+        if text.startswith("#"):
+            comment = text[1:].strip()
+            if comment.startswith("unit:"):
+                unit = comment[len("unit:"):].strip()
+        elif text:
+            lines.append((lineno, line))
     return lines, unit
 
 

@@ -701,6 +701,279 @@ entry:
         "main:entry": 1, "leaf:entry": 2, "other:entry": 1}
 
 
+
+# --- a block that branches to itself -----------------------------------------
+# runs as a loop inside its segment function; every figure below is counted
+# by hand from the program text
+
+
+def _looped(src):
+    """(return value, steps, block counts of the trace) of main; the
+    counts of main's blocks are keyed by label."""
+    m = parse_module(src)
+    interp = Interpreter(m)
+    value = interp.execute()
+    counts = {k.removeprefix("main:"): v for k, v in run(m).block_counts.items()}
+    return value, interp.steps, counts
+
+
+def _events(m, limits=None):
+    """An interpreter of `m` that records its probe events, and the list."""
+    events = []
+    probes = ProbeSet(block_enter=lambda b: events.append(("enter", b)),
+                      instruction=lambda s, op: events.append(("ins", s)),
+                      cond_branch=lambda s, t: events.append(("branch", s, t)))
+    return Interpreter(m, probes, limits), events
+
+
+def _segment_calls(interp):
+    """Calls of each segment function of `interp`, counted from now on."""
+    calls = [0] * len(interp._segments)
+
+    def counted(i, fn):
+        def call(regs):
+            calls[i] += 1
+            return fn(regs)
+        return call
+    interp._segments[1:] = [counted(i, fn) for i, fn in enumerate(interp._segments[1:], 1)]
+    return calls
+
+
+_SWAP = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %n = phi i32 [ 0, %entry ], [ %n.next, %loop ]
+  %a = phi i32 [ 1, %entry ], [ %b, %loop ]
+  %b = phi i32 [ 2, %entry ], [ %a, %loop ]
+  %n.next = add i32 %n, 1
+  %go = icmp slt i32 %n.next, 4
+  br i1 %go, label %loop, label %exit
+
+exit:
+  %hi = mul i32 %a, 10
+  %r = add i32 %hi, %b
+  ret i32 %r
+}
+"""
+
+
+def test_self_loop_swaps_its_phis_in_parallel():
+    # four entries, three swaps: (a, b) = (2, 1) at the exit
+    assert _looped(_SWAP) == (21, 1 + 4 * 6 + 3, {"entry": 1, "loop": 4, "exit": 1})
+
+
+def test_self_loop_through_a_switch():
+    src = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i32 [ 0, %entry ], [ %acc.next, %loop ]
+  %i.next = add i32 %i, 1
+  %acc.next = add i32 %acc, %i.next
+  switch i32 %i.next, label %loop [
+    i32 3, label %loop
+    i32 7, label %exit
+    i32 5, label %loop
+  ]
+
+exit:
+  ret i32 %acc.next
+}
+"""
+    value, steps, counts = _looped(src)
+    assert (value, steps, counts) == (28, 1 + 7 * 5 + 1, {"entry": 1, "loop": 7, "exit": 1})
+    trace = run(parse_module(src))
+    assert (trace.op_counts["switch"], trace.bb_jump) == (7, 2)
+
+
+def test_a_phi_of_a_self_loop_is_read_after_it():
+    src = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %sq = phi i32 [ 0, %entry ], [ %s, %loop ]
+  %s = mul i32 %i, %i
+  %i.next = add i32 %i, 1
+  %go = icmp ult i32 %i.next, 5
+  br i1 %go, label %loop, label %exit
+
+exit:
+  %r = add i32 %sq, %i
+  ret i32 %r
+}
+"""
+    # the last entry has i = 4 and sq = 3 * 3, the square of the entry before
+    assert _looped(src) == (9 + 4, 1 + 5 * 6 + 2, {"entry": 1, "loop": 5, "exit": 1})
+
+
+_NESTED = """
+define i32 @main() {
+entry:
+  %p = alloca i32
+  store i32 0, ptr %p
+  br label %outer
+
+outer:
+  %j = phi i32 [ 0, %entry ], [ %j.next, %latch ]
+  %lim = add i32 %j, 1
+  br label %inner
+
+inner:
+  %k = phi i32 [ 0, %outer ], [ %k.next, %inner ]
+  %v = load i32, ptr %p
+  %w = add i32 %v, %k
+  store i32 %w, ptr %p
+  %k.next = add i32 %k, 1
+  %more = icmp ult i32 %k.next, %lim
+  br i1 %more, label %inner, label %latch
+
+latch:
+  %j.next = add i32 %j, 1
+  %again = icmp ult i32 %j.next, 4
+  br i1 %again, label %outer, label %exit
+
+exit:
+  %r = load i32, ptr %p
+  ret i32 %r
+}
+"""
+
+
+def test_nested_self_loop_is_reentered_with_loads_and_stores():
+    # the inner loop runs j + 1 times for j = 0..3 and adds k = 0..j
+    value, steps, counts = _looped(_NESTED)
+    assert value == 0 + 1 + 3 + 6
+    assert counts == {"entry": 1, "outer": 4, "inner": 10, "latch": 4, "exit": 1}
+    assert steps == 3 + 4 * 3 + 10 * 7 + 4 * 3 + 2
+    trace = run(parse_module(_NESTED))
+    assert trace.load_hit + trace.load_miss == 10 + 1
+    assert trace.store_hit + trace.store_miss == 1 + 10
+
+
+def test_a_self_loop_function_is_called_once_per_loop_entry():
+    interp = Interpreter(parse_module(_NESTED))
+    calls = _segment_calls(interp)
+    assert interp.execute() == 10
+    # stub, entry, outer, inner, latch, exit: the inner loop is entered 4 times
+    assert calls[1:] == [1, 1, 4, 4, 4, 1]
+
+
+_DIVIDES = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i32 [ 0, %entry ], [ %acc.next, %loop ]
+  %i.next = add i32 %i, 1
+  %d = sub i32 6, %i.next
+  %q = sdiv i32 60, %d
+  %acc.next = add i32 %acc, %q
+  %go = icmp slt i32 %i.next, 10
+  br i1 %go, label %loop, label %exit
+
+exit:
+  ret i32 %acc.next
+}
+"""
+
+
+def test_division_by_zero_inside_a_self_loop():
+    m = parse_module(_DIVIDES)
+    interp, events = _events(m)
+    with pytest.raises(DivisionByZero):
+        interp.execute()
+    assert interp.steps == 1 + 6 * 8
+    entry, loop = (b for b in m.functions[0].blocks[:2])
+    ids = [ins.static_id for ins in loop.instructions]
+    want = [("enter", entry.static_id), ("ins", entry.instructions[0].static_id)]
+    for k in range(1, 7):
+        want.append(("enter", loop.static_id))
+        want += [("ins", s) for s in ids[:5]]       # the phis, add, sub, sdiv
+        if k < 6:
+            want += [("ins", s) for s in ids[5:]] + [("branch", ids[-1], True)]
+    assert events == want
+
+
+def test_step_limit_inside_a_self_loop():
+    m = parse_module(_SWAP.replace("slt i32 %n.next, 4", "slt i32 %n.next, 100"))
+    interp, events = _events(m, RunLimits(max_steps=50))
+    with pytest.raises(StepLimitExceeded):
+        interp.execute()
+    # 1 + 6k steps after k entries; the ninth would reach 55
+    assert interp.steps == 55
+    assert [e for e in events if e[0] == "enter"] == [("enter", 0)] + [("enter", 1)] * 8
+
+
+def test_a_self_loop_with_a_call_returns_to_the_dispatcher():
+    src = """
+define i32 @twice(i32 %x) {
+entry:
+  %y = mul i32 %x, 2
+  ret i32 %y
+}
+
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i32 [ 0, %entry ], [ %acc.next, %loop ]
+  %t = call i32 @twice(i32 %i)
+  %acc.next = add i32 %acc, %t
+  %i.next = add i32 %i, 1
+  %go = icmp ult i32 %i.next, 5
+  br i1 %go, label %loop, label %exit
+
+exit:
+  ret i32 %acc.next
+}
+"""
+    value, steps, counts = _looped(src)
+    assert (value, steps) == (2 * (0 + 1 + 2 + 3 + 4), 1 + 5 * 7 + 5 * 2 + 1)
+    assert counts == {"entry": 1, "loop": 5, "exit": 1, "twice:entry": 5}
+    interp = Interpreter(parse_module(src))
+    calls = _segment_calls(interp)
+    interp.execute()
+    # twice's stub and body, then main's stub, entry, loop before and after
+    # the call, exit: both segments of the loop run once per iteration
+    assert calls[1:] == [0, 5, 1, 1, 5, 5, 1]
+
+
+def test_a_self_loop_reads_a_register_before_its_definition():
+    src = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %x, %loop ]
+  %y = add i32 %x, 1
+  %x = add i32 %i, 1
+  %go = icmp ult i32 %y, 5
+  br i1 %go, label %loop, label %exit
+
+exit:
+  ret i32 %y
+}
+"""
+    interp = Interpreter(parse_module(src))
+    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'x'"):
+        interp.execute()
+    assert interp.steps == 1 + 5
+
+
 # --- getelementptr ------------------------------------------------------------
 
 _GEP_LEAVES = st.sampled_from([SCALARS[k] for k in ("i8", "i16", "i32", "i64",
