@@ -166,19 +166,26 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_counts(text: str):
+def _counts(text: str):
+    """The iteration counts of `--counts`: comma-separated parts, each N or
+    START:STOP[:STEP] with STOP included."""
     counts = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            bits = part.split(":")
-            start, stop = int(bits[0]), int(bits[1])
-            step = int(bits[2]) if len(bits) > 2 and bits[2] else 1
-            counts.extend(range(start, stop + 1, step))
-        else:
-            counts.append(int(part))
+        fields = part.split(":")
+        try:
+            if len(fields) > 3:
+                raise ValueError
+            if len(fields) == 1:
+                counts.append(int(part))
+            else:
+                step = int(fields[2]) if len(fields) == 3 and fields[2] else 1
+                counts.extend(range(int(fields[0]), int(fields[1]) + 1, step))
+        except ValueError:      # not an integer, a missing field, or step 0
+            raise argparse.ArgumentTypeError(
+                f"bad count {part!r}: want N or START:STOP[:STEP]") from None
     return counts
 
 
@@ -187,11 +194,10 @@ def _cmd_gen_corpus(args) -> int:
     opcodes = []
     for chunk in args.opcode:
         opcodes.extend(o.strip() for o in chunk.split(",") if o.strip())
-    counts = _parse_counts(args.counts)
-    if not opcodes or not counts:
+    if not opcodes or not args.counts:
         print("error: need at least one opcode and one count", file=sys.stderr)
         return 1
-    paths = generate_corpus(opcodes, counts, _seed_of(args, cfg), args.out)
+    paths = generate_corpus(opcodes, args.counts, _seed_of(args, cfg), args.out)
     print(f"wrote {len(paths)} programs to {args.out}")
     return 0
 
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opcode", action="append", required=True,
                    help=f"target opcode (repeatable or comma separated); "
                         f"one of: {', '.join(GENERATOR_OPCODES)}")
-    p.add_argument("--counts", required=True,
+    p.add_argument("--counts", required=True, type=_counts,
                    help="iteration counts: '100,200' or 'start:stop[:step]'")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_gen_corpus)

@@ -285,9 +285,9 @@ def _address(global_addrs, op):
 #   results are read into locals before the loop, where every edge into the
 #   block has just assigned them.  The self edge emits the lines of any
 #   edge, then assigns the phi locals in one tuple assignment, as phis are
-#   parallel, and does `continue`; an edge out of the loop first stores the
-#   phi locals into `regs`.  Any other register is read on first use in the
-#   body, so again on every iteration.
+#   parallel, and does `continue`; an edge out of the loop first stores into
+#   `regs` the phi locals that another block reads.  Any other register is
+#   read on first use in the body, so again on every iteration.
 # Probe calls are unrolled, one per registered callable, and the instruction
 # observer is emitted only when one is registered.
 #
@@ -412,10 +412,10 @@ def _split(block):
 
 
 def _register_uses(func, segments):
-    """(registers kept in `regs`, number of reads of each register) for
-    `segments`, the function's (block, instructions) pairs.  A result is
-    kept unless every read of it comes later in the segment that defines
-    it; phi results are assigned on edges, in their predecessors'
+    """(registers kept in `regs`, register -> the block of each of its
+    reads) for `segments`, the function's (block, instructions) pairs.  A
+    result is kept unless every read of it comes later in the segment that
+    defines it; phi results are assigned on edges, in their predecessors'
     segments, so they are kept whenever something reads them."""
     home, reads = {}, []
     for key, (block, insts) in enumerate(segments):
@@ -429,13 +429,13 @@ def _register_uses(func, segments):
                 op = phi.incoming_map[block.label]
                 if op.__class__ is LocalRef:
                     reads.append((op.name, key, len(insts)))
-    kept, counts = set(), {}
+    kept, readers = set(), {}
     for name, key, pos in reads:
-        counts[name] = counts.get(name, 0) + 1
+        readers.setdefault(name, []).append(segments[key][0])
         where = home.get(name)
         if where is None or where[0] != key or pos <= where[1]:
             kept.add(name)
-    return kept, counts
+    return kept, readers
 
 
 @functools.lru_cache(maxsize=256)
@@ -524,7 +524,7 @@ class _Generator:
             count += 1 + len(segments)
         source = []
         for f, segments in plan:
-            self.kept, self.reads = _register_uses(f, segments)
+            self.kept, self.readers = _register_uses(f, segments)
             index = entries[f.name]
             self._begin(None)
             self._edge(f, None, f.entry.label)
@@ -628,7 +628,7 @@ class _Generator:
         cond = last.operands[0] if last.opcode == "br" and last.operands else None
         # a compare that only this br reads is tested in place
         fused = (cond.name if cond.__class__ is LocalRef and cond.name not in self.kept
-                 and self.reads.get(cond.name) == 1 else None)
+                 and len(self.readers.get(cond.name, ())) == 1 else None)
         for ins in body:
             self._observe(ins)
             self._instruction(ins, fused is not None and ins.result == fused)
@@ -659,7 +659,8 @@ class _Generator:
         block = func.block_map[label]
         if block is not self.loop:      # out of the loop, if there is one
             for name, local in self.loop_phis.items():
-                self._line(f"regs[{name!r}] = {local}")
+                if any(b is not self.loop for b in self.readers[name]):
+                    self._line(f"regs[{name!r}] = {local}")
         limit = self.limits.max_steps
         bid = block.static_id
         self._line(f"S.steps += {len(block.instructions)}")

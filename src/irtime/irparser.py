@@ -1,11 +1,11 @@
 """Textual parser for the supported LLVM IR subset.
 
-The lexer turns the whole file into tokens, the parser groups them into
-logical lines (newlines inside (...) or [...] do not end a statement, which
-is how multi-line switch tables stay parseable) and consumes each line with
-a per-opcode grammar.  Metadata, attribute groups, and debug decorations
-are skipped; opcodes outside the subset raise UnsupportedOpcodeError so a
-program we cannot simulate faithfully is rejected instead of guessed at.
+One pass of one regular expression splits the file into tokens and groups
+them into statements (newlines inside (...) or [...] do not end a
+statement), and the parser consumes each statement with a per-opcode
+grammar.  Metadata, attribute groups, and debug decorations are skipped;
+opcodes outside the subset raise UnsupportedOpcodeError so a program we
+cannot simulate faithfully is rejected instead of guessed at.
 """
 
 import re
@@ -83,149 +83,91 @@ class Token:
         return f"{self.kind}:{self.value!r}@{self.line}:{self.col}"
 
 
-_WORD_RE = re.compile(r"[A-Za-z$._][A-Za-z$._0-9]*")
-_NAME_RE = re.compile(r"[-A-Za-z$._0-9]+")
-_NUM_RE = re.compile(r"-?(?:0x[0-9A-Fa-f]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
-_MDNAME_RE = re.compile(r"[A-Za-z$._0-9\\]+")
+# One alternative per kind of token, tried in this order at each position.
+# A quoted string stops at its first quote or newline, as neither escape
+# (a hex pair or a doubled backslash) can hold either; the closing quote is
+# optional here so that _unquote checks the escapes of an unterminated string
+# before it reports the missing quote.
+_TOKEN_RE = re.compile(r"""
+      (?P<nl>\n)
+    | [ \t\r]+ | ;[^\n]*
+    | c(?P<cstr>"[^"\n]*"?)
+    | (?P<str>"[^"\n]*"?)
+    | @(?P<gid>[-A-Za-z$._0-9]+|"[^"\n]*"?)
+    | %(?P<lid>[-A-Za-z$._0-9]+|"[^"\n]*"?)
+    | !(?P<md>[A-Za-z$._0-9\\]*)
+    | \#(?P<attr>\d+)
+    | (?P<dangling>[@%\#])
+    | (?P<dots>\.\.\.)
+    | (?P<num>-?(?:0x[0-9A-Fa-f]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))
+    | (?P<word>[A-Za-z$._][A-Za-z$._0-9]*)
+    | (?P<punct>[()\[\]{}<>,=*:])
+    | (?P<bad>.)
+""", re.VERBOSE)
+
+# inside a quoted string: an escape, a backslash that starts none, or a lone
+# surrogate, which has no UTF-8 bytes
+_ESCAPE_RE = re.compile(r"\\(?:\\|[0-9A-Fa-f]{2})?|[\ud800-\udfff]")
 
 
-def _lex(text: str):
-    tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            tokens.append(Token("nl", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
+def _statements(text: str):
+    """The statements of `text`, each a list of tokens.  A newline ends a
+    statement unless it falls inside (...) or [...], which is how multi-line
+    switch tables stay parseable.  A column counts characters from 1."""
+    statements, cur = [], []
+    line, line_start, depth = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:                # blanks and comments
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+            if depth == 0 and cur:
+                statements.append(cur)
+                cur = []
             continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-
-        def emit(kind, value, width):
-            nonlocal i, col
-            tokens.append(Token(kind, value, line, start_col))
-            i += width
-            col += width
-
-        if c == "c" and i + 1 < n and text[i + 1] == '"':
-            s, width = _lex_string(text, i + 1, line, start_col)
-            tokens.append(Token("cstr", s, line, start_col))
-            i += width + 1
-            col += width + 1
-            continue
-        if c == '"':
-            s, width = _lex_string(text, i, line, start_col)
-            tokens.append(Token("str", s.decode("latin-1"), line, start_col))
-            i += width
-            col += width
-            continue
-        if c in "@%":
-            m = _NAME_RE.match(text, i + 1)
-            if m:
-                emit("gid" if c == "@" else "lid", m.group(0), 1 + len(m.group(0)))
-                continue
-            if i + 1 < n and text[i + 1] == '"':
-                s, width = _lex_string(text, i + 1, line, start_col)
-                emit("gid" if c == "@" else "lid", s.decode("latin-1"), 1 + width)
-                continue
-            raise ParseError(f"dangling '{c}'", line, start_col)
-        if c == "!":
-            m = _MDNAME_RE.match(text, i + 1)
-            emit("md", m.group(0) if m else "", 1 + (len(m.group(0)) if m else 0))
-            continue
-        if c == "#":
-            m = re.compile(r"\d+").match(text, i + 1)
-            if not m:
-                raise ParseError("dangling '#'", line, start_col)
-            emit("attr", m.group(0), 1 + len(m.group(0)))
-            continue
-        if text.startswith("...", i):
-            emit("dots", "...", 3)
-            continue
-        m = _NUM_RE.match(text, i)
-        if m and (c.isdigit() or (c == "-" and len(m.group(0)) > 1)):
-            emit("num", m.group(0), len(m.group(0)))
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            emit("word", m.group(0), len(m.group(0)))
-            continue
-        if c in "()[]{}<>,=*:":
-            emit(c, c, 1)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(Token("nl", "\n", line, col))
-    return tokens
-
-
-def _lex_string(text: str, start: int, line: int, col: int):
-    """Lex a double-quoted string starting at text[start] == '"'.
-
-    Returns (bytes, consumed_width).  Escapes are the IR printer's: a
-    backslash followed by two hex digits, or a doubled backslash.  Any other
-    character stands for its UTF-8 bytes, as LLVM reads the file as bytes.
-    """
-    assert text[start] == '"'
-    out = bytearray()
-    i = start + 1
-    while i < len(text):
-        c = text[i]
-        if c == '"':
-            return bytes(out), i + 1 - start
-        if c == "\n":
-            break
-        if c == "\\":
-            if text[i + 1 : i + 2] == "\\":
-                out.append(0x5C)
-                i += 2
-                continue
-            hexpair = text[i + 1 : i + 3]
-            if len(hexpair) == 2 and all(h in "0123456789abcdefABCDEF" for h in hexpair):
-                out.append(int(hexpair, 16))
-                i += 3
-                continue
-            raise ParseError("bad string escape", line, col)
-        try:
-            out += c.encode("utf-8")
-        except UnicodeEncodeError:      # a lone surrogate
-            raise ParseError(f"unexpected character {c!r}", line, col) from None
-        i += 1
-    raise ParseError("unterminated string", line, col)
-
-
-def _logical_lines(tokens):
-    """Group tokens into statements; (...) and [...] spans swallow newlines."""
-    lines = []
-    cur = []
-    depth = 0
-    for tok in tokens:
-        if tok.kind in ("(", "["):
-            depth += 1
-        elif tok.kind in (")", "]") and depth > 0:
-            depth -= 1
-        if tok.kind == "nl":
-            if depth == 0:
-                if cur:
-                    lines.append(cur)
-                    cur = []
-                continue
-            continue
-        cur.append(tok)
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "punct":
+            kind = value
+            if value in "([":
+                depth += 1
+            elif value in ")]" and depth:
+                depth -= 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        elif kind == "dangling":
+            raise ParseError(f"dangling '{value}'", line, col)
+        elif value[:1] == '"':          # a string, or a quoted name
+            value = _unquote(value, line, col)
+            if kind != "cstr":
+                value = value.decode("latin-1")
+        cur.append(Token(kind, value, line, col))
     if cur:
-        lines.append(cur)
-    return lines
+        statements.append(cur)
+    return statements
+
+
+def _unquote(quoted: str, line: int, col: int) -> bytes:
+    """The bytes of a quoted string whose token starts at line:col.  Escapes
+    are the IR printer's: a backslash followed by two hex digits, or a
+    doubled backslash.  Any other character stands for its UTF-8 bytes, as
+    LLVM reads the file as bytes."""
+    closed = len(quoted) > 1 and quoted[-1] == '"'
+    body = quoted[1:-1] if closed else quoted[1:]
+    out, pos = bytearray(), 0
+    for m in _ESCAPE_RE.finditer(body):
+        esc = m.group()
+        if esc[0] != "\\":
+            raise ParseError(f"unexpected character {esc!r}", line, col)
+        if len(esc) == 1:
+            raise ParseError("bad string escape", line, col)
+        out += body[pos:m.start()].encode()
+        out.append(0x5C if esc == "\\\\" else int(esc[1:], 16))
+        pos = m.end()
+    if not closed:
+        raise ParseError("unterminated string", line, col)
+    return bytes(out + body[pos:].encode())
 
 
 def _end_block(block: IrBlock, tok: Token):
@@ -335,7 +277,7 @@ class _Cursor:
 
 class _Parser:
     def __init__(self, text: str, source_name: str):
-        self.lines = _logical_lines(_lex(text))
+        self.lines = _statements(text)
         self.source_name = source_name
         self.type_defs = {}        # name -> token list (unresolved)
         self.types = {}            # name -> IrType (resolved)

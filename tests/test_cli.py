@@ -233,6 +233,17 @@ def test_gen_corpus_range_and_bad_opcode(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts", ["x", "1::", "1:5:0", "1:10:2:7", ":5", "10,y"])
+def test_gen_corpus_bad_counts_are_usage_errors(tmp_path, capsys, counts):
+    out = tmp_path / "c"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-corpus", "--opcode", "add", "--counts", counts, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --counts: bad count" in err
+    assert not out.exists()
+
+
 def test_gen_corpus_seed_changes_constants(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from irtime.errors import (
     StepLimitExceeded, OutOfBoundsAccess, DivisionByZero, StackOverflow,
     UnresolvedReferenceError, ParseError, InterpreterError,
 )
+from irtime import interp as interp_module
 from irtime.interp import MemoryImage, FRAME_BYTES, GLOBAL_BASE, HEAP_BASE
 from irtime.irtypes import SCALARS, array_of, struct_of, gep_offset
 
@@ -813,6 +816,37 @@ exit:
 """
     # the last entry has i = 4 and sq = 3 * 3, the square of the entry before
     assert _looped(src) == (9 + 4, 1 + 5 * 6 + 2, {"entry": 1, "loop": 5, "exit": 1})
+
+
+def test_a_self_loop_stores_only_the_phis_another_block_reads(monkeypatch):
+    src = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i32 [ 0, %entry ], [ %acc.next, %loop ]
+  %i.next = add i32 %i, 1
+  %acc.next = add i32 %acc, %i.next
+  %go = icmp ult i32 %i.next, 5
+  br i1 %go, label %loop, label %exit
+
+exit:
+  %r = add i32 %acc.next, %i
+  ret i32 %r
+}
+"""
+    sources = []
+    compile_source = interp_module._compile
+    monkeypatch.setattr(interp_module, "_compile",
+                        lambda source: sources.append(source) or compile_source(source))
+    assert _looped(src) == (15 + 4, 1 + 5 * 6 + 2, {"entry": 1, "loop": 5, "exit": 1})
+    loop, = {f for f in sources[0].split("\ndef ") if "while True:" in f}
+    # the exit edge stores %i, which the exit block reads, and not %acc,
+    # which only the loop reads
+    assert len(re.findall(r"regs\['i'\] = v\d+", loop)) == 1
+    assert "regs['acc'] =" not in loop
 
 
 _NESTED = """

@@ -1,9 +1,10 @@
 """Mutants of the sample programs fail only with an IrTimeError.
 
 A mutant is a sample with one line deleted, duplicated or swapped with the
-next one, or with one token replaced, deleted or inserted.  It either fails
-parse_module with an IrTimeError, or it runs until it returns or raises an
-IrTimeError.  Nothing else may escape either stage.
+next one, with one token replaced, deleted or inserted, or with a few
+characters inserted, deleted or duplicated.  It either fails parse_module
+with an IrTimeError, or it runs until it returns or raises an IrTimeError.
+Nothing else may escape either stage.
 """
 
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irtime import RunLimits, parse_module, run
-from irtime.errors import IrTimeError
+from irtime.errors import IrTimeError, ParseError
 
 from conftest import SAMPLES
 
@@ -32,12 +33,18 @@ EXTRA_TOKENS = [
 ]
 
 
+# Characters that start, end or change a token; the lone surrogate has no
+# UTF-8 bytes.
+LEXICAL_CHARS = list('"\\@%!#.-;0123456789') + ["\n", "\t", "\u20ac", "\ud800"]
+
+
 def _check(text, what):
-    """Parse and run `text`; any failure but an IrTimeError names `what`."""
+    """Parse and run `text`; any failure but an IrTimeError names `what`.
+    Returns the error that parsing raised, if any."""
     try:
         module = parse_module(text)
-    except IrTimeError:
-        return
+    except IrTimeError as exc:
+        return exc
     except Exception as exc:
         raise AssertionError(f"parsing {what} raised {exc!r}") from exc
     try:
@@ -81,3 +88,27 @@ def _token_mutant(draw):
 @given(_token_mutant())
 def test_token_mutants_fail_only_with_irtime_errors(text):
     _check(text, f"the mutant\n{text}")
+
+
+@st.composite
+def _character_mutant(draw):
+    text = draw(st.sampled_from(TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(LEXICAL_CHARS)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i + 1] + text[i:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_character_mutant())
+def test_character_mutants_fail_only_with_irtime_errors(text):
+    exc = _check(text, f"the mutant\n{text!r}")
+    if isinstance(exc, ParseError):
+        assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1, str(exc)
+        assert exc.column is None or exc.column >= 0, str(exc)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from irtime import parse_module
+from irtime import irparser, parse_module
 from irtime.errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
 from irtime.irmodel import Const, GlobalRef, ConstGep
 
@@ -392,6 +392,59 @@ entry:
 """
     m = parse_module(src)
     assert m.global_var("weird name").init == 9
+
+
+# The lexer's contract: text -> the statements the parser reads, each token
+# as (kind, value, line, col), or the exact message of the ParseError.  A
+# column counts characters from 1; a tab and a multi-byte character count one.
+LEXER_CONTRACT = {
+    "c_string_against_a_word_ending_in_c": ('abc"x" c"\\41\\\\"', [[
+        ("word", "abc", 1, 1), ("str", "x", 1, 4), ("cstr", b"A\\", 1, 8)]]),
+    "dots_against_a_word_starting_with_a_dot": ("....a .b ..", [[
+        ("dots", "...", 1, 1), ("word", ".a", 1, 4), ("word", ".b", 1, 7),
+        ("word", "..", 1, 10)]]),
+    "negative_numbers": ("-1 -0x1F 1.5e-3 1e", [[
+        ("num", "-1", 1, 1), ("num", "-0x1F", 1, 4), ("num", "1.5e-3", 1, 10),
+        ("num", "1", 1, 17), ("word", "e", 1, 18)]]),
+    "hex_prefix_without_digits": ("0xZZ", [[("num", "0", 1, 1), ("word", "xZZ", 1, 2)]]),
+    "newline_inside_brackets": ("f(a,\n  b) [1,\n\t2]\n\ng ; note\n", [
+        [("word", "f", 1, 1), ("(", "(", 1, 2), ("word", "a", 1, 3), (",", ",", 1, 4),
+         ("word", "b", 2, 3), (")", ")", 2, 4), ("[", "[", 2, 6), ("num", "1", 2, 7),
+         (",", ",", 2, 8), ("num", "2", 3, 2), ("]", "]", 3, 3)],
+        [("word", "g", 5, 1)]]),
+    "names_bare_and_quoted": ('@a.1 %-2 @"x y" %"\\22€" !dbg !{ #7', [[
+        ("gid", "a.1", 1, 1), ("lid", "-2", 1, 6), ("gid", "x y", 1, 10),
+        ("lid", '"\xe2\x82\xac', 1, 17), ("md", "dbg", 1, 25), ("md", "", 1, 30),
+        ("{", "{", 1, 31), ("attr", "7", 1, 33)]]),
+    "dangling_at": ("x\n  @ = global", "2:3: dangling '@'"),
+    "dangling_percent": ("a %", "1:3: dangling '%'"),
+    "dangling_hash": ("attributes #x", "1:12: dangling '#'"),
+    "bad_string_escape": ('@s = c"ab\\q"', "1:6: bad string escape"),
+    "escaped_quote": ('x c"\\""', "1:3: bad string escape"),
+    "trailing_backslash": ('"ab\\', "1:1: bad string escape"),
+    "short_hex_escape": ('"\\4"', "1:1: bad string escape"),
+    "escape_checked_before_the_end": ('\t@"ab\\zz', "1:2: bad string escape"),
+    "unterminated_string_at_the_end": ('x "ab', "1:3: unterminated string"),
+    "unterminated_string_at_a_newline": ('x\n  %"ab\n"', "2:3: unterminated string"),
+    "unexpected_character_after_a_tab": ("\t?", "1:2: unexpected character '?'"),
+    "unexpected_character_after_a_multibyte_one": ('@"€"~', "1:5: unexpected character '~'"),
+    "lone_minus": ("- 1", "1:1: unexpected character '-'"),
+    "lone_surrogate_in_a_string": ('x c"a\ud800', "1:3: unexpected character '\\ud800'"),
+    "lone_surrogate_outside_a_string": ("a \ud800", "1:3: unexpected character '\\ud800'"),
+    "first_fault_wins": ("?\n@", "1:1: unexpected character '?'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEXER_CONTRACT))
+def test_lexer_contract(name):
+    text, want = LEXER_CONTRACT[name]
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as info:
+            parse_module(text)
+        assert str(info.value) == want
+    else:
+        lines = irparser._Parser(text, "t").lines
+        assert [[(t.kind, t.value, t.line, t.col) for t in line] for line in lines] == want
 
 
 # Each body holds one structural fault on the line marked `; here` (the
