@@ -13,8 +13,9 @@ malloc routines move bytes but bypass the load/store probes; they report a
 single volume event instead, mirroring how the feature table accounts for
 them.
 
-Each segment of a block is compiled into one generated Python function when
-the Interpreter is constructed; see "generated segment functions" below.
+Each segment of a block, or each loop that calls no function body and holds
+no inner loop, is compiled into one generated Python function when the
+Interpreter is constructed; see "generated segment functions" below.
 """
 
 import contextlib
@@ -280,16 +281,43 @@ def _address(global_addrs, op):
 # - a call into a function body charges a frame against the stack limit,
 #   pushes the frame and inlines the callee's entry edge; `ret` pops the
 #   frame through `_returner`;
-# - a block that makes no call into a function body and whose terminator
-#   names the block itself runs as a `while True:` loop.  Its kept phi
-#   results are read into locals before the loop, where every edge into the
-#   block has just assigned them.  The self edge emits the lines of any
-#   edge, then assigns the phi locals in one tuple assignment, as phis are
-#   parallel, and does `continue`; an edge out of the loop first stores into
-#   `regs` the phi locals that another block reads.  Any other register is
-#   read on first use in the body, so again on every iteration.
+# - a natural loop runs inside one function, its header's, as a `while
+#   True:` loop (see "loop functions" below).
 # Probe calls are unrolled, one per registered callable, and the instruction
 # observer is emitted only when one is registered.
+#
+# Loop functions.  A block H is a loop header when a depth-first walk from
+# the entry takes an edge p -> H back to a block on its path, and a backward
+# walk from p that never passes H cannot reach the entry, so H dominates
+# the latch p.  The loop is H and every block those walks pass.  It runs in
+# H's function when no block of it calls a function body, when it holds no
+# cycle once its edges into H are taken away (so no inner loop), and when
+# copying each block once for every path to it from H takes at most
+# _MAX_COPIES copies and `if` nesting levels.  A self-loop is the one-block
+# case.  Other loops, and irreducible cycles, return to the dispatcher on
+# every edge.  Inside H's `while True:`:
+# - an edge to H emits the lines of any edge, assigns H's kept phi locals in
+#   one tuple assignment, as phis are parallel, and does `continue`; those
+#   locals are read from `regs` once, before the loop, where every edge into
+#   H has just assigned them;
+# - an edge to another block of the loop inlines it in place, the tail
+#   duplicated on each path: the edge's lines, then its phis held by the
+#   locals of their values, then its body and terminator.  Those blocks get
+#   no function of their own, as they run only through H's;
+# - an edge out of the loop stores into `regs` the H phis that a block
+#   outside reads and the results deferred to the exits, then does what any
+#   edge does and returns the target's index.
+# The loop's blocks are one unit for _register_uses: a result lives only in
+# a local when every read of it is in the loop and its definition
+# dominates the read within one iteration; it is stored on the exits
+# instead of where it is defined when, besides, a block outside reads it
+# and its block dominates every exiting block.  Any other register is read
+# from `regs` on first use on each path, so again on every iteration.
+# `S.steps`, each `E[bid]`, each `P[site]` and the `C[JUMP]` slot live in
+# locals, read once on entry and written back in one `try/finally`, so
+# every return and every fault leaves `steps` and the TraceBuilder's lists
+# as a run through the dispatcher does; `S.steps` is also written back
+# before each probe call, as a probe may read `Interpreter.steps`.
 #
 # Given a TraceBuilder, the code counts the trace itself, with no call into
 # the builder: `E[block] += 1` on each edge; `P[site], c = TAKEN[P[site]]`
@@ -393,6 +421,9 @@ _READ, _PURE, _PROBE, _FLOW = range(4)
 # _Generator.entered when the last block entered is in S.last_block
 _RECORDED = "S.last_block"
 
+# the locals of a loop function's counting slots; E[bid] is e{bid}, P[site] p{site}
+_SLOT_LOCALS = {"S.steps": "steps", f"C[{JUMP}]": "jumps"}
+
 
 def _invokes(ins):
     """Whether `ins` calls into a function body."""
@@ -411,31 +442,186 @@ def _split(block):
     return segments
 
 
-def _register_uses(func, segments):
-    """(registers kept in `regs`, register -> the block of each of its
-    reads) for `segments`, the function's (block, instructions) pairs.  A
-    result is kept unless every read of it comes later in the segment that
-    defines it; phi results are assigned on edges, in their predecessors'
-    segments, so they are kept whenever something reads them."""
+# the most block copies the source of one loop function may hold, and the
+# deepest nesting of `if` arms in it
+_MAX_COPIES = 32
+
+
+def _switch_cases(ins):
+    """The (value, label) cases of a `switch` that leave its default,
+    sorted by value; the first case of a value wins."""
+    cases = {}
+    for value, label in ins.cases:
+        cases.setdefault(value, label)
+    return sorted((v, label) for v, label in cases.items() if label != ins.labels[0])
+
+
+def _case_shape(n):
+    """(the `if` arms around the deepest edge, the default edges) of the
+    generated search over n switch cases; see _Generator._cases."""
+    if n <= 4:
+        return min(n, 1), 1
+    (low, low_defaults), (high, high_defaults) = _case_shape(n // 2), _case_shape(n - n // 2)
+    return max(low + 1, high), low_defaults + high_defaults
+
+
+def _edges(ins):
+    """The target labels of a terminator, one for each edge the generator
+    emits, and how deep in `if` arms it emits the deepest."""
+    if ins.opcode == "switch":
+        cases = _switch_cases(ins)
+        nesting, defaults = _case_shape(len(cases))
+        return [label for _, label in cases] + ins.labels[:1] * defaults, nesting
+    return ins.labels, len(ins.labels) - 1
+
+
+@dataclass
+class _Loop:
+    """A natural loop that runs inside its header's function: its blocks, the
+    blocks that dominate each within one iteration, and the blocks with an
+    edge out of it."""
+
+    header: str
+    body: set
+    dom: dict
+    exiting: list
+
+
+def _retreating(func):
+    """(block, target) labels of each edge that a depth-first walk from the
+    entry takes to a block on its current path.  Every edge from a latch to
+    its loop's header is one."""
+    entry, blocks = func.entry.label, func.block_map
+    seen, path, found = {entry}, {entry}, []
+    stack = [(entry, iter(blocks[entry].succs))]
+    while stack:
+        label, succs = stack[-1]
+        target = next(succs, None)
+        if target is None:
+            stack.pop()
+            path.discard(label)
+        elif target in path:
+            found.append((label, target))
+        elif target not in seen:
+            seen.add(target)
+            path.add(target)
+            stack.append((target, iter(blocks[target].succs)))
+    return found
+
+
+def _loop_blocks(func, header, latch):
+    """The blocks that reach `latch` without passing `header`, or None when
+    the entry is one of them: then `header` does not dominate `latch`.  A
+    block the entry does not reach may be one of them."""
+    blocks, todo = set(), [latch]
+    while todo:
+        label = todo.pop()
+        if label == header or label in blocks:
+            continue
+        if label == func.entry.label:
+            return None
+        blocks.add(label)
+        todo += func.block_map[label].preds
+    return blocks
+
+
+def _natural_loops(func):
+    """header label -> _Loop for each natural loop of `func` that runs inside
+    its header's function: its blocks make no call into a function body,
+    its edges other than those into the header form no cycle, so it holds
+    no inner loop, and copying each block once for every path to it from
+    the header takes at most _MAX_COPIES copies and nesting levels."""
+    bodies = {}
+    for latch, header in _retreating(func):
+        blocks = _loop_blocks(func, header, latch)
+        if blocks is not None:
+            bodies.setdefault(header, {header}).update(blocks)
+    loops = {}
+    for header, body in bodies.items():
+        blocks = [func.block_map[label] for label in body]
+        if any(_invokes(ins) for b in blocks for ins in b.instructions):
+            continue
+        edges = {b.label: _edges(b.instructions[-1]) for b in blocks}
+        inner = {label: [t for t in targets if t in body and t != header]
+                 for label, (targets, _) in edges.items()}
+        waiting = dict.fromkeys(body, 0)
+        for targets in inner.values():
+            for t in targets:
+                waiting[t] += 1
+        # in topological order: paths from the header, arm depth, dominators
+        copies, depth, dom = {header: 1}, {header: 0}, {header: {header}}
+        ready, done, fits = [header], 0, True
+        while ready and fits:
+            label = ready.pop()
+            done += 1
+            nest = depth[label] + edges[label][1]
+            fits = nest <= _MAX_COPIES
+            for t in inner[label]:
+                copies[t] = copies.get(t, 0) + copies[label]
+                depth[t] = max(depth.get(t, 0), nest)
+                dom[t] = dom[t] & dom[label] if t in dom else dom[label]
+                waiting[t] -= 1
+                if not waiting[t]:
+                    dom[t] = dom[t] | {t}
+                    ready.append(t)
+        if fits and done == len(body) and sum(copies.values()) <= _MAX_COPIES:
+            exiting = [label for label, (targets, _) in edges.items()
+                       if any(t not in body for t in targets)]
+            loops[header] = _Loop(header, body, dom, exiting)
+    return loops
+
+
+def _register_uses(func, segments, loops):
+    """(registers kept in `regs`, header label -> the registers its loop
+    stores only on its exits, register -> the labels of the blocks of its
+    reads) for `segments`, the function's (block, instructions) pairs, and
+    `loops`, its compiled loops.  A compiled loop is one unit, the other
+    segments one each.  A result is kept unless every read of it comes
+    later in its unit, in a block that its definition dominates within one
+    iteration; a kept result of a loop block whose reads in the loop all
+    come so is stored on the loop's exits instead, when its block dominates
+    every exiting block.  Phi results of a loop's other blocks are assigned
+    where those blocks are inlined, so they count as defined first in
+    their block; other phi results are assigned on edges, in their
+    predecessors' segments, so they are kept whenever something reads
+    them."""
+    unit_of = {label: header for header, loop in loops.items() for label in loop.body}
     home, reads = {}, []
     for key, (block, insts) in enumerate(segments):
+        label = block.label
+        unit = unit_of.get(label, key)
+        if unit != key and unit != label:     # inlined: its phis are assigned there
+            for phi in block.instructions[:block.phi_count]:
+                home[phi.result] = unit, label, -1
         for pos, ins in enumerate(insts):
             if ins.result is not None and not _invokes(ins):
-                home[ins.result] = key, pos
-            reads += [(op.name, key, pos) for op in ins.operands if op.__class__ is LocalRef]
-        for label in insts[-1].labels + [label for _, label in insts[-1].cases]:
-            target = func.block_map[label]
-            for phi in target.instructions[:target.phi_count]:
-                op = phi.incoming_map[block.label]
+                home[ins.result] = unit, label, pos
+            reads += [(op.name, unit, label, pos) for op in ins.operands
+                      if op.__class__ is LocalRef]
+        for target in insts[-1].labels + [target for _, target in insts[-1].cases]:
+            succ = func.block_map[target]
+            for phi in succ.instructions[:succ.phi_count]:
+                op = phi.incoming_map[label]
                 if op.__class__ is LocalRef:
-                    reads.append((op.name, key, len(insts)))
-    kept, readers = set(), {}
-    for name, key, pos in reads:
-        readers.setdefault(name, []).append(segments[key][0])
+                    reads.append((op.name, unit, label, len(insts)))
+    kept, undominated, readers = set(), set(), {}
+    for name, unit, label, pos in reads:
+        readers.setdefault(name, []).append(label)
         where = home.get(name)
-        if where is None or where[0] != key or pos <= where[1]:
+        if where is None or where[0] != unit:
             kept.add(name)
-    return kept, readers
+        elif (pos <= where[2] if label == where[1]
+              else where[1] not in loops[unit].dom[label]):
+            kept.add(name)
+            undominated.add(name)
+    deferred = {}
+    for name, (unit, label, _) in home.items():
+        loop = loops.get(unit)
+        if (loop is not None and name in kept and name not in undominated
+                and all(label in loop.dom[x] for x in loop.exiting)):
+            kept.discard(name)
+            deferred.setdefault(unit, []).append(name)
+    return kept, deferred, readers
 
 
 @functools.lru_cache(maxsize=256)
@@ -516,20 +702,26 @@ class _Generator:
         plan, entries, count = [], {}, 1
         for f in self.module.functions:
             entries[f.name] = count
-            segments = []
+            loops = _natural_loops(f)
+            inlined = {label for h, loop in loops.items() for label in loop.body if label != h}
+            segments, emitted = [], []
             for b in f.blocks:
-                self.first[b.static_id] = count + 1 + len(segments)
-                segments += [(b, insts) for insts in _split(b)]
-            plan.append((f, segments))
-            count += 1 + len(segments)
+                split = [(b, insts) for insts in _split(b)]
+                segments += split
+                if b.label not in inlined:
+                    self.first[b.static_id] = count + 1 + len(emitted)
+                    emitted += split
+            plan.append((f, loops, segments, emitted))
+            count += 1 + len(emitted)
         source = []
-        for f, segments in plan:
-            self.kept, self.readers = _register_uses(f, segments)
+        for f, loops, segments, emitted in plan:
+            self.loops = loops
+            self.kept, self.deferred, self.readers = _register_uses(f, segments, loops)
             index = entries[f.name]
             self._begin(None)
             self._edge(f, None, f.entry.label)
             self._emit(index, source)
-            for index, (block, insts) in enumerate(segments, index + 1):
+            for index, (block, insts) in enumerate(emitted, index + 1):
                 bid = block.static_id
                 self._begin(bid if self.first[bid] == index else _RECORDED)
                 self._segment(f, block, insts, index + 1)
@@ -545,8 +737,9 @@ class _Generator:
         # register -> the local holding it; fused compare -> its test
         self.lines, self.held, self.fused, self.n_locals = [], {}, {}, 0
         self.entered, self.indent = entered, 1
-        # the block run as a loop, and its kept phi results -> their locals
-        self.loop, self.loop_phis = None, {}
+        # in a loop function: the loop, its header's kept phis -> their
+        # locals, what each exit stores, and counting slot -> its local
+        self.loop, self.loop_phis, self.exit_stores, self.slots = None, {}, [], None
 
     def _emit(self, index, source):
         source.append(f"def s{index}(regs):")
@@ -590,8 +783,19 @@ class _Generator:
         return f"({x} - {1 << bits} if {x} >= {1 << (bits - 1)} else {x})"
 
     def _probe(self, kind, *args):
+        if self.probes[kind] and self.slots is not None:
+            self._line(f"S.steps = {self._slot('S.steps')}")    # a probe may read it
         for name in self.probes[kind]:
             self._line(f"{name}({', '.join(map(str, args))})", _PROBE)
+
+    def _slot(self, slot):
+        """`slot`, or in a loop function the local that holds it."""
+        if self.slots is None:
+            return slot
+        local = self.slots.get(slot)
+        if local is None:
+            local = self.slots[slot] = _SLOT_LOCALS.get(slot) or slot[0].lower() + slot[2:-1]
+        return local
 
     def _observe(self, ins):
         if self.probes["instruction"]:
@@ -603,8 +807,10 @@ class _Generator:
             self._line(text, kind)
 
     def _count_branch(self, site, taken):
-        self._count(f"P[{site}], c = {'TAKEN' if taken else 'NOT_TAKEN'}[P[{site}]]")
-        self._count("C[c] += 1")
+        if self.counting:
+            state = self._slot(f"P[{site}]")
+            self._line(f"{state}, c = {'TAKEN' if taken else 'NOT_TAKEN'}[{state}]")
+            self._line("C[c] += 1")
 
     def _count_access(self, addr, is_store):
         # outside the KeyError `try`, like a probe call
@@ -614,17 +820,36 @@ class _Generator:
     # --- segments and edges -----------------------------------------------
 
     def _segment(self, func, block, insts, resume):
+        loop = self.loops.get(block.label)
+        if loop is None:
+            self._block(func, block, insts, resume)
+            return
+        self.loop, self.slots = loop, {}
+        # every edge into the header has just assigned its kept phis, so
+        # reading them needs no KeyError check
+        for p in block.instructions[:block.phi_count]:
+            if p.result in self.kept:
+                local = self.loop_phis[p.result] = self.held[p.result] = self._new_local()
+                self._line(f"{local} = regs[{p.result!r}]")
+        self.exit_stores = [name for name in self.loop_phis
+                            if any(label not in loop.body for label in self.readers[name])]
+        self.exit_stores += self.deferred.get(block.label, [])
+        start = len(self.lines)
+        self._line("try:", _FLOW)
+        self.indent += 1
+        self._line("while True:", _FLOW)
+        self.indent += 1
+        self._block(func, block, insts, resume)
+        self.indent -= 2
+        slots = self.slots.items()
+        self.lines[start:start] = [(self.indent, f"{local} = {slot}", _PURE)
+                                   for slot, local in slots]
+        self._line("finally:", _FLOW)
+        self.lines += [(self.indent + 1, f"{slot} = {local}", _PURE) for slot, local in slots]
+
+    def _block(self, func, block, insts, resume):
+        """A segment's instructions and the edges of its last one."""
         *body, last = insts
-        if block.label in block.succs and not any(map(_invokes, block.instructions)):
-            # every edge into the block has just assigned its kept phis, so
-            # reading them needs no KeyError check
-            for p in block.instructions[:block.phi_count]:
-                if p.result in self.kept:
-                    local = self.loop_phis[p.result] = self.held[p.result] = self._new_local()
-                    self._line(f"{local} = regs[{p.result!r}]")
-            self.loop = block
-            self._line("while True:", _FLOW)
-            self.indent += 1
         cond = last.operands[0] if last.opcode == "br" and last.operands else None
         # a compare that only this br reads is tested in place
         fused = (cond.name if cond.__class__ is LocalRef and cond.name not in self.kept
@@ -645,7 +870,8 @@ class _Generator:
             else:
                 self._edge(func, block.label, last.labels[0])
         elif last.opcode == "switch":
-            self._switch(func, block, last)
+            value = self._operand(last.operands[0])
+            self._cases(value, _switch_cases(last), func, block.label, last.labels[0])
         elif last.opcode == "ret":
             value = self._operand(last.operands[0]) if last.operands else "None"
             if self.entered != _RECORDED:
@@ -656,27 +882,28 @@ class _Generator:
 
     def _edge(self, func, pred, label):
         """Enter block `label` from block `pred` (None on a call)."""
-        block = func.block_map[label]
-        if block is not self.loop:      # out of the loop, if there is one
-            for name, local in self.loop_phis.items():
-                if any(b is not self.loop for b in self.readers[name]):
-                    self._line(f"regs[{name!r}] = {local}")
-        limit = self.limits.max_steps
-        bid = block.static_id
-        self._line(f"S.steps += {len(block.instructions)}")
-        self._line(f"if S.steps > {limit}: raise SLE({limit})")
-        self._count(f"E[{bid}] += 1")
-        if self.entered == _RECORDED:
-            self._count(f"if {_RECORDED} != {bid}: C[{JUMP}] += 1")
-        elif self.entered not in (None, bid):
-            self._count(f"C[{JUMP}] += 1")
+        block, loop = func.block_map[label], self.loop
+        inside = loop is not None and label in loop.body
+        if loop is not None and not inside:
+            for name in self.exit_stores:
+                self._line(f"regs[{name!r}] = {self.held[name]}")
+        limit, bid = self.limits.max_steps, block.static_id
+        steps = self._slot("S.steps")
+        self._line(f"{steps} += {len(block.instructions)}")
+        self._line(f"if {steps} > {limit}: raise SLE({limit})")
+        if self.counting:
+            self._line(f"{self._slot(f'E[{bid}]')} += 1")
+            if self.entered == _RECORDED:
+                self._line(f"if {_RECORDED} != {bid}: C[{JUMP}] += 1")
+            elif self.entered not in (None, bid):
+                self._line(f"{self._slot(f'C[{JUMP}]')} += 1")
         self._probe("block_enter", bid)
         phis = block.instructions[:block.phi_count]
         values = [self._operand(p.incoming_map[pred]) for p in phis]
         for p in phis:
             self._observe(p)
         kept = [(p.result, value) for p, value in zip(phis, values) if p.result in self.kept]
-        if block is self.loop:
+        if inside and label == loop.header:
             if kept:
                 self._line(f"{', '.join(self.loop_phis[name] for name, _ in kept)}"
                            f" = {', '.join(value for _, value in kept)}")
@@ -684,26 +911,23 @@ class _Generator:
             return
         for name, value in kept:
             self._line(f"regs[{name!r}] = {value}")
-        self._line(f"return {self.first[bid]}", _FLOW)
+        if inside:      # the block runs here, its phis held by the locals of their values
+            self.held.update((p.result, value) for p, value in zip(phis, values))
+            self.entered = bid
+            self._block(func, block, block.instructions[block.phi_count:], None)
+        else:
+            self._line(f"return {self.first[bid]}", _FLOW)
 
     @contextlib.contextmanager
     def _arm(self, test):
         """What is written inside runs under `if test:`; the registers it
-        reads are not held after it."""
-        held = dict(self.held)
+        reads and the blocks it enters are forgotten after it."""
+        held, entered = dict(self.held), self.entered
         self._line(f"if {test}:", _FLOW)
         self.indent += 1
         yield
         self.indent -= 1
-        self.held = held
-
-    def _switch(self, func, block, ins):
-        value, default = self._operand(ins.operands[0]), ins.labels[0]
-        cases = {}
-        for cval, label in ins.cases:      # the first case of a value wins
-            cases.setdefault(cval, label)
-        cases = sorted((v, label) for v, label in cases.items() if label != default)
-        self._cases(value, cases, func, block.label, default)
+        self.held, self.entered = held, entered
 
     def _cases(self, value, cases, func, pred, default):
         """A binary search over `cases`, sorted (value, label) pairs, down to
@@ -805,14 +1029,9 @@ class _Generator:
         addr, ty, nbytes = self._operand(ins.operands[0]), ins.type, ins.type.size()
         fmt = _FORMATS.get(ty.kind)
         unpack = "U" + fmt if fmt else self._bind(_aggregate_unpacker(nbytes), "u")
-        expr = f"LD({addr}, {nbytes}, {unpack})" + (" & 1" if ty.kind == "i1" else "")
-        if self.counting or self.probes["load"]:
-            value = self._new_local()
-            self._line(f"{value} = {expr}")
-            self._count_access(addr, False)
-            self._probe("load", addr, nbytes)
-            expr = value
-        self._define(ins, expr)
+        self._define(ins, f"LD({addr}, {nbytes}, {unpack})" + (" & 1" if ty.kind == "i1" else ""))
+        self._count_access(addr, False)
+        self._probe("load", addr, nbytes)
 
     def _store(self, ins):
         value, addr = (self._operand(o) for o in ins.operands)
@@ -858,10 +1077,10 @@ class Interpreter:
     Construction compiles every segment of the module into one generated
     Python function (see "generated segment functions" above), specialised
     to the probes given here: ProbeSets, and at most one TraceBuilder, whose
-    counts the generated code keeps inline.  A block that branches to
-    itself and calls no function body loops inside its function, its phi
-    values held in locals, with the same counts and probe events on each
-    iteration as an edge that returns to the dispatcher.  Steps are charged
+    counts the generated code keeps inline.  A loop that calls no function
+    body and holds no inner loop runs inside its header's function, its
+    values and counts held in locals, with the same counts, probe events
+    and steps as edges that return to the dispatcher.  Steps are charged
     a whole block at a time, on entry, so `steps` is exact for a run that
     finishes and a run fails with StepLimitExceeded if and only if its
     total exceeds `limits.max_steps`.

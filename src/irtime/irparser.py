@@ -8,6 +8,7 @@ opcodes outside the subset raise UnsupportedOpcodeError so a program we
 cannot simulate faithfully is rejected instead of guessed at.
 """
 
+import itertools
 import re
 
 from .errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
@@ -671,8 +672,7 @@ class _Parser:
                 cur.i = 2
             elif block is None:
                 label = entry_hint
-                if any(l[0].kind in _LABEL_KINDS and len(l) >= 2 and l[1].kind == ":"
-                       and l[0].value == label for l in self.lines[i:]):
+                if self._labels_ahead(i, label):
                     label = label + ".entry"
             if label is not None:
                 if label in labels:
@@ -684,6 +684,17 @@ class _Parser:
                 self._parse_instruction(cur, block)
         raise ParseError("unterminated function body (missing '}')",
                          self.lines[-1][0].line if self.lines else None, 0)
+
+    def _labels_ahead(self, i: int, label: str) -> bool:
+        """Whether a line from `i` up to the function's closing `}` defines
+        `label`."""
+        for line in itertools.islice(self.lines, i, None):
+            if line[0].kind == "}":
+                return False
+            if (line[0].kind in _LABEL_KINDS and len(line) >= 2 and line[1].kind == ":"
+                    and line[0].value == label):
+                return True
+        return False
 
     def _link(self, func: IrFunction):
         """Derive the control-flow graph (block map, successors,

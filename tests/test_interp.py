@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irtime import (
-    Interpreter, ProbeSet, RunLimits, parse_module, parse_file, run,
+    CacheConfig, CacheModel, Interpreter, ProbeSet, RunLimits, TraceBuilder, parse_module,
+    parse_file, run,
 )
 from irtime.errors import (
     StepLimitExceeded, OutOfBoundsAccess, DivisionByZero, StackOverflow,
@@ -1006,6 +1007,109 @@ exit:
     with pytest.raises(UnresolvedReferenceError, match="unresolved register 'x'"):
         interp.execute()
     assert interp.steps == 1 + 5
+
+
+def test_a_result_read_after_a_loop_is_stored_on_its_exit_edge(monkeypatch):
+    sources = []
+    compile_source = interp_module._compile
+    monkeypatch.setattr(interp_module, "_compile",
+                        lambda source: sources.append(source) or compile_source(source))
+    assert _looped(EXAMPLE_B)[0] == 45
+    loop, = {f for f in sources[0].split("\ndef ") if "while True:" in f}
+    # %s.next, which only the exit block reads, is stored once, after the
+    # back edge's `continue`
+    stores = [line.strip() for line in loop.splitlines() if "regs['s.next']" in line]
+    assert len(stores) == 1 and re.fullmatch(r"regs\['s\.next'\] = v\d+", stores[0])
+    assert loop.index(stores[0]) > loop.index("continue")
+
+
+# --- a loop of several blocks ----------------------------------------------------
+# runs inside its header's function, each path through the body inlined
+
+_DIAMOND = """
+@a = global [8 x i32] [i32 1, i32 2, i32 3, i32 4, i32 5, i32 6, i32 7, i32 8]
+
+define i32 @main() {
+entry:
+  br label %walk
+
+walk:
+  %j = phi i32 [ 0, %entry ], [ %j.next, %join ]
+  %sum = phi i32 [ 0, %entry ], [ %sum.next, %join ]
+  %q = getelementptr [8 x i32], ptr @a, i32 0, i32 %j
+  %v = load i32, ptr %q
+  %bit = and i32 %v, 1
+  %odd = icmp ne i32 %bit, 0
+  br i1 %odd, label %odd.path, label %even.path
+
+odd.path:
+  %vo = mul i32 %v, 3
+  br label %join
+
+even.path:
+  %ve = add i32 %v, 100
+  br label %join
+
+join:
+  %v2 = phi i32 [ %vo, %odd.path ], [ %ve, %even.path ]
+  store i32 %v2, ptr %q
+  %sum.next = add i32 %sum, %v2
+  %j.next = add i32 %j, 1
+  %jc = icmp slt i32 %j.next, 8
+  br i1 %jc, label %walk, label %done
+
+done:
+  %r = add i32 %sum.next, %v2
+  ret i32 %r
+}
+"""
+# 3v for odd v, v + 100 for even v; %v2 of the last iteration is 108
+_DIAMOND_SUM = sum(3 * v if v % 2 else v + 100 for v in range(1, 9))
+
+
+def _diamond_path():
+    """(block label, steps once it is entered) of every block entry: the
+    blocks run 1, 7, 2 and 6 instructions, and done 2."""
+    steps, path = 1, [("entry", 1)]
+    for v in range(1, 9):
+        for label, size in (("walk", 7), ("odd.path" if v % 2 else "even.path", 2), ("join", 6)):
+            steps += size
+            path.append((label, steps))
+    return path + [("done", steps + 2)]
+
+
+def test_a_diamond_loop_runs_in_one_function():
+    interp = Interpreter(parse_module(_DIAMOND))
+    calls = _segment_calls(interp)
+    assert interp.execute() == _DIAMOND_SUM + 108
+    assert interp.steps == _diamond_path()[-1][1] == 1 + 8 * 15 + 2
+    # stub, entry, walk, done: odd.path, even.path and join have no function
+    assert calls[1:] == [1, 1, 1, 1]
+
+
+def test_a_probe_reads_the_steps_of_each_block_entry_in_a_loop():
+    m = parse_module(_DIAMOND)
+    labels = {b.static_id: b.label for b in m.functions[0].blocks}
+    seen = []
+    interp = Interpreter(m, ProbeSet(block_enter=lambda b: seen.append((labels[b], interp.steps))))
+    interp.execute()
+    assert seen == _diamond_path()
+    trace = run(m, probes=ProbeSet(block_enter=lambda b: seen.append(b)))
+    assert trace.block_counts == {"main:entry": 1, "main:walk": 8, "main:odd.path": 4,
+                                  "main:even.path": 4, "main:join": 8, "main:done": 1}
+
+
+def test_step_limit_inside_an_inlined_block():
+    m = parse_module(_DIAMOND)
+    # entering the third join takes the steps from 45 to 46
+    assert ("join", 46) in _diamond_path()
+    builder = TraceBuilder(m, CacheModel(CacheConfig()))
+    interp = Interpreter(m, [builder], RunLimits(max_steps=45))
+    with pytest.raises(StepLimitExceeded):
+        interp.execute()
+    assert interp.steps == 46
+    # entry, three walks, odd, even, odd, and two joins were entered
+    assert builder.entries == [1, 3, 2, 1, 2, 0]
 
 
 # --- getelementptr ------------------------------------------------------------

@@ -66,6 +66,27 @@ entry:
     assert [p[0] for p in f.params] == ["0", "1"]
 
 
+def test_the_implicit_entry_label_looks_only_at_its_own_function():
+    # a later `0:` in the same function renames the entry to `0.entry`; one
+    # in the next function does not
+    src = """
+define i32 @f() {
+  ret i32 1
+}
+
+define i32 @main() {
+  br label %0
+
+0:
+  %r = call i32 @f()
+  ret i32 %r
+}
+"""
+    m = parse_module(src)
+    assert [b.label for b in m.function("f").blocks] == ["0"]
+    assert [b.label for b in m.function("main").blocks] == ["0.entry", "0"]
+
+
 def test_global_parsing():
     src = """
 @counter = global i32 42
