@@ -260,14 +260,13 @@ class RegressionTree:
             active = active[self.feature[idx[active]] != _LEAF]
         return self.value[idx]
 
+    def arrays(self):
+        """The five node arrays by name, as a model file stores them."""
+        return {"feature": self.feature, "threshold": self.threshold,
+                "left": self.left, "right": self.right, "value": self.value}
+
     def to_dict(self):
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: a.tolist() for name, a in self.arrays().items()}
 
     @classmethod
     def from_dict(cls, d, n_features):

@@ -17,7 +17,8 @@ monotonically without any line search state.
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -27,12 +28,21 @@ from .errors import (
     EmptyDatasetError, DimensionMismatchError, FormatError, InvalidConfigError,
     SingularDesignError,
 )
-from .trace import read_text, write_lines
+from .trace import read_text
 
 MODEL_FORMAT = "irtime-model"
 MODEL_VERSION = 1
 
 MODEL_KINDS = ("linear", "huber", "forest", "mlp")
+
+
+def _check_finite(params, group):
+    """Raise InvalidConfigError naming the first float field of `params`
+    that is NaN or infinite, which no bound check below would catch."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfigError(f"{group}.{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,7 @@ class HuberParams:
     l2: float = 1e-4
 
     def validate(self):
+        _check_finite(self, "huber")
         if self.epsilon <= 0 or self.max_iter <= 0 or self.l2 < 0:
             raise InvalidConfigError("huber: epsilon and max_iter must be positive, l2 >= 0")
 
@@ -55,6 +66,7 @@ class MlpParams:
     hidden: int = 64
 
     def validate(self):
+        _check_finite(self, "mlp")
         if self.alpha <= 0 or self.batch <= 0 or self.epochs <= 0 or self.hidden <= 0:
             raise InvalidConfigError("mlp: alpha, batch, epochs and hidden must be positive")
         if self.weight_decay < 0:
@@ -70,6 +82,7 @@ class ForestParams:
     max_feature: float = 1.0
 
     def validate(self):
+        _check_finite(self, "forest")
         if self.n_trees <= 0 or self.max_depth <= 0:
             raise InvalidConfigError("forest: n_trees and max_depth must be positive")
         if self.min_split < 2 or self.min_leaf < 1:
@@ -326,11 +339,12 @@ def train_mlp(ds, hyper=None, master_seed=0) -> TrainedModel:
 
 
 def _model_to_dict(model: TrainedModel) -> dict:
+    """The model file's content, each parameter kept as its numpy array."""
     p = model._payload
     if model.kind == "forest":
-        parameters = p["forest"].to_dict()
+        parameters = {"trees": [t.arrays() for t in p["forest"].trees]}
     else:
-        parameters = {name: np.asarray(p[name]).tolist() for name in _SHAPES[model.kind]}
+        parameters = {name: np.asarray(p[name]) for name in _SHAPES[model.kind]}
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -341,6 +355,55 @@ def _model_to_dict(model: TrainedModel) -> dict:
         "dataset_fingerprint": model.dataset_fingerprint,
         "parameters": parameters,
     }
+
+
+def _non_finite(value, where="model"):
+    """Where the first NaN or infinity in `value` sits, or None."""
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, (float, np.ndarray)):
+        return None if np.isfinite(value).all() else where
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, name) for name, v in items)), None)
+
+
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_chunks(value, pad="\n"):
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
+
+    Dicts have str keys; keys and scalars are written by _ENCODE.  A 1-D
+    numeric array is one piece, its items written by repr as json writes
+    floats and ints; any other array is written as its .tolist() would be."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind in "iuf" and value.size:
+            inner = pad + "  "
+            yield "[" + inner + ("," + inner).join(map(repr, value.tolist())) + pad + "]"
+            return
+        value = list(value) if value.ndim > 1 else value.tolist()
+    if isinstance(value, dict):
+        items = [(_ENCODE(k) + ": ", value[k]) for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [("", v) for v in value]
+        brackets = "[]"
+    else:
+        yield _ENCODE(value)
+        return
+    if not items:
+        yield brackets
+        return
+    inner = pad + "  "
+    sep = brackets[0] + inner
+    for head, item in items:
+        yield sep + head
+        yield from _json_chunks(item, inner)
+        sep = "," + inner
+    yield pad + brackets[1]
 
 
 def _arrays(params, shapes, feature_count):
@@ -385,14 +448,17 @@ def _model_from_dict(d, path=None) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write `model` as JSON; a non-finite parameter is a FormatError and
-    leaves no file behind."""
-    try:
-        text = json.dumps(_model_to_dict(model), indent=2, sort_keys=True,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise FormatError(f"model has a non-finite parameter: {exc}", str(path)) from None
-    write_lines(path, [text])
+    """Write `model` as the bytes of json.dumps(..., indent=2, sort_keys=True)
+    plus a newline, one array at a time.  A non-finite number is a
+    FormatError, checked before the file is opened, so it leaves no file
+    behind and an existing one untouched."""
+    d = _model_to_dict(model)
+    where = _non_finite(d)
+    if where is not None:
+        raise FormatError(f"model has a non-finite parameter: {where}", str(path))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_json_chunks(d))
+        fh.write("\n")
 
 
 def load_model(path) -> TrainedModel:

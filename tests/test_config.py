@@ -1,11 +1,13 @@
 import json
+import math
 
 import pytest
 
 from irtime import (
-    CacheConfig, PipelineConfig, PredictorState, RunLimits,
-    config_from_dict, config_from_file,
+    CacheConfig, ForestParams, HuberParams, MlpParams, PipelineConfig,
+    PredictorState, RunLimits, config_from_dict, config_from_file,
 )
+from irtime.cli import main
 from irtime.errors import InvalidConfigError
 
 
@@ -77,6 +79,36 @@ def test_bad_values_rejected():
                  {"hyperparameters": {"mlp": {"hidden": True}}}):
         with pytest.raises(InvalidConfigError):
             config_from_dict(data)
+
+
+_FLOAT_FIELDS = [(HuberParams, "huber", "epsilon"), (HuberParams, "huber", "l2"),
+                 (MlpParams, "mlp", "alpha"), (MlpParams, "mlp", "weight_decay"),
+                 (ForestParams, "forest", "max_feature")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, group, name", _FLOAT_FIELDS)
+def test_non_finite_hyperparameters_rejected(cls, group, name, value):
+    # every bound check is false for NaN, and inf passes the lower bounds
+    with pytest.raises(InvalidConfigError, match=rf"{group}\.{name}"):
+        cls(**{name: value}).validate()
+    with pytest.raises(InvalidConfigError, match=rf"{group}\.{name}"):
+        config_from_dict({"hyperparameters": {group: {name: value}}})
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_hyperparameter_in_file_rejected(tmp_path, capsys, text):
+    # json.loads reads NaN and Infinity, so the file parses and validation
+    # must refuse it, before `train` reads its features or writes a model
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"hyperparameters": {"huber": {"epsilon": %s}}}' % text)
+    with pytest.raises(InvalidConfigError, match=r"huber\.epsilon"):
+        config_from_file(cfg)
+    out = tmp_path / "m.json"
+    assert main(["train", "--features", str(tmp_path / "absent.csv"), "--model", "huber",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    assert "huber.epsilon must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predictor_state_parsed_by_name():

@@ -220,13 +220,16 @@ _PINNED_SHA256 = {
 }
 
 
+def _pipeline_like_dataset():
+    X, y = _pipeline_like_rows()
+    return Dataset(tuple(DatasetRow(f"p{i}", FeatureVector(tuple(row)), float(label))
+                         for i, (row, label) in enumerate(zip(X.tolist(), y.tolist()))))
+
+
 @pytest.mark.parametrize("name", PARAMS.keys())
 def test_saved_forest_bytes_pinned(name, tmp_path):
-    X, y = _pipeline_like_rows()
-    ds = Dataset(tuple(DatasetRow(f"p{i}", FeatureVector(tuple(row)), float(label))
-                       for i, (row, label) in enumerate(zip(X.tolist(), y.tolist()))))
     path = tmp_path / "forest.json"
-    save_model(train_forest(ds, PARAMS[name], master_seed=1), path)
+    save_model(train_forest(_pipeline_like_dataset(), PARAMS[name], master_seed=1), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SHA256[name]
 
 
@@ -264,3 +267,16 @@ def test_fit_forest_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_save_forest_memory_peak(tmp_path):
+    # json.dumps of the forest as Python lists, one 1.75 MB string, peaked at
+    # 10.56 MiB here; the writer holds one array's text at a time
+    model = train_forest(_pipeline_like_dataset(), ForestParams(), master_seed=1)
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "forest.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from irtime import (
     Dataset, DatasetRow, FeatureVector, ForestParams, HuberParams,
@@ -10,7 +13,7 @@ from irtime import (
     load_model, predict, save_model,
     train_forest, train_huber, train_linear, train_mlp,
 )
-from irtime.models import dataset_fingerprint, TRAINERS
+from irtime.models import dataset_fingerprint, TRAINERS, _json_chunks, _non_finite
 from irtime import mlp as mlp_mod
 from irtime.cli import main as cli_main
 from irtime.trace import write_features
@@ -222,7 +225,89 @@ def test_save_refuses_non_finite_parameters(tmp_path):
     with pytest.raises(FormatError) as info:
         save_model(model, path)
     assert str(path) in str(info.value)
+    assert "parameters.weights" in str(info.value)
     assert not path.exists()
+
+    # a NaN in one threshold of one tree
+    rng = np.random.default_rng(3)
+    ds, _, _ = _random_dataset(rng, 12, noise=0.01)
+    forest = train_forest(ds, ForestParams(n_trees=3), 0)
+    forest._payload["forest"].trees[1].threshold[0] = np.nan
+    with pytest.raises(FormatError, match=r"trees\[1\]\.threshold"):
+        save_model(forest, path)
+    assert not path.exists()
+
+    # an infinite hyperparameter, as a model file read back may hold
+    huber = train_huber(ds)
+    huber.hyperparameters["l2"] = math.inf
+    with pytest.raises(FormatError, match=r"hyperparameters\.l2"):
+        save_model(huber, path)
+    assert not path.exists()
+
+    # a refused save over an existing model file leaves it as it was, and
+    # leaves no other file in its directory
+    save_model(train_linear(ds), path)
+    before = path.read_bytes()
+    for refused in (model, forest, huber):
+        with pytest.raises(FormatError):
+            save_model(refused, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+# --- the model file writer: json.dumps(indent=2, sort_keys=True), in pieces ---
+
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1]))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_KEYS = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\n\u00e9\u2028'),
+                max_size=4)
+_ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)
+
+
+def _values(floats):
+    """Nested dicts and lists whose leaves are JSON scalars (floats drawn
+    from `floats`) or 0-d, 1-D and 2-D float, int and bool arrays."""
+    leaves = (st.none() | st.booleans() | st.integers() | floats | _KEYS
+              | hnp.arrays(np.float64, _ARRAY_SHAPES, elements=floats)
+              | hnp.arrays(np.int64, _ARRAY_SHAPES) | hnp.arrays(np.bool_, _ARRAY_SHAPES))
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=12)
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_values(_FINITE))
+@example(value={})
+@example(value={"b": [], "a": {"": np.array(1.5)}, "c": np.zeros((2, 0))})
+@example(value=[np.array([-0.0, 5e-324, 1e16, 0.1]), 2**80, True, None])
+def test_writer_matches_json_dumps(value):
+    want = json.dumps(_plain(value), indent=2, sort_keys=True, allow_nan=False)
+    assert _non_finite(value) is None
+    assert "".join(_json_chunks(value)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_values(_FINITE | _NON_FINITE))
+@example(value={"x": [1.0, {"y": np.array([1.0, np.inf])}]})
+@example(value=np.array(-np.inf))
+def test_writer_refuses_what_json_dumps_refuses(value):
+    # a NaN or an infinity anywhere is found before anything is written
+    try:
+        json.dumps(_plain(value), allow_nan=False)
+    except ValueError:
+        assert _non_finite(value) is not None
+    else:
+        assert _non_finite(value) is None
 
 
 def test_model_file_is_versioned_json(tmp_path):
