@@ -45,7 +45,11 @@ class PipelineConfig:
         return _dump(self)
 
     def to_file(self, path) -> None:
-        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True)])
+        """Write the config as config_from_file reads it; an invalid one
+        raises InvalidConfigError and writes nothing."""
+        self.validate()
+        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                                      allow_nan=False)])
 
 
 def _key(f):
@@ -63,7 +67,7 @@ def _dump(value):
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _build(cls, data, where):
+def dataclass_from_json(cls, data, where):
     """The `cls` dataclass that the JSON object `data` describes, the inverse
     of _dump.  A field whose default is a dataclass is built from a nested
     object, an enum from its name; any other value must have the JSON type
@@ -79,7 +83,7 @@ def _build(cls, data, where):
     for key, value in data.items():
         default, name = fields[key].default, f"{where}.{key}"
         if dataclasses.is_dataclass(default):
-            value = _build(type(default), value, name)
+            value = dataclass_from_json(type(default), value, name)
         elif isinstance(default, enum.Enum):
             names = [m.name for m in type(default)]
             if value not in names:
@@ -95,7 +99,7 @@ def _build(cls, data, where):
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    cfg = _build(PipelineConfig, data, "config")
+    cfg = dataclass_from_json(PipelineConfig, data, "config")
     cfg.validate()
     return cfg
 

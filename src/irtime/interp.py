@@ -449,11 +449,8 @@ _MAX_COPIES = 32
 
 def _switch_cases(ins):
     """The (value, label) cases of a `switch` that leave its default,
-    sorted by value; the first case of a value wins."""
-    cases = {}
-    for value, label in ins.cases:
-        cases.setdefault(value, label)
-    return sorted((v, label) for v, label in cases.items() if label != ins.labels[0])
+    sorted by value; the parser admits each value once."""
+    return sorted(case for case in ins.cases if case[1] != ins.labels[0])
 
 
 def _case_shape(n):

@@ -1,15 +1,21 @@
 """Textual parser for the supported LLVM IR subset.
 
-One pass of one regular expression splits the file into tokens and groups
-them into statements (newlines inside (...) or [...] do not end a
+One findall of one regular expression splits the file into tokens, each a
+plain (kind, value, line, nth) tuple whose kind comes from its first
+character and whose nth counts the tokens before it on its line; the same
+pass groups them into statements (newlines inside (...) or [...] do not end a
 statement), and the parser consumes each statement with a per-opcode
-grammar.  Metadata, attribute groups, and debug decorations are skipped;
-opcodes outside the subset raise UnsupportedOpcodeError so a program we
-cannot simulate faithfully is rejected instead of guessed at.
+grammar.  Columns are computed only for an error: the lexer and the grammar
+raise with the token at fault, and parse_module scans that one line again,
+with a group per kind, to turn it into a ParseError at line:col.
+Metadata, attribute groups, and debug decorations are skipped; opcodes
+outside the subset raise UnsupportedOpcodeError so a program we cannot
+simulate faithfully is rejected instead of guessed at.
 """
 
 import itertools
 import re
+import string
 
 from .errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
 from .irtypes import IrType, SCALARS, PTR, VOID, I1, I32, array_of, signed, struct_of
@@ -71,126 +77,185 @@ MAX_NESTING = 256   # deeper types and initializers would exhaust the Python sta
 _ROUTINE_ARGS = {"memcpy": 3, "memset": 3, "malloc": 1, "calloc": 2}
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
+# One row per kind of token, tried in this order at each position; blanks
+# before a token are part of its match.  Only three pairs can match at one
+# position, and each keeps its order: `c"` is a c-string, not the word `c`;
+# `...` is dots, not a word; and a sigil alone is dangling.  The rest go
+# roughly by how often they occur, as every row tried costs time.  A quoted
+# string stops at its first quote or newline, as neither escape (a hex pair
+# or a doubled backslash) can hold either; the closing quote is optional here
+# so that _unquote checks the escapes of an unterminated string before it
+# reports the missing quote.  No token crosses a newline, so a line scanned
+# alone splits as it does in the whole text.
+_TOKENS = (
+    ("punct", r"[()\[\]{}<>,=*:]"),
+    ("cstr", r'c"[^"\n]*"?'),
+    ("dots", r"\.\.\."),
+    ("word", r"[A-Za-z$._][A-Za-z$._0-9]*"),
+    ("lid", r'%(?:[-A-Za-z$._0-9]+|"[^"\n]*"?)'),
+    ("nl", r"\n"),
+    ("num", r"-?(?:0x[0-9A-Fa-f]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"),
+    ("gid", r'@(?:[-A-Za-z$._0-9]+|"[^"\n]*"?)'),
+    ("comment", r";[^\n]*"),
+    ("str", r'"[^"\n]*"?'),
+    ("md", r"![A-Za-z$._0-9\\]*"),
+    ("attr", r"#\d+"),
+    ("dangling", r"[@%#]"),
+    ("bad", r"[^ \t\r]"),
+)
+_BLANKS = r"[ \t\r]*"
+# the lexer's scan: the text of each token, as one findall
+_FAST_RE = re.compile(_BLANKS + "(" + "|".join(pattern for _, pattern in _TOKENS) + ")")
+# the same scan with a group per kind, to place a token on its line
+_TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join(f"(?P<{kind}>{pattern})"
+                                                  for kind, pattern in _TOKENS) + ")")
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}:{self.value!r}@{self.line}:{self.col}"
-
-
-# One alternative per kind of token, tried in this order at each position.
-# A quoted string stops at its first quote or newline, as neither escape
-# (a hex pair or a doubled backslash) can hold either; the closing quote is
-# optional here so that _unquote checks the escapes of an unterminated string
-# before it reports the missing quote.
-_TOKEN_RE = re.compile(r"""
-      (?P<nl>\n)
-    | [ \t\r]+ | ;[^\n]*
-    | c(?P<cstr>"[^"\n]*"?)
-    | (?P<str>"[^"\n]*"?)
-    | @(?P<gid>[-A-Za-z$._0-9]+|"[^"\n]*"?)
-    | %(?P<lid>[-A-Za-z$._0-9]+|"[^"\n]*"?)
-    | !(?P<md>[A-Za-z$._0-9\\]*)
-    | \#(?P<attr>\d+)
-    | (?P<dangling>[@%\#])
-    | (?P<dots>\.\.\.)
-    | (?P<num>-?(?:0x[0-9A-Fa-f]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))
-    | (?P<word>[A-Za-z$._][A-Za-z$._0-9]*)
-    | (?P<punct>[()\[\]{}<>,=*:])
-    | (?P<bad>.)
-""", re.VERBOSE)
+# A token's kind by its first character.  Four need a second look: `c` may
+# start a word or a c-string, `.` a word or `...`, `-` a number or nothing,
+# and a sigil alone is dangling.  A character missing here starts no token.
+_FIRST_CHAR = {
+    **dict.fromkeys(string.ascii_letters + "$_", "word"),
+    **dict.fromkeys(string.digits, "num"),
+    **dict.fromkeys(",=*:<>{}", "punct"),
+    **dict.fromkeys("([", "open"),
+    **dict.fromkeys(")]", "close"),
+    "c": "c", ".": ".", "-": "-",
+    "@": "gid", "%": "lid", "!": "md", "#": "attr", '"': "str",
+    "\n": "nl", ";": "comment",
+}
 
 # inside a quoted string: an escape, a backslash that starts none, or a lone
 # surrogate, which has no UTF-8 bytes
 _ESCAPE_RE = re.compile(r"\\(?:\\|[0-9A-Fa-f]{2})?|[\ud800-\udfff]")
 
 
+class _TokenFault(Exception):
+    """A fault at a token, which parse_module reports as a ParseError at the
+    token's line and column."""
+
+    def __init__(self, message: str, tok):
+        super().__init__(message)
+        self.message = message
+        self.tok = tok
+
+    def placed(self, text: str) -> ParseError:
+        if self.tok is None:
+            return ParseError(self.message)
+        _, _, line, nth = self.tok
+        return ParseError(self.message, line, _column(text, line, nth))
+
+
+def _column(text: str, line: int, nth: int) -> int:
+    """The column of the `nth` token on `line` of `text`, found by scanning
+    that line again.  A column counts characters from 1."""
+    row = text.split("\n", line)[line - 1]
+    m = next(itertools.islice(_TOKEN_RE.finditer(row), nth, None))
+    return m.start(m.lastgroup) + 1
+
+
 def _statements(text: str):
-    """The statements of `text`, each a list of tokens.  A newline ends a
-    statement unless it falls inside (...) or [...], which is how multi-line
-    switch tables stay parseable.  A column counts characters from 1."""
+    """The statements of `text`, each a list of (kind, value, line, nth)
+    tokens, where nth counts the tokens before it on its line.  A newline
+    ends a statement unless it falls inside (...) or [...], which is how
+    multi-line switch tables stay parseable.  A punctuation token's kind is
+    its text."""
     statements, cur = [], []
-    line, line_start, depth = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:                # blanks and comments
-            continue
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
+    line, nth, depth = 1, 0, 0
+    kind_of = _FIRST_CHAR.get
+    for tok in _FAST_RE.findall(text):
+        kind = kind_of(tok[0], "bad")
+        if kind == "punct":
+            cur.append((tok, tok, line, nth))
+        elif kind == "word" or kind == "num":
+            cur.append((kind, tok, line, nth))
+        elif kind == "lid" or kind == "gid":
+            value = tok[1:]
+            if not value:
+                raise _TokenFault(f"dangling '{tok}'", (kind, tok, line, nth))
+            if value[0] == '"':
+                value = _unquote(value, (kind, tok, line, nth)).decode("latin-1")
+            cur.append((kind, value, line, nth))
+        elif kind == "nl":
+            line += 1
+            nth = 0
             if depth == 0 and cur:
                 statements.append(cur)
                 cur = []
             continue
-        value = m.group(kind)
-        col = m.start() - line_start + 1
-        if kind == "punct":
-            kind = value
-            if value in "([":
-                depth += 1
-            elif value in ")]" and depth:
+        elif kind == "open":
+            depth += 1
+            cur.append((tok, tok, line, nth))
+        elif kind == "close":
+            if depth:
                 depth -= 1
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        elif kind == "dangling":
-            raise ParseError(f"dangling '{value}'", line, col)
-        elif value[:1] == '"':          # a string, or a quoted name
-            value = _unquote(value, line, col)
-            if kind != "cstr":
-                value = value.decode("latin-1")
-        cur.append(Token(kind, value, line, col))
+            cur.append((tok, tok, line, nth))
+        elif kind == "c":
+            if tok[1:2] == '"':
+                cur.append(("cstr", _unquote(tok[1:], (kind, tok, line, nth)), line, nth))
+            else:
+                cur.append(("word", tok, line, nth))
+        elif kind == "comment":
+            continue
+        elif kind == "md":
+            cur.append((kind, tok[1:], line, nth))
+        elif kind == "attr":
+            if len(tok) == 1:
+                raise _TokenFault("dangling '#'", (kind, tok, line, nth))
+            cur.append((kind, tok[1:], line, nth))
+        elif kind == "str":
+            cur.append((kind, _unquote(tok, (kind, tok, line, nth)).decode("latin-1"), line, nth))
+        elif kind == ".":
+            cur.append(("dots" if tok == "..." else "word", tok, line, nth))
+        elif kind == "-" and len(tok) > 1:
+            cur.append(("num", tok, line, nth))
+        else:
+            raise _TokenFault(f"unexpected character {tok!r}", (kind, tok, line, nth))
+        nth += 1
     if cur:
         statements.append(cur)
     return statements
 
 
-def _unquote(quoted: str, line: int, col: int) -> bytes:
-    """The bytes of a quoted string whose token starts at line:col.  Escapes
-    are the IR printer's: a backslash followed by two hex digits, or a
-    doubled backslash.  Any other character stands for its UTF-8 bytes, as
-    LLVM reads the file as bytes."""
+def _unquote(quoted: str, tok) -> bytes:
+    """The bytes of the string `quoted`, with its quotes; a fault in it is
+    raised at token `tok`.  Escapes are the IR printer's: a backslash
+    followed by two hex digits, or a doubled backslash.  Any other character
+    stands for its UTF-8 bytes, as LLVM reads the file as bytes."""
     closed = len(quoted) > 1 and quoted[-1] == '"'
     body = quoted[1:-1] if closed else quoted[1:]
     out, pos = bytearray(), 0
     for m in _ESCAPE_RE.finditer(body):
         esc = m.group()
         if esc[0] != "\\":
-            raise ParseError(f"unexpected character {esc!r}", line, col)
+            raise _TokenFault(f"unexpected character {esc!r}", tok)
         if len(esc) == 1:
-            raise ParseError("bad string escape", line, col)
+            raise _TokenFault("bad string escape", tok)
         out += body[pos:m.start()].encode()
         out.append(0x5C if esc == "\\\\" else int(esc[1:], 16))
         pos = m.end()
     if not closed:
-        raise ParseError("unterminated string", line, col)
+        raise _TokenFault("unterminated string", tok)
     return bytes(out + body[pos:].encode())
 
 
-def _end_block(block: IrBlock, tok: Token):
+def _end_block(block: IrBlock, tok):
     """`tok` starts the next block or closes the function."""
     if not block.instructions or block.instructions[-1].opcode not in TERMINATORS:
-        raise ParseError(f"block '%{block.label}' does not end with a terminator",
-                         tok.line, tok.col)
+        raise _TokenFault(f"block '%{block.label}' does not end with a terminator", tok)
 
 
 def _too_deep(tok):
-    return ParseError(f"type or initializer nested more than {MAX_NESTING} levels deep",
-                      tok.line, tok.col)
+    return _TokenFault(f"type or initializer nested more than {MAX_NESTING} levels deep", tok)
 
 
 def _typed_operand_follows(cur):
     """Whether `cur` is at a comma and a type, which start one more operand
     (not `, align N` or metadata)."""
     tok, nxt = cur.peek(), cur.peek(1)
-    return (tok is not None and tok.kind == "," and nxt is not None
-            and (nxt.kind in ("[", "{", "lid")
-                 or (nxt.kind == "word"
-                     and (nxt.value in SCALARS or re.fullmatch(r"i\d+", nxt.value) is not None))))
+    return (tok is not None and tok[0] == "," and nxt is not None
+            and (nxt[0] in ("[", "{", "lid")
+                 or (nxt[0] == "word"
+                     and (nxt[1] in SCALARS or re.fullmatch(r"i\d+", nxt[1]) is not None))))
 
 
 def _fold_gep(src, indices, line):
@@ -243,37 +308,33 @@ class _Cursor:
     def next(self):
         tok = self.peek()
         if tok is None:
-            last = self.toks[-1] if self.toks else None
-            raise ParseError("unexpected end of statement",
-                             last.line if last else None, last.col if last else None)
+            raise _TokenFault("unexpected end of statement", self.toks[-1] if self.toks else None)
         self.i += 1
         return tok
 
     def expect(self, kind, value=None):
         tok = self.next()
-        if tok.kind != kind or (value is not None and tok.value != value):
+        if tok[0] != kind or (value is not None and tok[1] != value):
             want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.value!r}", tok.line, tok.col)
+            raise _TokenFault(f"expected {want!r}, found {tok[1]!r}", tok)
         return tok
 
     def expect_count(self):
         """A non-negative decimal integer, as an int."""
         tok = self.expect("num")
-        if not tok.value.isdigit():
-            raise ParseError(f"expected a non-negative integer, found {tok.value!r}",
-                             tok.line, tok.col)
-        return int(tok.value)
+        if not tok[1].isdigit():
+            raise _TokenFault(f"expected a non-negative integer, found {tok[1]!r}", tok)
+        return int(tok[1])
 
     def accept(self, kind, value=None):
         tok = self.peek()
-        if tok is not None and tok.kind == kind and (value is None or tok.value == value):
+        if tok is not None and tok[0] == kind and (value is None or tok[1] == value):
             self.i += 1
             return tok
         return None
 
     def error(self, msg):
-        tok = self.peek() or (self.toks[-1] if self.toks else None)
-        raise ParseError(msg, tok.line if tok else None, tok.col if tok else None)
+        raise _TokenFault(msg, self.peek() or (self.toks[-1] if self.toks else None))
 
 
 class _Parser:
@@ -284,17 +345,18 @@ class _Parser:
         self.types = {}            # name -> IrType (resolved)
         self._resolving = []
         self._global_refs = []     # every @name token read as a value
+        self._defined = {}         # @name -> "global" or "function"
         self.module = IrModule(source_name=source_name)
 
     # --- types ----------------------------------------------------------
 
-    def resolve_named(self, name: str, where: Token, depth: int = 0) -> IrType:
+    def resolve_named(self, name: str, where, depth: int = 0) -> IrType:
         if name in self.types:
             return self.types[name]
         if name not in self.type_defs:
-            raise ParseError(f"unknown type '%{name}'", where.line, where.col)
+            raise _TokenFault(f"unknown type '%{name}'", where)
         if name in self._resolving:
-            raise ParseError(f"type '%{name}' nests itself by value", where.line, where.col)
+            raise _TokenFault(f"type '%{name}' nests itself by value", where)
         self._resolving.append(name)
         cur = _Cursor(self.type_defs[name])
         if cur.accept("word", "opaque"):
@@ -311,20 +373,19 @@ class _Parser:
         tok = cur.next()
         if depth > MAX_NESTING:
             raise _too_deep(tok)
-        if tok.kind == "word":
-            base = SCALARS.get(tok.value)
+        if tok[0] == "word":
+            base = SCALARS.get(tok[1])
             if base is None:
-                if re.fullmatch(r"i\d+", tok.value):
-                    raise ParseError(f"unsupported integer width '{tok.value}'",
-                                     tok.line, tok.col)
-                raise ParseError(f"expected a type, found {tok.value!r}", tok.line, tok.col)
-        elif tok.kind == "[":
+                if re.fullmatch(r"i\d+", tok[1]):
+                    raise _TokenFault(f"unsupported integer width '{tok[1]}'", tok)
+                raise _TokenFault(f"expected a type, found {tok[1]!r}", tok)
+        elif tok[0] == "[":
             count = cur.expect_count()
             cur.expect("word", "x")
             elem = self.parse_sized_type(cur, "an array element", depth + 1)
             cur.expect("]")
             base = array_of(elem, count)
-        elif tok.kind == "{":
+        elif tok[0] == "{":
             fields = []
             if not cur.accept("}"):
                 while True:
@@ -333,17 +394,16 @@ class _Parser:
                         break
                     cur.expect(",")
             base = struct_of(fields)
-        elif tok.kind == "lid":
-            if cur.peek() is not None and cur.peek().kind == "*":
+        elif tok[0] == "lid":
+            if cur.peek() is not None and cur.peek()[0] == "*":
                 while cur.accept("*"):
                     pass
                 return PTR
-            base = self.resolve_named(tok.value, tok, depth + 1)
-        elif tok.kind == "<":
-            raise ParseError("vector and packed struct types are not supported",
-                             tok.line, tok.col)
+            base = self.resolve_named(tok[1], tok, depth + 1)
+        elif tok[0] == "<":
+            raise _TokenFault("vector and packed struct types are not supported", tok)
         else:
-            raise ParseError(f"expected a type, found {tok.value!r}", tok.line, tok.col)
+            raise _TokenFault(f"expected a type, found {tok[1]!r}", tok)
         while cur.accept("*"):
             base = PTR
         if base.depth > MAX_NESTING:    # named types can stack cached depth
@@ -355,42 +415,41 @@ class _Parser:
         tok = cur.peek()
         ty = self.parse_type(cur, depth)
         if ty.kind == "void":
-            raise ParseError(f"{what} cannot be void", tok.line, tok.col)
+            raise _TokenFault(f"{what} cannot be void", tok)
         return ty
 
     # --- constants and operands ------------------------------------------
 
     def parse_value(self, cur: _Cursor, ty: IrType):
         tok = cur.next()
-        if tok.kind == "lid":
-            return LocalRef(tok.value, ty)
-        if tok.kind == "gid":
+        if tok[0] == "lid":
+            return LocalRef(tok[1], ty)
+        if tok[0] == "gid":
             self._global_refs.append(tok)
-            return GlobalRef(tok.value)
-        if tok.kind == "num":
+            return GlobalRef(tok[1])
+        if tok[0] == "num":
             return Const(ty, self._number(tok, ty))
-        if tok.kind == "word":
-            if tok.value == "true":
+        if tok[0] == "word":
+            if tok[1] == "true":
                 return Const(I1, 1)
-            if tok.value == "false":
+            if tok[1] == "false":
                 return Const(I1, 0)
-            if tok.value == "null":
+            if tok[1] == "null":
                 return Const(PTR, 0)
-            if tok.value in ("undef", "poison"):
+            if tok[1] in ("undef", "poison"):
                 return Const(ty, 0.0 if ty.is_float() else 0)
-            if tok.value == "zeroinitializer":
+            if tok[1] == "zeroinitializer":
                 if ty.is_float():
                     return Const(ty, 0.0)
                 if ty.is_int() or ty.kind == "ptr":
                     return Const(ty, 0)
-                raise ParseError("aggregate operands are not supported here",
-                                 tok.line, tok.col)
-            if tok.value == "getelementptr":
+                raise _TokenFault("aggregate operands are not supported here", tok)
+            if tok[1] == "getelementptr":
                 return self.parse_const_gep(cur)
-        raise ParseError(f"expected a value, found {tok.value!r}", tok.line, tok.col)
+        raise _TokenFault(f"expected a value, found {tok[1]!r}", tok)
 
-    def _number(self, tok: Token, ty: IrType):
-        text = tok.value
+    def _number(self, tok, ty: IrType):
+        text = tok[1]
         try:
             if ty.is_float():
                 if text.lstrip("-").startswith("0x"):
@@ -404,8 +463,8 @@ class _Parser:
                 bits = 32 if ty.kind == "ptr" else ty.int_bits
                 return value & ((1 << bits) - 1)
         except (ValueError, OverflowError):      # not a number, or a double over 64 bits
-            raise ParseError(f"bad {ty!r} literal {text!r}", tok.line, tok.col) from None
-        raise ParseError(f"literal not valid for type {ty!r}", tok.line, tok.col)
+            raise _TokenFault(f"bad {ty!r} literal {text!r}", tok) from None
+        raise _TokenFault(f"literal not valid for type {ty!r}", tok)
 
     def parse_const_gep(self, cur: _Cursor) -> ConstGep:
         cur.accept("word", "inbounds")
@@ -418,10 +477,9 @@ class _Parser:
         indices = self._gep_indices(cur)
         cur.expect(")")
         if any(op.__class__ is not Const for op, _ in indices):
-            raise ParseError("constant getelementptr indices must be integer literals",
-                             base_tok.line, base_tok.col)
-        offset, _ = _fold_gep(src, indices, base_tok.line)
-        return ConstGep(GlobalRef(base_tok.value), offset)
+            raise _TokenFault("constant getelementptr indices must be integer literals", base_tok)
+        offset, _ = _fold_gep(src, indices, base_tok[2])
+        return ConstGep(GlobalRef(base_tok[1]), offset)
 
     def _gep_indices(self, cur: _Cursor):
         """The `, type value` indices of a getelementptr, as (operand, type)."""
@@ -441,14 +499,14 @@ class _Parser:
             tok = cur.peek()
             if tok is None:
                 return
-            if tok.kind == "md" or tok.kind == "attr":
+            if tok[0] == "md" or tok[0] == "attr":
                 cur.next()
                 continue
-            if tok.kind != "word":
+            if tok[0] != "word":
                 return
-            if tok.value in _VALUE_WORDS or tok.value in SCALARS:
+            if tok[1] in _VALUE_WORDS or tok[1] in SCALARS:
                 return
-            if tok.value == "align":
+            if tok[1] == "align":
                 cur.next()
                 cur.expect_count()
                 continue
@@ -458,9 +516,9 @@ class _Parser:
                 depth = 1
                 while depth:
                     t = cur.next()
-                    if t.kind == "(":
+                    if t[0] == "(":
                         depth += 1
-                    elif t.kind == ")":
+                    elif t[0] == ")":
                         depth -= 1
             continue
 
@@ -471,85 +529,96 @@ class _Parser:
         while i < len(self.lines):
             line = self.lines[i]
             first = line[0]
-            if first.kind == "md" or (
-                first.kind == "word"
-                and (first.value in ("source_filename", "target", "attributes", "module")
-                     or first.value.startswith("$"))
+            if first[0] == "md" or (
+                first[0] == "word"
+                and (first[1] in ("source_filename", "target", "attributes", "module")
+                     or first[1].startswith("$"))
             ):
                 i += 1
                 continue
-            if first.kind == "lid":
+            if first[0] == "lid":
                 self._collect_type_def(line)
                 i += 1
                 continue
-            if first.kind == "word" and first.value == "declare":
+            if first[0] == "word" and first[1] == "declare":
                 self._parse_declare(line)
                 i += 1
                 continue
-            if first.kind == "gid":
+            if first[0] == "gid":
                 self._parse_global(line)
                 i += 1
                 continue
-            if first.kind == "word" and first.value == "define":
+            if first[0] == "word" and first[1] == "define":
                 i = self._parse_define(i)
                 continue
-            raise ParseError(f"unexpected top-level token {first.value!r}",
-                             first.line, first.col)
+            raise _TokenFault(f"unexpected top-level token {first[1]!r}", first)
         self._finish()
         return self.module
 
     def _collect_type_def(self, line):
         cur = _Cursor(line)
-        name = cur.expect("lid").value
+        name = cur.expect("lid")[1]
         cur.expect("=")
         cur.expect("word", "type")
         self.type_defs[name] = line[cur.i:]
 
     def _parse_declare(self, line):
-        if not any(tok.kind == "gid" for tok in line):
-            raise ParseError("declare without a function name", line[0].line, line[0].col)
+        if not any(tok[0] == "gid" for tok in line):
+            raise _TokenFault("declare without a function name", line[0])
+
+    def _define(self, tok, what: str) -> str:
+        """Claim the `@` name that `tok` defines for a global or a function,
+        and return it.  Each name is defined once, by one or the other."""
+        name = tok[1]
+        prev = self._defined.get(name)
+        if prev == what:
+            raise _TokenFault(f"duplicate {what} definition '@{name}'", tok)
+        if prev is not None:
+            raise _TokenFault(f"{what} '@{name}' has the name of a {prev}", tok)
+        self._defined[name] = what
+        return name
 
     def _parse_global(self, line):
         cur = _Cursor(line)
-        name = cur.expect("gid").value
+        name = self._define(cur.expect("gid"), "global")
         cur.expect("=")
         is_const = False
         while True:
             tok = cur.peek()
             if tok is None:
                 cur.error("global definition without a body")
-            if tok.kind == "word" and tok.value in _LINKAGE_WORDS:
+            if tok[0] == "word" and tok[1] in _LINKAGE_WORDS:
                 cur.next()
-                if tok.value == "constant":
+                if tok[1] == "constant":
                     is_const = True
                     break
-                if tok.value == "global":
+                if tok[1] == "global":
                     break
                 continue
-            if tok.kind == "word" and tok.value in ("thread_local", "addrspace"):
+            if tok[0] == "word" and tok[1] in ("thread_local", "addrspace"):
                 cur.next()
                 if cur.accept("("):
                     while not cur.accept(")"):
                         cur.next()
                 continue
-            cur.error(f"unexpected token {tok.value!r} in global definition")
+            cur.error(f"unexpected token {tok[1]!r} in global definition")
         ty = self.parse_sized_type(cur, "a global")
         init = None
         tok = cur.peek()
-        if tok is not None and tok.kind != ",":
+        if tok is not None and tok[0] != ",":
             init = self._parse_init(cur, ty)
         align = 0
         while cur.accept(","):
             tok = cur.peek()
             if tok is None:
                 break
-            if tok.kind == "word" and tok.value == "align":
+            if tok[0] == "word" and tok[1] == "align":
                 cur.next()
                 align = cur.expect_count()
             else:
                 # section, comdat, !annotations: decoration we do not model
                 cur.next()
-                while cur.peek() is not None and cur.peek().kind not in (",",):
+                while cur.peek() is not None and cur.peek()[0] not in (",",):
                     cur.next()
         self.module.globals.append(GlobalVar(name, ty, init, is_const, align))
 
@@ -559,13 +628,13 @@ class _Parser:
             cur.error("missing initializer")
         if depth > MAX_NESTING:
             raise _too_deep(tok)
-        if tok.kind == "cstr":
+        if tok[0] == "cstr":
             cur.next()
-            return tok.value
-        if tok.kind == "word" and tok.value == "zeroinitializer":
+            return tok[1]
+        if tok[0] == "word" and tok[1] == "zeroinitializer":
             cur.next()
             return ("zero",)
-        if tok.kind == "word" and tok.value in ("undef", "poison"):
+        if tok[0] == "word" and tok[1] in ("undef", "poison"):
             cur.next()
             return ("zero",)
         if ty.kind in ("array", "struct"):
@@ -584,7 +653,7 @@ class _Parser:
             else:
                 matches = types == list(ty.fields)
             if not matches:
-                raise ParseError(f"initializer does not match type {ty!r}", tok.line, tok.col)
+                raise _TokenFault(f"initializer does not match type {ty!r}", tok)
             return items
         value = self.parse_value(cur, ty)
         if isinstance(value, Const):
@@ -602,35 +671,33 @@ class _Parser:
             tok = cur.peek()
             if tok is None:
                 cur.error("truncated function definition")
-            if tok.kind in ("md", "attr"):
+            if tok[0] in ("md", "attr"):
                 cur.next()
                 continue
-            if tok.kind == "word" and (tok.value in _LINKAGE_WORDS or tok.value in _CCONV_WORDS):
+            if tok[0] == "word" and (tok[1] in _LINKAGE_WORDS or tok[1] in _CCONV_WORDS):
                 cur.next()
-                if tok.value == "cc":
+                if tok[1] == "cc":
                     cur.accept("num")
                 continue
-            if tok.kind == "word" and tok.value in _RETURN_ATTR_WORDS:
+            if tok[0] == "word" and tok[1] in _RETURN_ATTR_WORDS:
                 cur.next()
                 continue
             break
         ret_ty = self.parse_type(cur)
         name_tok = cur.expect("gid")
-        if self.module.has_function(name_tok.value):
-            raise ParseError(f"duplicate function definition '@{name_tok.value}'",
-                             name_tok.line, name_tok.col)
+        self._define(name_tok, "function")
         cur.expect("(")
         params = []
         auto = 0
         if not cur.accept(")"):
             while True:
-                if cur.peek() is not None and cur.peek().kind == "dots":
+                if cur.peek() is not None and cur.peek()[0] == "dots":
                     cur.error("variadic functions are not supported")
                 pty = self.parse_type(cur)
                 self._skip_attrs(cur)
                 ptok = cur.accept("lid")
                 if ptok is not None:
-                    pname = ptok.value
+                    pname = ptok[1]
                     if pname == str(auto):
                         auto += 1
                 else:
@@ -642,11 +709,11 @@ class _Parser:
                 cur.expect(",")
         while not cur.at_end():
             tok = cur.next()
-            if tok.kind == "{":
+            if tok[0] == "{":
                 if not cur.at_end():
                     cur.error("code on the same line as '{'")
                 return self._parse_body(line_index + 1,
-                                        IrFunction(name_tok.value, ret_ty, params),
+                                        IrFunction(name_tok[1], ret_ty, params),
                                         entry_hint=str(auto))
         cur.error("function definition without a body")
 
@@ -657,18 +724,18 @@ class _Parser:
             line = self.lines[i]
             first = line[0]
             i += 1
-            if first.kind == "}":
+            if first[0] == "}":
                 if block is None:
-                    raise ParseError("function has no blocks", first.line, first.col)
+                    raise _TokenFault("function has no blocks", first)
                 _end_block(block, first)
                 self._link(func)
                 return i
             cur = _Cursor(line)
             label = None
-            if len(line) >= 2 and first.kind in _LABEL_KINDS and line[1].kind == ":":
+            if len(line) >= 2 and first[0] in _LABEL_KINDS and line[1][0] == ":":
                 if block is not None:
                     _end_block(block, first)
-                label = first.value
+                label = first[1]
                 cur.i = 2
             elif block is None:
                 label = entry_hint
@@ -676,23 +743,23 @@ class _Parser:
                     label = label + ".entry"
             if label is not None:
                 if label in labels:
-                    raise ParseError(f"duplicate block label '%{label}'", first.line, first.col)
+                    raise _TokenFault(f"duplicate block label '%{label}'", first)
                 labels.add(label)
                 block = IrBlock(label=label)
                 func.blocks.append(block)
             if not cur.at_end():
                 self._parse_instruction(cur, block)
         raise ParseError("unterminated function body (missing '}')",
-                         self.lines[-1][0].line if self.lines else None, 0)
+                         self.lines[-1][0][2] if self.lines else None, 0)
 
     def _labels_ahead(self, i: int, label: str) -> bool:
         """Whether a line from `i` up to the function's closing `}` defines
         `label`."""
         for line in itertools.islice(self.lines, i, None):
-            if line[0].kind == "}":
+            if line[0][0] == "}":
                 return False
-            if (line[0].kind in _LABEL_KINDS and len(line) >= 2 and line[1].kind == ":"
-                    and line[0].value == label):
+            if (line[0][0] in _LABEL_KINDS and len(line) >= 2 and line[1][0] == ":"
+                    and line[0][1] == label):
                 return True
         return False
 
@@ -746,23 +813,23 @@ class _Parser:
         """Parse one instruction and append it to `block`."""
         first = cur.peek()
         result = None
-        if first.kind == "lid":
+        if first[0] == "lid":
             cur.next()
             cur.expect("=")
-            result = first.value
+            result = first[1]
         tok = cur.next()
-        if tok.kind != "word":
-            raise ParseError(f"expected an opcode, found {tok.value!r}", tok.line, tok.col)
-        opcode = tok.value
+        if tok[0] != "word":
+            raise _TokenFault(f"expected an opcode, found {tok[1]!r}", tok)
+        opcode = tok[1]
         if opcode in ("tail", "musttail", "notail"):
             tok = cur.expect("word", "call")
             opcode = "call"
         if opcode not in SUPPORTED_OPCODES:
             if opcode in KNOWN_LLVM_OPCODES:
-                raise UnsupportedOpcodeError(opcode, tok.line)
-            raise ParseError(f"unknown opcode {opcode!r}", tok.line, tok.col)
+                raise UnsupportedOpcodeError(opcode, tok[2])
+            raise _TokenFault(f"unknown opcode {opcode!r}", tok)
 
-        ins = IrInstruction(opcode=opcode, result=result, line=tok.line)
+        ins = IrInstruction(opcode=opcode, result=result, line=tok[2])
         if opcode in _CASTS:
             self._ins_cast(cur, ins)
         elif opcode in _PREDICATES:
@@ -773,40 +840,39 @@ class _Parser:
         produces = not (opcode in TERMINATORS or opcode == "store"
                         or (opcode == "call" and ins.type is VOID))
         if (result is not None) != produces:
-            raise ParseError(f"'{opcode}' {'must assign its' if produces else 'cannot produce a'}"
-                             " result", tok.line, tok.col)
+            raise _TokenFault(f"'{opcode}' {'must assign its' if produces else 'cannot produce a'}"
+                             " result", tok)
         if block.instructions:
             prev = block.instructions[-1].opcode
             if prev in TERMINATORS:
-                raise ParseError(f"'{opcode}' after the terminator of block '%{block.label}'",
-                                 first.line, first.col)
+                raise _TokenFault(f"'{opcode}' after the terminator of block '%{block.label}'", first)
             if opcode == "phi" and prev != "phi":
-                raise ParseError("phi after a non-phi instruction", first.line, first.col)
+                raise _TokenFault("phi after a non-phi instruction", first)
         block.instructions.append(ins)
 
     def _finish_statement(self, cur: _Cursor, ins: IrInstruction):
         while not cur.at_end():
             tok = cur.peek()
-            if tok.kind in ("md", "attr"):
+            if tok[0] in ("md", "attr"):
                 cur.next()
                 continue
-            if tok.kind == ",":
+            if tok[0] == ",":
                 nxt = cur.peek(1)
-                if nxt is not None and nxt.kind == "word" and nxt.value == "align":
+                if nxt is not None and nxt[0] == "word" and nxt[1] == "align":
                     cur.next()
                     cur.next()
                     ins.align = cur.expect_count()
                     continue
-                if nxt is not None and nxt.kind == "md":
+                if nxt is not None and nxt[0] == "md":
                     cur.next()
                     continue
-            cur.error(f"unexpected trailing token {tok.value!r}")
+            cur.error(f"unexpected trailing token {tok[1]!r}")
 
     def _skip_flags(self, cur: _Cursor, words=_FLAG_WORDS):
         """Skip a run of `words`, and the number after `cc`."""
-        while (tok := cur.peek()) is not None and tok.kind == "word" and tok.value in words:
+        while (tok := cur.peek()) is not None and tok[0] == "word" and tok[1] in words:
             cur.next()
-            if tok.value == "cc":
+            if tok[1] == "cc":
                 cur.accept("num")
 
     def _ins_binop(self, cur: _Cursor, ins: IrInstruction):
@@ -833,9 +899,8 @@ class _Parser:
     def _ins_cmp(self, cur, ins):
         self._skip_flags(cur)
         pred = cur.expect("word")
-        if pred.value not in _PREDICATES[ins.opcode]:
-            raise ParseError(f"unknown {ins.opcode} predicate {pred.value!r}",
-                             pred.line, pred.col)
+        if pred[1] not in _PREDICATES[ins.opcode]:
+            raise _TokenFault(f"unknown {ins.opcode} predicate {pred[1]!r}", pred)
         ty = self.parse_type(cur)
         if ins.opcode == "fcmp" and not ty.is_float():
             cur.error("'fcmp' needs a float type")
@@ -844,7 +909,7 @@ class _Parser:
         a = self.parse_value(cur, ty)
         cur.expect(",")
         b = self.parse_value(cur, ty)
-        ins.pred = pred.value
+        ins.pred = pred[1]
         ins.type = I1
         ins.operands = [a, b]
 
@@ -884,7 +949,7 @@ class _Parser:
 
     def _ins_load(self, cur, ins):
         self._skip_flags(cur)
-        if cur.peek() is not None and cur.peek().kind == "word" and cur.peek().value == "atomic":
+        if cur.peek() is not None and cur.peek()[0] == "word" and cur.peek()[1] == "atomic":
             cur.error("atomic loads are not supported")
         ty = self.parse_sized_type(cur, "'load'")
         cur.expect(",")
@@ -893,13 +958,12 @@ class _Parser:
 
     def _ins_store(self, cur, ins):
         self._skip_flags(cur)
-        if cur.peek() is not None and cur.peek().kind == "word" and cur.peek().value == "atomic":
+        if cur.peek() is not None and cur.peek()[0] == "word" and cur.peek()[1] == "atomic":
             cur.error("atomic stores are not supported")
         tok = cur.peek()
         ty = self.parse_sized_type(cur, "'store'")
         if ty.kind in ("array", "struct"):
-            raise ParseError(f"'store' of an aggregate value {ty!r} is not supported",
-                             tok.line, tok.col)
+            raise _TokenFault(f"'store' of an aggregate value {ty!r} is not supported", tok)
         val = self.parse_value(cur, ty)
         cur.expect(",")
         ins.type = ty
@@ -926,7 +990,7 @@ class _Parser:
             cur.expect(",")
             lbl = cur.expect("lid")
             cur.expect("]")
-            ins.incoming.append((val, lbl.value))
+            ins.incoming.append((val, lbl[1]))
             if not cur.accept(","):
                 break
 
@@ -934,21 +998,21 @@ class _Parser:
         self._skip_flags(cur)
         self._skip_flags(cur, _CALL_PREFIX_WORDS)
         rty = self.parse_type(cur)
-        if cur.peek() is not None and cur.peek().kind == "(":
+        if cur.peek() is not None and cur.peek()[0] == "(":
             # explicit function-type suffix, e.g. `call i32 (ptr, ...) @f(...)`
             depth = 0
             while True:
                 t = cur.next()
-                if t.kind == "(":
+                if t[0] == "(":
                     depth += 1
-                elif t.kind == ")":
+                elif t[0] == ")":
                     depth -= 1
                     if depth == 0:
                         break
         callee_tok = cur.peek()
-        if callee_tok is not None and callee_tok.kind == "lid":
+        if callee_tok is not None and callee_tok[0] == "lid":
             cur.error("indirect calls are not supported")
-        callee = cur.expect("gid").value
+        callee = cur.expect("gid")[1]
         cur.expect("(")
         args = []
         if not cur.accept(")"):
@@ -966,7 +1030,7 @@ class _Parser:
 
     def _ins_br(self, cur, ins):
         if cur.accept("word", "label"):
-            ins.labels = [cur.expect("lid").value]
+            ins.labels = [cur.expect("lid")[1]]
             return
         ty = self.parse_type(cur)
         if ty is not I1:
@@ -974,10 +1038,10 @@ class _Parser:
         cond = self.parse_value(cur, ty)
         cur.expect(",")
         cur.expect("word", "label")
-        t = cur.expect("lid").value
+        t = cur.expect("lid")[1]
         cur.expect(",")
         cur.expect("word", "label")
-        f = cur.expect("lid").value
+        f = cur.expect("lid")[1]
         ins.operands = [cond]
         ins.labels = [t, f]
 
@@ -988,16 +1052,19 @@ class _Parser:
         val = self.parse_value(cur, ty)
         cur.expect(",")
         cur.expect("word", "label")
-        default = cur.expect("lid").value
+        default = cur.expect("lid")[1]
         cur.expect("[")
-        cases = []
+        cases, seen = [], set()
         while not cur.accept("]"):
             cty = self.parse_type(cur)
             ctok = cur.expect("num")
             cval = self._number(ctok, cty)
+            if cval in seen:
+                raise _TokenFault(f"duplicate 'switch' case value {ctok[1]}", ctok)
+            seen.add(cval)
             cur.expect(",")
             cur.expect("word", "label")
-            cases.append((cval, cur.expect("lid").value))
+            cases.append((cval, cur.expect("lid")[1]))
         ins.type = ty
         ins.operands = [val]
         ins.labels = [default]
@@ -1005,7 +1072,7 @@ class _Parser:
 
     def _ins_ret(self, cur, ins):
         tok = cur.peek()
-        if tok is not None and tok.kind == "word" and tok.value == "void":
+        if tok is not None and tok[0] == "word" and tok[1] == "void":
             cur.next()
             ins.type = VOID
             return
@@ -1019,10 +1086,9 @@ class _Parser:
         """Number blocks and instructions in source order, and resolve what
         may be defined after its first use: every global named as a value,
         and every callee, against which each call is checked."""
-        defined = {g.name for g in self.module.globals}
         for tok in self._global_refs:
-            if tok.value not in defined:
-                raise UnresolvedReferenceError(tok.value, "global", tok.line)
+            if self._defined.get(tok[1]) != "global":
+                raise UnresolvedReferenceError(tok[1], "global", tok[2])
         functions = {f.name: f for f in self.module.functions}
         block_id = 0
         inst_id = 0
@@ -1062,7 +1128,10 @@ def _check_call(ins: IrInstruction, callee: IrFunction | None):
 
 def parse_module(text: str, source_name: str = "<string>") -> IrModule:
     """Parse IR text into a validated IrModule."""
-    return _Parser(text, source_name).parse()
+    try:
+        return _Parser(text, source_name).parse()
+    except _TokenFault as fault:
+        raise fault.placed(text) from None
 
 
 def parse_file(path) -> IrModule:

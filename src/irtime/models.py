@@ -426,6 +426,24 @@ def _arrays(params, shapes, feature_count):
     return out
 
 
+# the hyperparameter group each kind records; linear records none
+_PARAMS = {"huber": HuberParams, "forest": ForestParams, "mlp": MlpParams}
+
+
+def _check_hyperparameters(kind, hyper, path):
+    """Check a model file's hyperparameters as a config file's are checked."""
+    from .config import dataclass_from_json     # config imports this module
+
+    where = "model.hyperparameters"
+    try:
+        if kind in _PARAMS:
+            dataclass_from_json(_PARAMS[kind], hyper, where).validate()
+        elif hyper != {}:
+            raise InvalidConfigError(f"{where} must be {{}} for a {kind} model")
+    except InvalidConfigError as exc:
+        raise FormatError(str(exc), path) from None
+
+
 def _model_from_dict(d, path=None) -> TrainedModel:
     try:
         if d.get("format") != MODEL_FORMAT:
@@ -441,7 +459,9 @@ def _model_from_dict(d, path=None) -> TrainedModel:
             payload = _arrays(params, _SHAPES[kind], n)
         else:
             raise FormatError(f"unknown model kind {kind!r}", path)
-        return TrainedModel(kind, n, d.get("hyperparameters", {}), d.get("master_seed", 0),
+        hyper = d.get("hyperparameters", {})
+        _check_hyperparameters(kind, hyper, path)
+        return TrainedModel(kind, n, hyper, d.get("master_seed", 0),
                             d.get("dataset_fingerprint", ""), payload)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed model file: {exc}", path) from exc

@@ -342,17 +342,16 @@ def test_an_interpreter_is_freed_without_the_cycle_collector(probed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 5)), max_size=40),
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 5)), max_size=40,
+                unique_by=lambda case: case[0]),
        st.lists(st.integers(0, 63), min_size=1, max_size=8))
-def test_switch_takes_the_first_case_of_a_value(cases, probes):
-    # label t0 is the default; cases may repeat a value or name the default
+def test_switch_takes_the_case_of_its_value(cases, probes):
+    # label t0 is the default, which a case may name too; a repeated case
+    # value is a ParseError (test_parser.py)
     table = "\n".join(f"    i32 {v}, label %t{t}" for v, t in cases)
     targets = "\n".join(f"t{t}:\n  ret i32 {t}" for t in range(6))
     text = (f"define i32 @main(i32 %x) {{\nentry:\n  switch i32 %x, label %t0 [\n{table}\n  ]\n"
             f"{targets}\n}}\n")
     interp = Interpreter(parse_module(text))
-    first = {}
-    for v, t in cases:
-        first.setdefault(v, t)
     for x in probes:
-        assert interp.execute("main", (x,)) == first.get(x, 0)
+        assert interp.execute("main", (x,)) == dict(cases).get(x, 0)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from irtime import (
-    CacheConfig, ForestParams, HuberParams, MlpParams, PipelineConfig,
+    CacheConfig, ForestParams, HuberParams, Hyperparameters, MlpParams, PipelineConfig,
     PredictorState, RunLimits, config_from_dict, config_from_file,
 )
 from irtime.cli import main
@@ -37,6 +37,16 @@ def test_file_round_trip(tmp_path):
     p2 = tmp_path / "cfg2.json"
     config_from_file(p).to_file(p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_to_file_refuses_what_config_from_file_refuses(tmp_path, value):
+    # json.dumps would write NaN or Infinity, which config_from_file refuses
+    p = tmp_path / "cfg.json"
+    cfg = PipelineConfig(hyper=Hyperparameters(huber=HuberParams(epsilon=value)))
+    with pytest.raises(InvalidConfigError, match=r"huber\.epsilon must be finite"):
+        cfg.to_file(p)
+    assert not p.exists()
 
 
 def test_empty_dict_gives_defaults():

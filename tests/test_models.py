@@ -421,9 +421,9 @@ def test_trainers_accept_hyperparameters_bundle():
         assert model.predict(X).shape == (20,)
 
 
-def _saved(tmp_path, kind, edit):
-    """Train a small `kind` model, save it, apply `edit` to its parsed JSON
-    and write it back; returns the path."""
+def _saved(tmp_path, kind, edit, part="parameters"):
+    """Train a small `kind` model, save it, apply `edit` to the `part` of its
+    parsed JSON and write it back; returns the path."""
     rng = np.random.default_rng(11)
     ds, _, _ = _random_dataset(rng, 30, noise=0.01)
     hyper = Hyperparameters(forest=ForestParams(n_trees=3, max_depth=4),
@@ -431,7 +431,7 @@ def _saved(tmp_path, kind, edit):
     path = tmp_path / f"{kind}.json"
     save_model(TRAINERS[kind](ds, hyper, 0), path)
     d = json.loads(path.read_text())
-    edit(d["parameters"])
+    edit(d[part])
     path.write_text(json.dumps(d))
     return path
 
@@ -440,6 +440,21 @@ def _assert_rejected(path, match):
     with pytest.raises(FormatError, match=match) as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind, hyper, match", [
+    ("huber", {"l2": math.nan}, r"huber\.l2 must be finite, got nan"),
+    ("mlp", {"alpha": -math.inf}, r"mlp\.alpha must be finite, got -inf"),
+    ("forest", {"n_trees": 2.5}, r"model\.hyperparameters\.n_trees must be an integer"),
+    ("forest", {"min_split": 1}, r"min_split >= 2"),
+    ("huber", {"delta": 1.0}, r"unknown model\.hyperparameters keys: \['delta'\]"),
+    ("linear", {"l2": 1.0}, r"model\.hyperparameters must be \{\} for a linear model"),
+])
+def test_load_rejects_bad_hyperparameters(tmp_path, kind, hyper, match):
+    # json.loads reads NaN and Infinity, so a model file can hold what
+    # save_model would refuse to write back
+    path = _saved(tmp_path, kind, lambda h: h.update(hyper), "hyperparameters")
+    _assert_rejected(path, match)
 
 
 def test_load_rejects_short_weights(tmp_path):

@@ -10,9 +10,9 @@ Nothing else may escape either stage.
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from irtime import RunLimits, parse_module, run
+from irtime import RunLimits, irparser, parse_module, run
 from irtime.errors import IrTimeError, ParseError
 
 from conftest import SAMPLES
@@ -112,3 +112,52 @@ def test_character_mutants_fail_only_with_irtime_errors(text):
     if isinstance(exc, ParseError):
         assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1, str(exc)
         assert exc.column is None or exc.column >= 0, str(exc)
+
+
+# what a token's text starts with before its value; a quoted string or name
+# is checked up to its opening quote only, as its value is unquoted
+_SIGILS = {"lid": "%", "gid": "@", "md": "!", "attr": "#", "cstr": "c"}
+
+
+def _check_positions(text):
+    """Each token of `text` is placed at its own text: its line:col starts
+    its spelling, and only blanks stand between it and the token before it
+    on its line.  A lexical fault is placed at the text it names."""
+    rows = text.split("\n")
+    try:
+        statements = irparser._statements(text)
+    except irparser._TokenFault as fault:
+        exc = fault.placed(text)
+        at = rows[exc.line - 1][exc.column - 1:]
+        if re.match(r'[c%@]?"', at):        # a string, quoted name or c-string
+            assert fault.message in ("bad string escape", "unterminated string",
+                                     "unexpected character '\\ud800'"), (fault.message, at)
+        else:
+            assert fault.message in (f"dangling {at[0]!r}", f"unexpected character {at[0]!r}"), (
+                fault.message, at)
+        return
+    ends = {}       # line -> where its last token ended, or None after a quoted one
+    for toks in statements:
+        for kind, value, line, nth in toks:
+            col = irparser._column(text, line, nth)
+            row = rows[line - 1]
+            spelling = _SIGILS.get(kind, "")
+            quoted = kind in ("str", "cstr") or row[col:col + 1] == '"' and kind in ("lid", "gid")
+            spelling += '"' if quoted else value
+            assert row.startswith(spelling, col - 1), (line, col, kind, value)
+            end = ends.get(line, 0)
+            if end is not None:
+                assert row[end:col - 1].strip(" \t\r") == "", (line, col, kind, value)
+            ends[line] = None if quoted else col - 1 + len(spelling)
+
+
+@pytest.mark.parametrize("path", SAMPLE_PATHS, ids=lambda p: p.stem)
+def test_sample_tokens_are_placed_at_their_own_text(path):
+    _check_positions(path.read_text())
+
+
+@seed(16)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_token_mutant(), _character_mutant()))
+def test_mutant_tokens_are_placed_at_their_own_text(text):
+    _check_positions(text)

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irtime import irparser, parse_module
 from irtime.errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
@@ -416,14 +417,17 @@ entry:
 
 
 # The lexer's contract: text -> the statements the parser reads, each token
-# as (kind, value, line, col), or the exact message of the ParseError.  A
-# column counts characters from 1; a tab and a multi-byte character count one.
+# as (kind, value, line, col) with its column placed by _column, or the exact
+# message of the ParseError.  A column counts characters from 1; a tab and a
+# multi-byte character count one.
 LEXER_CONTRACT = {
     "c_string_against_a_word_ending_in_c": ('abc"x" c"\\41\\\\"', [[
         ("word", "abc", 1, 1), ("str", "x", 1, 4), ("cstr", b"A\\", 1, 8)]]),
     "dots_against_a_word_starting_with_a_dot": ("....a .b ..", [[
         ("dots", "...", 1, 1), ("word", ".a", 1, 4), ("word", ".b", 1, 7),
         ("word", "..", 1, 10)]]),
+    "dots_against_a_word_of_three_characters": (".ab ...", [[
+        ("word", ".ab", 1, 1), ("dots", "...", 1, 5)]]),
     "negative_numbers": ("-1 -0x1F 1.5e-3 1e", [[
         ("num", "-1", 1, 1), ("num", "-0x1F", 1, 4), ("num", "1.5e-3", 1, 10),
         ("num", "1", 1, 17), ("word", "e", 1, 18)]]),
@@ -464,8 +468,108 @@ def test_lexer_contract(name):
             parse_module(text)
         assert str(info.value) == want
     else:
-        lines = irparser._Parser(text, "t").lines
-        assert [[(t.kind, t.value, t.line, t.col) for t in line] for line in lines] == want
+        lines = irparser._statements(text)
+        assert [[(kind, value, line, irparser._column(text, line, nth))
+                 for kind, value, line, nth in toks] for toks in lines] == want
+
+
+# Pieces that start, end or change a token, for texts that reach every
+# row of the token table and the first-character checks around it.
+_LEX_PIECES = [
+    " ", "\t", "\r", "\n", ";c", "c", "ca", 'c"', '"', "\\", "\\41", "\\\\", "@", "%",
+    "!", "#", "#7", ".", "..", "...", ".a", "-", "-1", "0x1F", "1.5e-3", "9", "x", "$_", "(", ")",
+    "[", "]", "{", "}", "<", ">", ",", "=", "*", ":", "?", "~", "\u20ac", "\ud800",
+]
+
+
+def _named_scan(text):
+    """The (kind, value, line) of each token of `text` as the named-group
+    scan splits it, with the lexer's rules for values: a punctuation mark is
+    its own kind, a sigil is dropped and a string is unquoted.  Returns the
+    tokens, and the message and line:col of the first fault or None."""
+    out, line, line_start = [], 1, 0
+    for m in irparser._TOKEN_RE.finditer(text):
+        kind, raw = m.lastgroup, m.group(m.lastgroup)
+        place = (line, m.start(kind) - line_start + 1)
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+            continue
+        if kind == "comment":
+            continue
+        if kind == "bad":
+            return out, (f"unexpected character {raw!r}", place)
+        if kind == "dangling":
+            return out, (f"dangling '{raw}'", place)
+        value = raw
+        try:
+            if kind == "punct":
+                kind = raw
+            elif kind == "cstr":
+                value = irparser._unquote(raw[1:], None)
+            elif kind == "str":
+                value = irparser._unquote(raw, None).decode("latin-1")
+            elif kind in ("lid", "gid", "md", "attr"):
+                value = raw[1:]
+                if value[:1] == '"':
+                    value = irparser._unquote(value, None).decode("latin-1")
+        except irparser._TokenFault as fault:
+            return out, (fault.message, place)
+        out.append((kind, value, line))
+    return out, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_fast_lexer_matches_the_named_group_scan(text):
+    want, fault = _named_scan(text)
+    try:
+        lines = irparser._statements(text)
+    except irparser._TokenFault as got:
+        assert fault is not None, got.message
+        _, _, line, nth = got.tok
+        assert (got.message, (line, irparser._column(text, line, nth))) == fault
+        return
+    assert fault is None
+    assert [(kind, value, line) for toks in lines for kind, value, line, _ in toks] == want
+
+
+_TWO_CASES = """
+define i32 @main() {
+entry:
+  switch i32 2, label %d [
+    i32 2, label %a
+    i32 2, label %b
+  ]
+a:
+  ret i32 10
+b:
+  ret i32 20
+d:
+  ret i32 0
+}
+"""
+
+# A name or a case value given twice is rejected at the second one, as LLVM
+# rejects it.
+SECOND_DEFINITIONS = {
+    "global": ("@g = global i32 1\n@g = global i32 7\n" + EXAMPLE_A,
+               "2:1: duplicate global definition '@g'"),
+    "global_after_a_function": (EXAMPLE_A + "@main = global i32 0\n",
+                                "6:1: global '@main' has the name of a function"),
+    "function_after_a_global": ("@main = global i32 0\n" + EXAMPLE_A,
+                                "3:12: function '@main' has the name of a global"),
+    "switch_case": (_TWO_CASES, "6:9: duplicate 'switch' case value 2"),
+    "switch_case_of_another_spelling": (_TWO_CASES.replace("i32 2, label %b", "i32 0x2, label %b"),
+                                        "6:9: duplicate 'switch' case value 0x2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_DEFINITIONS))
+def test_second_definition_is_rejected_where_it_stands(name):
+    text, want = SECOND_DEFINITIONS[name]
+    with pytest.raises(ParseError) as info:
+        parse_module(text)
+    assert str(info.value) == want
 
 
 # Each body holds one structural fault on the line marked `; here` (the
