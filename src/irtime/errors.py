@@ -33,7 +33,7 @@ class UnsupportedOpcodeError(IrTimeError):
 
 
 class UnresolvedReferenceError(IrTimeError):
-    """A label, callee, or global name that does not resolve."""
+    """A label, callee, global or register name that does not resolve."""
 
     def __init__(self, name: str, what: str = "reference", line: int | None = None):
         self.name = name

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .errors import (
     InterpreterError, StepLimitExceeded, OutOfBoundsAccess,
     DivisionByZero, StackOverflow, HeapExhausted, InvalidConfigError,
-    UnresolvedReferenceError,
 )
 from .irtypes import signed as _signed
 from .irmodel import (
@@ -286,16 +285,15 @@ def _address(global_addrs, op):
 # Probe calls are unrolled, one per registered callable, and the instruction
 # observer is emitted only when one is registered.
 #
-# Loop functions.  A block H is a loop header when a depth-first walk from
-# the entry takes an edge p -> H back to a block on its path, and a backward
-# walk from p that never passes H cannot reach the entry, so H dominates
-# the latch p.  The loop is H and every block those walks pass.  It runs in
-# H's function when no block of it calls a function body, when it holds no
-# cycle once its edges into H are taken away (so no inner loop), and when
-# copying each block once for every path to it from H takes at most
-# _MAX_COPIES copies and `if` nesting levels.  A self-loop is the one-block
-# case.  Other loops, and irreducible cycles, return to the dispatcher on
-# every edge.  Inside H's `while True:`:
+# Loop functions.  A block H is a loop header when it has an edge p -> H
+# from a block p that the entry reaches and H dominates, by the dominator
+# tree the parser builds.  The loop is H and every block that reaches such a
+# latch p without passing H.  It runs in H's function when no block of it
+# calls a function body, when it holds no cycle once its edges into H are
+# taken away (so no inner loop), and when copying each block once for every
+# path to it from H takes at most _MAX_COPIES copies and `if` nesting levels.
+# A self-loop is the one-block case.  Other loops, and irreducible cycles,
+# return to the dispatcher on every edge.  Inside H's `while True:`:
 # - an edge to H emits the lines of any edge, assigns H's kept phi locals in
 #   one tuple assignment, as phis are parallel, and does `continue`; those
 #   locals are read from `regs` once, before the loop, where every edge into
@@ -308,11 +306,12 @@ def _address(global_addrs, op):
 #   outside reads and the results deferred to the exits, then does what any
 #   edge does and returns the target's index.
 # The loop's blocks are one unit for _register_uses: a result lives only in
-# a local when every read of it is in the loop and its definition
-# dominates the read within one iteration; it is stored on the exits
-# instead of where it is defined when, besides, a block outside reads it
-# and its block dominates every exiting block.  Any other register is read
-# from `regs` on first use on each path, so again on every iteration.
+# a local when every read of it is in the loop, as the parser has checked
+# that its definition dominates each read, and so precedes it within one
+# iteration; it is stored on the exits instead of where it is defined when
+# a block outside reads it and its block dominates every exiting block.
+# Any other register is read from `regs` on first use on each path, so
+# again on every iteration.
 # `S.steps`, each `E[bid]`, each `P[site]` and the `C[JUMP]` slot live in
 # locals, read once on entry and written back in one `try/finally`, so
 # every return and every fault leaves `steps` and the TraceBuilder's lists
@@ -333,15 +332,15 @@ def _address(global_addrs, op):
 # segment that resumes after a call compare against it.  The entry stub
 # counts no jump.  ProbeSets given beside the builder see the same events.
 #
-# Two rules keep the source safe and exact.  Text from the IR reaches it only
-# as repr() of a register name: every constant, global address and string is
-# bound by name in the namespace, and the only literals are integers the
-# interpreter computes (masks, sizes, static ids, slots, limits, segment
-# indices).  A KeyError becomes UnresolvedReferenceError only in a `try` that
-# holds no probe call or cache update, where it can only come from reading an
-# unassigned register; a KeyError raised by a probe passes through unchanged.
-# The namespace never holds the Interpreter or the segment table, so an
-# Interpreter is freed by reference counting alone.
+# Text from the IR reaches the source only as repr() of a register name:
+# every constant, global address and string is bound by name in the
+# namespace, and the only literals are integers the interpreter computes
+# (masks, sizes, static ids, slots, limits, segment indices).  A register is
+# read only where the parser has checked that its definition dominates the
+# read, so the read finds it assigned, and the code catches no exception: one
+# raised by a probe passes through unchanged.  The namespace never holds the
+# Interpreter or the segment table, so an Interpreter is freed by reference
+# counting alone.
 
 
 class _Frame:
@@ -387,7 +386,6 @@ _FORMATS = {"i1": "B", "i8": "B", "i16": "H", "i32": "I", "i64": "Q", "ptr": "I"
 _RUNTIME = {
     "F32": _to_f32, "FDIV": _fdiv, "DIV": _divide, "SGN": _signed, "ISFIN": math.isfinite,
     "FRAME": _Frame, "SLE": StepLimitExceeded, "SOVF": StackOverflow, "HEXH": HeapExhausted,
-    "UNRES": UnresolvedReferenceError,
     **{"U" + f: struct.Struct("<" + f).unpack_from for f in "BHIQfd"},
     **{"P" + f: struct.Struct("<" + f).pack_into for f in "BHIQfd"},
     **{f"O{n}": b"\x01" * n for n in (1, 2, 4, 8)},
@@ -413,10 +411,6 @@ _FCMP = {
     "ueq": "not ({a} < {b} or {a} > {b})", "ugt": "not {a} <= {b}", "uge": "not {a} < {b}",
     "ult": "not {a} >= {b}", "ule": "not {a} > {b}", "une": "{a} != {b}",
 }
-
-# kinds of generated line: a register read, a statement that calls no probe,
-# a probe call, and control flow
-_READ, _PURE, _PROBE, _FLOW = range(4)
 
 # _Generator.entered when the last block entered is in S.last_block
 _RECORDED = "S.last_block"
@@ -474,52 +468,12 @@ def _edges(ins):
 
 @dataclass
 class _Loop:
-    """A natural loop that runs inside its header's function: its blocks, the
-    blocks that dominate each within one iteration, and the blocks with an
-    edge out of it."""
+    """A natural loop that runs inside its header's function: its blocks
+    and the blocks with an edge out of it."""
 
     header: str
     body: set
-    dom: dict
     exiting: list
-
-
-def _retreating(func):
-    """(block, target) labels of each edge that a depth-first walk from the
-    entry takes to a block on its current path.  Every edge from a latch to
-    its loop's header is one."""
-    entry, blocks = func.entry.label, func.block_map
-    seen, path, found = {entry}, {entry}, []
-    stack = [(entry, iter(blocks[entry].succs))]
-    while stack:
-        label, succs = stack[-1]
-        target = next(succs, None)
-        if target is None:
-            stack.pop()
-            path.discard(label)
-        elif target in path:
-            found.append((label, target))
-        elif target not in seen:
-            seen.add(target)
-            path.add(target)
-            stack.append((target, iter(blocks[target].succs)))
-    return found
-
-
-def _loop_blocks(func, header, latch):
-    """The blocks that reach `latch` without passing `header`, or None when
-    the entry is one of them: then `header` does not dominate `latch`.  A
-    block the entry does not reach may be one of them."""
-    blocks, todo = set(), [latch]
-    while todo:
-        label = todo.pop()
-        if label == header or label in blocks:
-            continue
-        if label == func.entry.label:
-            return None
-        blocks.add(label)
-        todo += func.block_map[label].preds
-    return blocks
 
 
 def _natural_loops(func):
@@ -527,12 +481,21 @@ def _natural_loops(func):
     its header's function: its blocks make no call into a function body,
     its edges other than those into the header form no cycle, so it holds
     no inner loop, and copying each block once for every path to it from
-    the header takes at most _MAX_COPIES copies and nesting levels."""
+    the header takes at most _MAX_COPIES copies and nesting levels.  A latch
+    is a block the entry reaches with an edge to a block that dominates it,
+    its loop's header; the loop holds every block that reaches a latch
+    without passing the header, which a block the entry does not reach may
+    do."""
     bodies = {}
-    for latch, header in _retreating(func):
-        blocks = _loop_blocks(func, header, latch)
-        if blocks is not None:
-            bodies.setdefault(header, {header}).update(blocks)
+    for latch in func.idom:
+        for header in func.block_map[latch].succs:
+            if func.dominates(header, latch):
+                body, todo = bodies.setdefault(header, {header}), [latch]
+                while todo:
+                    label = todo.pop()
+                    if label not in body:
+                        body.add(label)
+                        todo += func.block_map[label].preds
     loops = {}
     for header, body in bodies.items():
         blocks = [func.block_map[label] for label in body]
@@ -545,8 +508,8 @@ def _natural_loops(func):
         for targets in inner.values():
             for t in targets:
                 waiting[t] += 1
-        # in topological order: paths from the header, arm depth, dominators
-        copies, depth, dom = {header: 1}, {header: 0}, {header: {header}}
+        # in topological order: paths from the header and arm depth
+        copies, depth = {header: 1}, {header: 0}
         ready, done, fits = [header], 0, True
         while ready and fits:
             label = ready.pop()
@@ -556,15 +519,13 @@ def _natural_loops(func):
             for t in inner[label]:
                 copies[t] = copies.get(t, 0) + copies[label]
                 depth[t] = max(depth.get(t, 0), nest)
-                dom[t] = dom[t] & dom[label] if t in dom else dom[label]
                 waiting[t] -= 1
                 if not waiting[t]:
-                    dom[t] = dom[t] | {t}
                     ready.append(t)
         if fits and done == len(body) and sum(copies.values()) <= _MAX_COPIES:
             exiting = [label for label, (targets, _) in edges.items()
                        if any(t not in body for t in targets)]
-            loops[header] = _Loop(header, body, dom, exiting)
+            loops[header] = _Loop(header, body, exiting)
     return loops
 
 
@@ -573,13 +534,12 @@ def _register_uses(func, segments, loops):
     stores only on its exits, register -> the labels of the blocks of its
     reads) for `segments`, the function's (block, instructions) pairs, and
     `loops`, its compiled loops.  A compiled loop is one unit, the other
-    segments one each.  A result is kept unless every read of it comes
-    later in its unit, in a block that its definition dominates within one
-    iteration; a kept result of a loop block whose reads in the loop all
-    come so is stored on the loop's exits instead, when its block dominates
-    every exiting block.  Phi results of a loop's other blocks are assigned
-    where those blocks are inlined, so they count as defined first in
-    their block; other phi results are assigned on edges, in their
+    segments one each.  A result is kept unless every read of it is in its
+    unit, which the parser has checked comes after it; a kept result of a
+    loop block is stored on the loop's exits instead, when its block
+    dominates every exiting block.  Phi results of a loop's other blocks
+    are assigned where those blocks are inlined, so they count as defined
+    in their unit; other phi results are assigned on edges, in their
     predecessors' segments, so they are kept whenever something reads
     them."""
     unit_of = {label: header for header, loop in loops.items() for label in loop.body}
@@ -589,33 +549,28 @@ def _register_uses(func, segments, loops):
         unit = unit_of.get(label, key)
         if unit != key and unit != label:     # inlined: its phis are assigned there
             for phi in block.instructions[:block.phi_count]:
-                home[phi.result] = unit, label, -1
-        for pos, ins in enumerate(insts):
+                home[phi.result] = unit, label
+        for ins in insts:
             if ins.result is not None and not _invokes(ins):
-                home[ins.result] = unit, label, pos
-            reads += [(op.name, unit, label, pos) for op in ins.operands
-                      if op.__class__ is LocalRef]
+                home[ins.result] = unit, label
+            reads += [(op.name, unit, label) for op in ins.operands if op.__class__ is LocalRef]
         for target in insts[-1].labels + [target for _, target in insts[-1].cases]:
             succ = func.block_map[target]
             for phi in succ.instructions[:succ.phi_count]:
                 op = phi.incoming_map[label]
                 if op.__class__ is LocalRef:
-                    reads.append((op.name, unit, label, len(insts)))
-    kept, undominated, readers = set(), set(), {}
-    for name, unit, label, pos in reads:
+                    reads.append((op.name, unit, label))
+    kept, readers = set(), {}
+    for name, unit, label in reads:
         readers.setdefault(name, []).append(label)
         where = home.get(name)
         if where is None or where[0] != unit:
             kept.add(name)
-        elif (pos <= where[2] if label == where[1]
-              else where[1] not in loops[unit].dom[label]):
-            kept.add(name)
-            undominated.add(name)
     deferred = {}
-    for name, (unit, label, _) in home.items():
+    for name, (unit, label) in home.items():
         loop = loops.get(unit)
-        if (loop is not None and name in kept and name not in undominated
-                and all(label in loop.dom[x] for x in loop.exiting)):
+        if (loop is not None and name in kept
+                and all(func.dominates(label, x) for x in loop.exiting)):
             kept.discard(name)
             deferred.setdefault(unit, []).append(name)
     return kept, deferred, readers
@@ -627,29 +582,6 @@ def _compile(source):
     not written into the source, so modules that differ only in their
     constants share one compilation."""
     return compile(source, "<irtime segments>", "exec")
-
-
-def _render(lines):
-    """Source text for (indent, text, kind) lines.  Each run of reads and
-    probe-free statements at one indent that reads a register is wrapped in
-    a `try` that reports a missing register."""
-    out, i = [], 0
-    while i < len(lines):
-        indent, text, kind = lines[i]
-        pad = "    " * indent
-        j = i + 1
-        if kind <= _PURE:
-            while j < len(lines) and lines[j][2] <= _PURE and lines[j][0] == indent:
-                j += 1
-        run = [pad + t for _, t, _ in lines[i:j]]
-        if any(k == _READ for _, _, k in lines[i:j]):
-            out += [pad + "try:", *("    " + t for t in run),
-                    pad + "except KeyError as e:",
-                    pad + "    raise UNRES(e.args[0], 'register') from None"]
-        else:
-            out += run
-        i = j
-    return out
 
 
 class _Generator:
@@ -690,8 +622,8 @@ class _Generator:
             name = self.consts[key] = self._bind(value, "k")
         return name
 
-    def _line(self, text, kind=_PURE):
-        self.lines.append((self.indent, text, kind))
+    def _line(self, text):
+        self.lines.append("    " * self.indent + text)
 
     def build(self):
         """(segment functions, {function name: index of its entry}); index 0
@@ -740,7 +672,7 @@ class _Generator:
 
     def _emit(self, index, source):
         source.append(f"def s{index}(regs):")
-        source += _render(self.lines)
+        source += self.lines
 
     def _new_local(self):
         self.n_locals += 1
@@ -756,7 +688,7 @@ class _Generator:
             name = self.fused.get(op.name) or self.held.get(op.name)
             if name is None:
                 name = self.held[op.name] = self._new_local()
-                self._line(f"{name} = regs[{op.name!r}]", _READ)
+                self._line(f"{name} = regs[{op.name!r}]")
             return name
         if cls is Const:
             return self._const(op.value)
@@ -783,7 +715,7 @@ class _Generator:
         if self.probes[kind] and self.slots is not None:
             self._line(f"S.steps = {self._slot('S.steps')}")    # a probe may read it
         for name in self.probes[kind]:
-            self._line(f"{name}({', '.join(map(str, args))})", _PROBE)
+            self._line(f"{name}({', '.join(map(str, args))})")
 
     def _slot(self, slot):
         """`slot`, or in a loop function the local that holds it."""
@@ -798,10 +730,10 @@ class _Generator:
         if self.probes["instruction"]:
             self._probe("instruction", ins.static_id, self._const(ins.opcode))
 
-    def _count(self, text, kind=_PURE):
+    def _count(self, text):
         """A line of the trace's own counting, when there is a trace."""
         if self.counting:
-            self._line(text, kind)
+            self._line(text)
 
     def _count_branch(self, site, taken):
         if self.counting:
@@ -810,9 +742,7 @@ class _Generator:
             self._line("C[c] += 1")
 
     def _count_access(self, addr, is_store):
-        # outside the KeyError `try`, like a probe call
-        self._count(f"C[{STORES if is_store else LOADS} + TOUCH({addr}, {is_store})] += 1",
-                    _PROBE)
+        self._count(f"C[{STORES if is_store else LOADS} + TOUCH({addr}, {is_store})] += 1")
 
     # --- segments and edges -----------------------------------------------
 
@@ -822,8 +752,7 @@ class _Generator:
             self._block(func, block, insts, resume)
             return
         self.loop, self.slots = loop, {}
-        # every edge into the header has just assigned its kept phis, so
-        # reading them needs no KeyError check
+        # every edge into the header has just assigned its kept phis
         for p in block.instructions[:block.phi_count]:
             if p.result in self.kept:
                 local = self.loop_phis[p.result] = self.held[p.result] = self._new_local()
@@ -832,17 +761,17 @@ class _Generator:
                             if any(label not in loop.body for label in self.readers[name])]
         self.exit_stores += self.deferred.get(block.label, [])
         start = len(self.lines)
-        self._line("try:", _FLOW)
+        self._line("try:")
         self.indent += 1
-        self._line("while True:", _FLOW)
+        self._line("while True:")
         self.indent += 1
         self._block(func, block, insts, resume)
         self.indent -= 2
         slots = self.slots.items()
-        self.lines[start:start] = [(self.indent, f"{local} = {slot}", _PURE)
-                                   for slot, local in slots]
-        self._line("finally:", _FLOW)
-        self.lines += [(self.indent + 1, f"{slot} = {local}", _PURE) for slot, local in slots]
+        pad = "    " * self.indent
+        self.lines[start:start] = [f"{pad}{local} = {slot}" for slot, local in slots]
+        self._line("finally:")
+        self.lines += [f"{pad}    {slot} = {local}" for slot, local in slots]
 
     def _block(self, func, block, insts, resume):
         """A segment's instructions and the edges of its last one."""
@@ -873,7 +802,7 @@ class _Generator:
             value = self._operand(last.operands[0]) if last.operands else "None"
             if self.entered != _RECORDED:
                 self._count(f"S.last_block = {self.entered}")
-            self._line(f"return RET({value})", _FLOW)
+            self._line(f"return RET({value})")
         else:
             self._invoke(last, resume)
 
@@ -904,7 +833,7 @@ class _Generator:
             if kept:
                 self._line(f"{', '.join(self.loop_phis[name] for name, _ in kept)}"
                            f" = {', '.join(value for _, value in kept)}")
-            self._line("continue", _FLOW)
+            self._line("continue")
             return
         for name, value in kept:
             self._line(f"regs[{name!r}] = {value}")
@@ -913,14 +842,14 @@ class _Generator:
             self.entered = bid
             self._block(func, block, block.instructions[block.phi_count:], None)
         else:
-            self._line(f"return {self.first[bid]}", _FLOW)
+            self._line(f"return {self.first[bid]}")
 
     @contextlib.contextmanager
     def _arm(self, test):
         """What is written inside runs under `if test:`; the registers it
         reads and the blocks it enters are forgotten after it."""
         held, entered = dict(self.held), self.entered
-        self._line(f"if {test}:", _FLOW)
+        self._line(f"if {test}:")
         self.indent += 1
         yield
         self.indent -= 1
@@ -1082,10 +1011,9 @@ class Interpreter:
     finishes and a run fails with StepLimitExceeded if and only if its
     total exceeds `limits.max_steps`.
     The parser has checked every label, global, callee, call signature, type
-    and getelementptr shape, so decoding a parsed module cannot fail; a
-    register that is never assigned fails with UnresolvedReferenceError when
-    an instruction that reads it executes, after every earlier instruction
-    has taken effect.
+    and getelementptr shape, and that each register's definition dominates
+    its every use, so decoding a parsed module cannot fail and no register
+    is read before it is assigned.
     """
 
     def __init__(self, module, probes=(), limits: RunLimits | None = None):

@@ -175,10 +175,24 @@ class IrFunction:
     params: list = field(default_factory=list)  # [(name, IrType)]
     blocks: list = field(default_factory=list)
     block_map: dict = field(default_factory=dict, repr=False)
+    # label -> immediate dominator's label, for each block the entry
+    # reaches; the entry's is None
+    idom: dict = field(default_factory=dict, repr=False)
 
     @property
     def entry(self) -> IrBlock:
         return self.blocks[0]
+
+    def dominates(self, a: str, b: str) -> bool:
+        """Whether every path from the entry to block `b` passes block `a`.
+        As in LLVM, every block dominates one the entry does not reach, and
+        such a block dominates no other."""
+        idom = self.idom
+        if b not in idom:
+            return True
+        while b is not None and b != a:
+            b = idom[b]
+        return b is not None
 
 
 @dataclass

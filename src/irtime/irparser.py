@@ -765,16 +765,19 @@ class _Parser:
 
     def _link(self, func: IrFunction):
         """Derive the control-flow graph (block map, successors,
-        predecessors, phi maps), check every edge and every use of a
-        register against it, and add the function to the module."""
+        predecessors, phi maps) and its dominator tree, check every edge
+        and every use of a register against them, and add the function to
+        the module.  A phi uses its operand at the end of the incoming block;
+        as in LLVM, a use in a block the entry does not reach passes."""
         func.block_map = {b.label: b for b in func.blocks}
-        types = dict(func.params)   # register -> the type it is defined with
+        # register -> (type, block, position) of its definition
+        defs = {name: (ty, None, 0) for name, ty in func.params}
         for b in func.blocks:
-            for ins in b.instructions:
+            for pos, ins in enumerate(b.instructions):
                 if ins.result is not None:
-                    if ins.result in types:
+                    if ins.result in defs:
                         raise ParseError(f"register '%{ins.result}' is defined twice", ins.line)
-                    types[ins.result] = ins.type
+                    defs[ins.result] = ins.type, b.label, pos
             term = b.instructions[-1]
             for lbl in term.labels + [lbl for _, lbl in term.cases]:
                 target = func.block_map.get(lbl)
@@ -788,9 +791,21 @@ class _Parser:
             if term.opcode == "ret" and term.type != func.return_type:
                 raise ParseError(f"'ret {term.type!r}' in a function returning "
                                  f"{func.return_type!r}", term.line)
+        func.idom = idom = _dominators(func)
+        def check(op, at, when, line):
+            found = defs.get(op.name)
+            if found is None:
+                raise UnresolvedReferenceError(op.name, "register", line)
+            ty, home, where = found
+            if ty is not op.type and ty != op.type:
+                raise ParseError(f"'%{op.name}' is {ty!r}, used as {op.type!r}", line)
+            if home is not None and at in idom and (
+                    where >= when if home == at else not func.dominates(home, at)):
+                raise ParseError(f"this use of '%{op.name}' is not dominated by its "
+                                 f"definition in '%{home}'", line)
         for b in func.blocks:
-            for ins in b.instructions:
-                uses = ins.operands
+            label = b.label
+            for pos, ins in enumerate(b.instructions):
                 if ins.opcode == "phi":     # phis lead their block
                     b.phi_count += 1
                     ins.incoming_map = {lbl: op for op, lbl in ins.incoming}
@@ -798,13 +813,13 @@ class _Parser:
                     if seen != sorted(b.preds):
                         raise ParseError(f"phi predecessors {seen} do not match block "
                                          f"predecessors {sorted(b.preds)}", ins.line)
-                    uses = [op for op, _ in ins.incoming]
-                for op in uses:
-                    if op.__class__ is LocalRef:
-                        ty = types.get(op.name, op.type)
-                        if ty is not op.type and ty != op.type:
-                            raise ParseError(f"'%{op.name}' is {ty!r}, used as {op.type!r}",
-                                             ins.line)
+                    for op, lbl in ins.incoming:
+                        if op.__class__ is LocalRef:
+                            check(op, lbl, len(func.block_map[lbl].instructions), ins.line)
+                else:
+                    for op in ins.operands:
+                        if op.__class__ is LocalRef:
+                            check(op, label, pos, ins.line)
         self.module.functions.append(func)
 
     # --- instructions ---------------------------------------------------------
@@ -1056,9 +1071,11 @@ class _Parser:
         cur.expect("[")
         cases, seen = [], set()
         while not cur.accept("]"):
-            cty = self.parse_type(cur)
+            ttok = cur.peek()
+            if self.parse_type(cur) != ty:
+                raise _TokenFault(f"'switch' case is not of the operand's type {ty!r}", ttok)
             ctok = cur.expect("num")
-            cval = self._number(ctok, cty)
+            cval = self._number(ctok, ty)
             if cval in seen:
                 raise _TokenFault(f"duplicate 'switch' case value {ctok[1]}", ctok)
             seen.add(cval)
@@ -1101,6 +1118,46 @@ class _Parser:
                     inst_id += 1
                     if ins.opcode == "call":
                         _check_call(ins, functions.get(ins.callee))
+
+
+def _dominators(func: IrFunction) -> dict:
+    """label -> immediate dominator's label for each block the entry
+    reaches, the entry's None, by the iterative algorithm of Cooper, Harvey
+    and Kennedy ("A Simple, Fast Dominance Algorithm", 2001) over the
+    blocks in reverse postorder."""
+    blocks, entry = func.block_map, func.entry.label
+    order, seen, stack = [], {entry}, [(entry, iter(func.entry.succs))]
+    while stack:
+        for target in stack[-1][1]:
+            if target not in seen:
+                seen.add(target)
+                stack.append((target, iter(blocks[target].succs)))
+                break
+        else:
+            order.append(stack.pop()[0])
+    order.reverse()
+    number = {label: i for i, label in enumerate(order)}
+    idom = {entry: entry}
+    changed = True
+    while changed:
+        changed = False
+        for label in order[1:]:
+            new = None      # set below: the block's parent in the walk is done before it
+            for p in blocks[label].preds:
+                if p not in idom:       # not reached, or not yet done
+                    continue
+                if new is None:
+                    new = p
+                while p != new:         # climb to where the two paths to the entry meet
+                    while number[p] > number[new]:
+                        p = idom[p]
+                    while number[new] > number[p]:
+                        new = idom[new]
+            if idom.get(label) != new:
+                idom[label] = new
+                changed = True
+    idom[entry] = None
+    return idom
 
 
 def _check_call(ins: IrInstruction, callee: IrFunction | None):

@@ -1,10 +1,10 @@
 """The interpreter's generated segment functions.
 
 Register names reach the generated source only as string literals, every
-constant is bound by name, and a KeyError is reported as an unassigned
-register only when a register read raised it.  These tests hold the
-generator to that from outside: hostile names, special float constants,
-probes that raise, and the memory an interpreter leaves behind.  Traces of
+constant is bound by name, and an exception that a probe raises passes
+through unchanged.  These tests hold the generator to that from outside:
+hostile names, special float constants, probes that raise, and the memory
+an interpreter leaves behind.  Traces of
 programs under hostile names also read back from their files.
 """
 
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irtime import Interpreter, ProbeSet, parse_module, read_trace, run, write_trace
+from irtime import interp as interp_module
 from irtime.corpus import GENERATOR_OPCODES, generate_program
 from irtime.errors import UnresolvedReferenceError
 
@@ -275,7 +276,7 @@ _RAISING_EVENT = {"block_enter": 3, "instruction": 3, "load": 1, "store": 1,
 @pytest.mark.parametrize("kind", sorted(_RAISING_EVENT))
 def test_a_probes_key_error_passes_through(kind):
     # the key is a register the program reads, so a generator that turned
-    # every KeyError into a missing register would report it as one
+    # a KeyError into a missing register would report it as one
     calls = []
 
     def probe(*args):
@@ -289,7 +290,7 @@ def test_a_probes_key_error_passes_through(kind):
     assert info.type is KeyError and info.value.args == ("n",)
 
 
-def test_unassigned_register_fails_after_earlier_effects():
+def test_an_unassigned_register_is_rejected_while_parsing():
     text = """
 @g = global i32 0
 
@@ -300,13 +301,23 @@ entry:
   ret i32 %v
 }
 """
-    stores = []
-    interp = Interpreter(parse_module(text), ProbeSet(store=lambda a, n: stores.append((a, n))))
-    with pytest.raises(UnresolvedReferenceError, match="^unresolved register 'missing'$"):
-        interp.execute()
-    addr = interp.memory.global_addrs["g"]
-    assert stores == [(addr, 4)]
-    assert interp.memory.read(addr, 4) == ((5).to_bytes(4, "little"), False)
+    with pytest.raises(UnresolvedReferenceError,
+                       match=r"^unresolved register 'missing' \(line 7\)$") as info:
+        parse_module(text)
+    assert info.value.line == 7
+
+
+def test_generated_source_catches_no_exception(monkeypatch):
+    # the parser has checked that every register read is dominated by its
+    # definition, so the only `try` is a loop function's, with a `finally`
+    sources, compile_source = [], interp_module._compile
+    monkeypatch.setattr(interp_module, "_compile",
+                        lambda source: sources.append(source) or compile_source(source))
+    for path in SAMPLE_PATHS:
+        run(parse_module(path.read_text()))
+    text = "\n".join(sources)
+    assert re.search(r"\bexcept\b|UNRES|KeyError", text) is None
+    assert text.count("try:") == text.count("finally:") == text.count("while True:") > 0
 
 
 # --- memory ---------------------------------------------------------------------

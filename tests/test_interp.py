@@ -595,7 +595,7 @@ def test_extra_probes_observe_without_perturbing(example_b):
     assert t.br_hit == 8  # unchanged by the extra observer
 
 
-def test_unresolved_references_fail_only_when_executed():
+def test_unresolved_references_fail_while_parsing():
     src = """
 define i32 @main(i1 %take) {
 entry:
@@ -610,13 +610,17 @@ ok:
   ret i32 7
 }
 """
-    # a global is resolved while parsing, a register only when it is read
-    with pytest.raises(UnresolvedReferenceError, match=r"unresolved global 'nope' \(line 7\)"):
+    # each is resolved while parsing, though its block may never run: a
+    # register when the function ends, a global when the module does
+    with pytest.raises(UnresolvedReferenceError,
+                       match=r"unresolved register 'undefined' \(line 8\)"):
+        parse_module(src)
+    src = src.replace("%undefined", "%take.int").replace(
+        "br i1", "%take.int = zext i1 %take to i32\n  br i1")
+    with pytest.raises(UnresolvedReferenceError, match=r"unresolved global 'nope' \(line 8\)"):
         parse_module(src)
     m = parse_module(src.replace("load i32, ptr @nope", "add i32 1, 2"))
-    assert Interpreter(m).execute("main", (0,)) == 7
-    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'undefined'"):
-        Interpreter(m).execute("main", (1,))
+    assert [Interpreter(m).execute("main", (take,)) for take in (0, 1)] == [7, 4]
 
 
 def test_initializer_naming_an_undefined_global():
@@ -1003,10 +1007,12 @@ exit:
   ret i32 %y
 }
 """
-    interp = Interpreter(parse_module(src))
-    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'x'"):
-        interp.execute()
-    assert interp.steps == 1 + 5
+    # %x is read before its definition, on the path from the entry too
+    with pytest.raises(ParseError, match="^8:0: this use of '%x' is not dominated by its "
+                                         "definition in '%loop'$"):
+        parse_module(src)
+    # the phi reads it at the end of %loop, after it
+    assert Interpreter(parse_module(src.replace("add i32 %x, 1", "add i32 %i, 1"))).execute() == 5
 
 
 def test_a_result_read_after_a_loop_is_stored_on_its_exit_edge(monkeypatch):
@@ -1193,7 +1199,7 @@ def test_getelementptr_shapes_rejected_while_parsing():
 
 
 def test_getelementptr_names_the_first_unresolved_register():
-    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'nope'"):
+    with pytest.raises(UnresolvedReferenceError, match=r"^unresolved register 'nope' \(line 3\)$"):
         _gep("getelementptr [4 x i32], ptr %b, i32 %a, i32 %nope")
-    with pytest.raises(UnresolvedReferenceError, match="unresolved register 'nob'"):
+    with pytest.raises(UnresolvedReferenceError, match=r"^unresolved register 'nob' \(line 3\)$"):
         _gep("getelementptr [4 x i32], ptr %nob, i32 %nope, i32 %a")

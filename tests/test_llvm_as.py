@@ -1,0 +1,109 @@
+"""What the parser accepts, LLVM's own assembler accepts too.
+
+Each line mutant of a sample (see test_mutants.py) that parse_module accepts
+must also pass `llvm-as -opaque-pointers`.  Two leniencies are allowed, both
+in the calls to the routines the interpreter models: such a routine may be
+called without its `declare`, and its `declare` may be given twice.  The
+whole set of line mutants takes a few seconds of `llvm-as` calls, so this
+takes a seeded sample of it.  The parser's dominance cases are checked
+against `llvm-as` in both directions.
+"""
+
+import random
+import re
+import shutil
+import subprocess
+
+import pytest
+
+from irtime import parse_module
+from irtime.errors import IrTimeError
+from irtime.irmodel import is_recognized_callee
+
+from conftest import SAMPLES
+from test_mutants import _line_mutants
+from test_parser import STRUCTURAL_FAULTS
+
+LLVM_AS = shutil.which("llvm-as")
+pytestmark = pytest.mark.skipif(LLVM_AS is None, reason="llvm-as is not installed")
+
+SAMPLE_SIZE = 60
+
+# the two leniencies, each naming the routine that LLVM finds undeclared or
+# declared twice
+_LENIENCIES = re.compile(r"error: (?:use of undefined value '@|invalid redefinition of "
+                         r"function ')([^']+)'")
+
+# the cases of test_parser that break SSA dominance
+DOMINANCE_FAULTS = ["undefined_register", "register_used_before_its_definition",
+                    "register_used_by_its_own_definition",
+                    "register_used_where_its_block_does_not_dominate",
+                    "phi_operand_its_block_does_not_dominate",
+                    "register_defined_in_an_unreachable_block"]
+
+# a use in a block that the entry does not reach, of a register defined
+# after it, and of one defined in a block that does not dominate it
+UNREACHABLE_USES = """
+define i32 @main(i32 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %i.next = add i32 %i, 1
+  %go = icmp ult i32 %i.next, %n
+  br i1 %go, label %loop, label %exit
+dead:
+  %y = add i32 %z, %i.next
+  %z = add i32 %y, 1
+  br label %exit
+exit:
+  %r = phi i32 [ %i.next, %loop ], [ %z, %dead ]
+  ret i32 %r
+}
+"""
+
+
+def _llvm_as(text):
+    """llvm-as's first line of complaint about `text`, or None when it
+    accepts it."""
+    done = subprocess.run([LLVM_AS, "-opaque-pointers", "-o", "/dev/null", "-"],
+                          input=text, capture_output=True, text=True, timeout=60)
+    return done.stderr.strip().splitlines()[0] if done.returncode else None
+
+
+def _sampled_mutants():
+    mutants = [(f"{path.name} with {what}", "\n".join(lines))
+               for path in sorted(SAMPLES.glob("*.ll"))
+               for what, lines in _line_mutants(path.read_text().split("\n"))]
+    return random.Random(20011).sample(mutants, SAMPLE_SIZE)
+
+
+def test_line_mutants_that_parse_pass_llvm_as():
+    accepted, disagreements = 0, []
+    for what, text in _sampled_mutants():
+        try:
+            parse_module(text)
+        except IrTimeError:
+            continue
+        accepted += 1
+        complaint = _llvm_as(text)
+        if complaint is None:
+            continue
+        lenient = _LENIENCIES.search(complaint)
+        if lenient is None or not is_recognized_callee(lenient.group(1)):
+            disagreements.append(f"{what}: {complaint}")
+    assert accepted >= SAMPLE_SIZE // 5
+    assert disagreements == []
+
+
+@pytest.mark.parametrize("name", DOMINANCE_FAULTS)
+def test_llvm_as_rejects_each_dominance_fault(name):
+    text = STRUCTURAL_FAULTS[name]
+    with pytest.raises(IrTimeError):
+        parse_module(text)
+    assert _llvm_as(text) is not None
+
+
+def test_llvm_as_accepts_any_use_in_an_unreachable_block():
+    parse_module(UNREACHABLE_USES)
+    assert _llvm_as(UNREACHABLE_USES) is None

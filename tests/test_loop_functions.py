@@ -18,7 +18,7 @@ from irtime import (
     write_trace,
 )
 from irtime import interp as interp_module
-from irtime.errors import IrTimeError
+from irtime.errors import IrTimeError, ParseError
 
 from conftest import SAMPLES
 
@@ -191,9 +191,8 @@ exit:
 }
 """
 
-# a result of one arm read at the join without a phi: the value of an
-# earlier iteration when the first takes that arm, else an unassigned
-# register
+# a result of one arm read at the join without a phi, which the arm does not
+# dominate: rejected while parsing
 UNDOMINATED = """
 define i32 @main() {
 entry:
@@ -244,10 +243,15 @@ exit:
   ret i32 %r
 }
 """
+# the same, where the first iteration skips the arm
 UNASSIGNED = UNDOMINATED.replace("icmp eq i32 %odd", "icmp ne i32 %odd")
+# the same result read by the header's phi at the end of the join
+UNDOMINATED_PHI = UNDOMINATED.replace("[ %i.next, %join ]", "[ %x, %join ]").replace(
+    "%y = add i32 %x, %i", "%y = add i32 %i, 1")
 
-# a loop left from its header and from its body, and a result of the body
-# read after it: the last iteration's, as the header exits
+# a loop left from its header and from its body, and a result of the header
+# read in the body and after the loop: stored on the exits, as its block
+# dominates both
 EXITS = """
 define i32 @main() {
 entry:
@@ -255,17 +259,47 @@ entry:
 
 head:
   %i = phi i32 [ 0, %entry ], [ %i.next, %body ]
-  %more = icmp ult i32 %i, 5
+  %sq = mul i32 %i, %i
+  %more = icmp ult i32 %i, 20
   br i1 %more, label %body, label %exit
 
 body:
-  %sq = mul i32 %i, %i
   %i.next = add i32 %i, 1
   %big = icmp ugt i32 %sq, 100
   br i1 %big, label %exit, label %head
 
 exit:
   %r = add i32 %sq, %i
+  ret i32 %r
+}
+"""
+
+# a block the entry does not reach, which reads a register before its
+# definition and one whose definition does not dominate it, and has an edge
+# into the loop's body: accepted, as LLVM accepts it, but the loop returns
+# to the dispatcher, as its body holds that block
+UNREACHABLE = """
+define i32 @main() {
+entry:
+  br label %head
+
+head:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %body ]
+  %more = icmp ult i32 %i, 6
+  br i1 %more, label %body, label %exit
+
+body:
+  %i.next = add i32 %i, 1
+  br label %head
+
+dead:
+  %y = add i32 %z, %i.next
+  %z = mul i32 %y, 2
+  %d = icmp eq i32 %z, 0
+  br i1 %d, label %body, label %exit
+
+exit:
+  %r = phi i32 [ %i, %head ], [ %z, %dead ]
   ret i32 %r
 }
 """
@@ -305,12 +339,23 @@ def _switch_chain(blocks):
 
 
 @pytest.mark.parametrize("text, compiled", [
-    (DIAMOND, 1), (SWITCH, 1), (DIVIDES, 1), (UNDOMINATED, 1), (UNASSIGNED, 1), (EXITS, 1),
+    (DIAMOND, 1), (SWITCH, 1), (DIVIDES, 1), (EXITS, 1), (UNREACHABLE, 0),
     (IRREDUCIBLE, 0), (_over_cap(3), 1), (_over_cap(4), 0),
-], ids=["diamond", "switch", "divides", "undominated", "unassigned", "exits", "irreducible",
+], ids=["diamond", "switch", "divides", "exits", "unreachable", "irreducible",
         "at_cap", "over_cap"])
 def test_loops_run_the_same_with_loop_functions(text, compiled, tmp_path):
     assert _assert_dispatch_equivalent(text, tmp_path / "t") == compiled
+
+
+@pytest.mark.parametrize("text, want", [
+    (UNDOMINATED, "18:0: this use of '%x' is not dominated by its definition in '%left'"),
+    (UNASSIGNED, "18:0: this use of '%x' is not dominated by its definition in '%left'"),
+    (UNDOMINATED_PHI, "7:0: this use of '%x' is not dominated by its definition in '%left'"),
+], ids=["undominated", "unassigned", "undominated_phi"])
+def test_loops_reading_an_undominated_register_are_rejected_while_parsing(text, want):
+    with pytest.raises(ParseError) as info:
+        parse_module(text)
+    assert str(info.value) == want
 
 
 def test_a_loop_nested_too_deep_returns_to_the_dispatcher():
@@ -321,13 +366,12 @@ def test_a_loop_nested_too_deep_returns_to_the_dispatcher():
 
 def test_the_hand_written_loops_reach_their_faults(tmp_path):
     results = {name: _observe(parse_module(text), None, tmp_path / "t")[0][1]
-               for name, text in (("divides", DIVIDES), ("undominated", UNDOMINATED),
-                                  ("unassigned", UNASSIGNED), ("exits", EXITS))}
+               for name, text in (("divides", DIVIDES), ("exits", EXITS),
+                                  ("unreachable", UNREACHABLE))}
     assert results == {
         "divides": ("DivisionByZero", "integer division by zero"),
-        "undominated": ("value", 4 * 5 + 5),
-        "unassigned": ("UnresolvedReferenceError", "unresolved register 'x'"),
-        "exits": ("value", 4 * 4 + 5),
+        "exits": ("value", 11 * 11 + 11),       # left from the body, as 121 > 100
+        "unreachable": ("value", 6),
     }
 
 

@@ -572,6 +572,82 @@ def test_second_definition_is_rejected_where_it_stands(name):
     assert str(info.value) == want
 
 
+@pytest.mark.parametrize("case", ["i8 1", "double 1.0"])
+def test_switch_case_of_another_type_is_rejected_where_it_stands(case):
+    # LLVM rejects both; the first wrapped 257 to compare as 1
+    with pytest.raises(ParseError) as info:
+        parse_module(_TWO_CASES.replace("i32 2, label %b", f"{case}, label %b"))
+    assert str(info.value) == "6:5: 'switch' case is not of the operand's type i32"
+
+
+def test_uses_that_their_definitions_dominate_are_accepted():
+    # a parameter, a phi's operand read at the end of the block it comes
+    # from, the same phi's own result on a self-loop, a definition in the
+    # entry read in every block; and, as in LLVM, anything in a block the
+    # entry does not reach
+    src = """
+define i32 @main(i32 %n) {
+entry:
+  %k = add i32 %n, 1
+  br label %loop
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i32 [ %k, %entry ], [ %acc.next, %loop ]
+  %i.next = add i32 %i, 1
+  %acc.next = add i32 %acc, %k
+  %go = icmp ult i32 %i.next, %n
+  br i1 %go, label %loop, label %exit
+dead:
+  %y = add i32 %z, %i.next
+  %z = add i32 %y, %acc.next
+  br label %exit
+exit:
+  %r = phi i32 [ %acc.next, %loop ], [ %z, %dead ]
+  ret i32 %r
+}
+"""
+    f = parse_module(src).function("main")
+    assert f.idom == {"entry": None, "loop": "entry", "exit": "loop"}
+    assert f.dominates("loop", "exit") and not f.dominates("exit", "loop")
+    assert f.dominates("exit", "dead") and not f.dominates("dead", "exit")
+
+
+def _reached(succs, avoid):
+    """The blocks that the entry, block 0, reaches without passing `avoid`."""
+    seen, todo = set(), [0]
+    while todo:
+        b = todo.pop()
+        if b != avoid and b not in seen:
+            seen.add(b)
+            todo += succs[b]
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(1, max(n - 1, 1)), max_size=2 if n > 1 else 0), min_size=n, max_size=n)))
+def test_dominators_match_their_definition(succs):
+    # a dominates b when b is not reached once a is taken away; every block
+    # dominates one the entry does not reach
+    lines = ["define i32 @main(i1 %c) {"]
+    for b, targets in enumerate(succs):
+        lines.append(f"b{b}:")
+        if not targets:
+            lines.append("  ret i32 0")
+        elif len(targets) == 1:
+            lines.append(f"  br label %b{targets[0]}")
+        else:
+            lines.append(f"  br i1 %c, label %b{targets[0]}, label %b{targets[1]}")
+    f = parse_module("\n".join(lines + ["}"])).function("main")
+    reached = _reached(succs, None)
+    assert set(f.idom) == {f"b{b}" for b in reached}
+    for a in range(len(succs)):
+        without = _reached(succs, a)
+        for b in range(len(succs)):
+            want = a == b or b not in reached or b not in without
+            assert f.dominates(f"b{a}", f"b{b}") == want, (a, b)
+
+
 # Each body holds one structural fault on the line marked `; here` (the
 # lexer drops the comment).  The check runs where the fault is read, so the
 # error names that line.
@@ -581,6 +657,21 @@ _MAIN = "define i32 @main() {\nentry:\n  ret i32 0\n}\n"
 def _in_main(body, params=""):
     return f"define i32 @main({params}) {{\nentry:\n{body}\n  ret i32 0\n}}\n"
 
+
+# a definition in one arm of a branch, and a join where USE stands
+_DIAMOND = """
+define i32 @main(i1 %c) {
+entry:
+  br i1 %c, label %left, label %join
+left:
+  %x = add i32 1, 2
+  br label %join
+join:
+  %p = phi i32 [ 0, %entry ], [ %x, %left ]
+  USE
+  ret i32 %p
+}
+"""
 
 STRUCTURAL_FAULTS = {
     "duplicate_function": _MAIN + "define i32 @main() { ; here\nentry:\n  ret i32 1\n}\n",
@@ -706,6 +797,26 @@ done:
     "ret_of_another_type": "define i32 @main() {\nentry:\n  ret double 1.0 ; here\n}\n",
     "zext_to_a_narrower_type": _in_main("  %z = zext i32 300 to i8 ; here"),
     "sext_to_the_same_width": _in_main("  %s = sext i16 %x to i16 ; here", "i16 %x"),
+    "undefined_register": _in_main("  %r = add i32 %nope, 1 ; here"),
+    "register_used_before_its_definition": _in_main("  %a = add i32 %b, 1 ; here\n"
+                                                    "  %b = add i32 2, 3"),
+    "register_used_by_its_own_definition": _in_main("  %a = add i32 %a, 1 ; here"),
+    "register_used_where_its_block_does_not_dominate": _DIAMOND.replace(
+        "USE", "%y = add i32 %x, 1 ; here"),
+    "phi_operand_its_block_does_not_dominate": _DIAMOND.replace("USE", "").replace(
+        "[ 0, %entry ], [ %x, %left ]", "[ %x, %entry ], [ %x, %left ] ; here"),
+    "register_defined_in_an_unreachable_block": """
+define i32 @main() {
+entry:
+  br label %exit
+dead:
+  %x = add i32 1, 2
+  br label %exit
+exit:
+  %r = add i32 %x, 1 ; here
+  ret i32 %r
+}
+""",
     "first_of_two_faults": """
 define i32 @f() {
 entry:
