@@ -265,9 +265,6 @@ class RegressionTree:
         return {"feature": self.feature, "threshold": self.threshold,
                 "left": self.left, "right": self.right, "value": self.value}
 
-    def to_dict(self):
-        return {name: a.tolist() for name, a in self.arrays().items()}
-
     @classmethod
     def from_dict(cls, d, n_features):
         """Rebuild a saved tree.  Raises ValueError unless its five arrays
@@ -305,9 +302,6 @@ class RandomForest:
         for tree in self.trees:
             total += tree.predict(X)
         return total / len(self.trees)
-
-    def to_dict(self):
-        return {"trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
     def from_dict(cls, d, n_features):

@@ -126,9 +126,8 @@ class _Region:
 
 
 class MemoryImage:
-    """Three bump regions; reads return zeros for allocated-but-unwritten
-    bytes and report that, and `load` counts such loads in
-    `uninitialized_loads` so the run can flag them."""
+    """Three bump regions; a load of allocated-but-unwritten bytes reads
+    zeros and is counted in `uninitialized_loads` so the run can flag it."""
 
     def __init__(self, limits: RunLimits):
         self.globals = _Region("globals", GLOBAL_BASE, limits.max_heap_bytes)
@@ -146,11 +145,6 @@ class MemoryImage:
             if off + nbytes <= region.top:
                 return region, off
         raise OutOfBoundsAccess(addr, nbytes)
-
-    def read(self, addr, nbytes):
-        region, off = self._locate(addr, nbytes)
-        end = off + nbytes
-        return bytes(region.data[off:end]), region.shadow.find(0, off, end) >= 0
 
     def write(self, addr, data):
         region, off = self._locate(addr, len(data))
@@ -244,16 +238,6 @@ def _type_bits(ty):
     return 32 if ty.kind == "ptr" else ty.int_bits
 
 
-def _encoder(ty):
-    """fn(value) -> the little-endian bytes a store of type `ty` writes."""
-    if ty.kind == "float":
-        return lambda v: _F32.pack(_to_f32(v))
-    if ty.kind == "double":
-        return _F64.pack
-    m, size = (1 << _type_bits(ty)) - 1, ty.size()
-    return lambda v: (v & m).to_bytes(size, "little")
-
-
 def _address(global_addrs, op):
     """The address a GlobalRef or ConstGep operand names."""
     if op.__class__ is GlobalRef:
@@ -263,7 +247,9 @@ def _address(global_addrs, op):
 
 # --- generated segment functions ---------------------------------------------
 # A segment is a block's non-phi instructions up to its terminator, or up to
-# a call into a function body.  Each becomes one Python function fn(regs),
+# a call into a function body.  Only the blocks the entry reaches (those in
+# the function's dominator tree) are compiled; no edge leads to the others,
+# so they never run.  Each segment becomes one Python function fn(regs),
 # built as source and compiled with every other segment of the module in one
 # compile() when the Interpreter is constructed.  fn returns the index of
 # the next segment in the segment table, or 0 once the entry function
@@ -287,13 +273,14 @@ def _address(global_addrs, op):
 #
 # Loop functions.  A block H is a loop header when it has an edge p -> H
 # from a block p that the entry reaches and H dominates, by the dominator
-# tree the parser builds.  The loop is H and every block that reaches such a
-# latch p without passing H.  It runs in H's function when no block of it
-# calls a function body, when it holds no cycle once its edges into H are
-# taken away (so no inner loop), and when copying each block once for every
-# path to it from H takes at most _MAX_COPIES copies and `if` nesting levels.
-# A self-loop is the one-block case.  Other loops, and irreducible cycles,
-# return to the dispatcher on every edge.  Inside H's `while True:`:
+# tree the parser builds.  The loop is H and every block the entry reaches
+# that reaches such a latch p without passing H.  It runs in H's function
+# when no block of it calls a function body, when it holds no cycle once its
+# edges into H are taken away (so no inner loop), and when copying each
+# block once for every path to it from H takes at most _MAX_COPIES copies
+# and `if` nesting levels.  A self-loop is the one-block case.  Other loops,
+# and irreducible cycles, return to the dispatcher on every edge.  Inside
+# H's `while True:`:
 # - an edge to H emits the lines of any edge, assigns H's kept phi locals in
 #   one tuple assignment, as phis are parallel, and does `continue`; those
 #   locals are read from `regs` once, before the loop, where every edge into
@@ -483,9 +470,8 @@ def _natural_loops(func):
     no inner loop, and copying each block once for every path to it from
     the header takes at most _MAX_COPIES copies and nesting levels.  A latch
     is a block the entry reaches with an edge to a block that dominates it,
-    its loop's header; the loop holds every block that reaches a latch
-    without passing the header, which a block the entry does not reach may
-    do."""
+    its loop's header; the loop holds every block the entry reaches that
+    reaches a latch without passing the header."""
     bodies = {}
     for latch in func.idom:
         for header in func.block_map[latch].succs:
@@ -493,7 +479,7 @@ def _natural_loops(func):
                 body, todo = bodies.setdefault(header, {header}), [latch]
                 while todo:
                     label = todo.pop()
-                    if label not in body:
+                    if label not in body and label in func.idom:
                         body.add(label)
                         todo += func.block_map[label].preds
     loops = {}
@@ -635,6 +621,8 @@ class _Generator:
             inlined = {label for h, loop in loops.items() for label in loop.body if label != h}
             segments, emitted = [], []
             for b in f.blocks:
+                if b.label not in f.idom:       # never runs
+                    continue
                 split = [(b, insts) for insts in _split(b)]
                 segments += split
                 if b.label not in inlined:
@@ -1061,9 +1049,6 @@ class Interpreter:
         if isinstance(init, bytes):
             mem.write(addr, init[: ty.size()])
             return
-        if isinstance(init, (GlobalRef, ConstGep)):
-            mem.write(addr, _encoder(ty)(_address(mem.global_addrs, init)))
-            return
         if isinstance(init, list):
             if ty.kind == "array":
                 stride = ty.elem.size()
@@ -1073,7 +1058,15 @@ class Interpreter:
                 for i, item in enumerate(init):
                     self._write_init(addr + ty.field_offset(i), ty.fields[i], item)
             return
-        mem.write(addr, _encoder(ty)(init))
+        if isinstance(init, (GlobalRef, ConstGep)):
+            init = _address(mem.global_addrs, init)
+        # a scalar, written as a generated store writes it
+        if ty.kind == "float":
+            init = _to_f32(init)
+        elif ty.kind != "double":
+            init &= (1 << _type_bits(ty)) - 1
+        nbytes = ty.size()
+        mem.store(addr, nbytes, _RUNTIME["P" + _FORMATS[ty.kind]], init, b"\x01" * nbytes)
 
     # --- main loop ---------------------------------------------------------
 

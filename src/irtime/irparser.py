@@ -739,8 +739,6 @@ class _Parser:
                 cur.i = 2
             elif block is None:
                 label = entry_hint
-                if self._labels_ahead(i, label):
-                    label = label + ".entry"
             if label is not None:
                 if label in labels:
                     raise _TokenFault(f"duplicate block label '%{label}'", first)
@@ -751,17 +749,6 @@ class _Parser:
                 self._parse_instruction(cur, block)
         raise ParseError("unterminated function body (missing '}')",
                          self.lines[-1][0][2] if self.lines else None, 0)
-
-    def _labels_ahead(self, i: int, label: str) -> bool:
-        """Whether a line from `i` up to the function's closing `}` defines
-        `label`."""
-        for line in itertools.islice(self.lines, i, None):
-            if line[0][0] == "}":
-                return False
-            if (line[0][0] in _LABEL_KINDS and len(line) >= 2 and line[1][0] == ":"
-                    and line[0][1] == label):
-                return True
-        return False
 
     def _link(self, func: IrFunction):
         """Derive the control-flow graph (block map, successors,

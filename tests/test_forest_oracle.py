@@ -4,7 +4,7 @@
 implementation, kept as the oracle: each tree is grown alone, depth first,
 right child first, and every node argsorts each candidate column of its own
 rows.  `fit_forest` grows all trees together from presorted columns and must
-give the same `to_dict()`, bit for bit, under every parameter set.
+give the same node arrays, bit for bit, under every parameter set.
 """
 
 import hashlib
@@ -119,9 +119,14 @@ def _reference_fit_forest(X, y, params, master_seed):
     return RandomForest(trees)
 
 
+def _as_lists(fitted):
+    """Each tree's five node arrays by name, as Python lists."""
+    return [{name: a.tolist() for name, a in t.arrays().items()} for t in fitted.trees]
+
+
 def _assert_same_forest(X, y, params, seed):
-    want = _reference_fit_forest(X, y, params, seed).to_dict()
-    got = fit_forest(X, y, params, master_seed=seed).to_dict()
+    want = _as_lists(_reference_fit_forest(X, y, params, seed))
+    got = _as_lists(fit_forest(X, y, params, master_seed=seed))
     assert got == want
 
 
@@ -177,9 +182,8 @@ def test_fit_forest_matches_reference_on_continuous_rows(params):
 
 def test_fit_forest_single_row():
     fitted = fit_forest(np.array([[3.0, 4.0]]), np.array([7.0]), ForestParams(n_trees=2))
-    assert fitted.to_dict() == {"trees": [{"feature": [_LEAF], "threshold": [0.0],
-                                           "left": [_LEAF], "right": [_LEAF],
-                                           "value": [7.0]}] * 2}
+    assert _as_lists(fitted) == [{"feature": [_LEAF], "threshold": [0.0],
+                                  "left": [_LEAF], "right": [_LEAF], "value": [7.0]}] * 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -238,8 +242,8 @@ def test_saved_forest_bytes_pinned(name, tmp_path):
 # as written before the model payload became one flat parameter table
 _PINNED_SHA256_OTHER = {
     "linear": "9a4ec1d709c041f848bd1dc8ca415f81afc22749f636e88b83bca266c5c329fc",
-    "huber": "99640bf0e1053b811306bd4bb3b3b30eed1200b5583a082af0c5804a4359948d",
-    "mlp": "4a1e00f4753e58d5ca2d7c01feafb45b886b6b71fc8a82ca086cca27d42f134b",
+    "huber": "0804c66e69dc528bda2df1c420ee67a86fe5a941621cfa38eedbb71086f67f0e",
+    "mlp": "cccbf15d2223b6d71d0031a2558978e4862527f1122b16df5b03afee2cb67bc1",
 }
 
 

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -293,6 +294,17 @@ def test_wild_pointer_access():
         _ret(src)
 
 
+_U32 = struct.Struct("<I")
+
+
+def _accesses(mem, addr, nbytes):
+    """A load, a store and a byte write of `nbytes` at `addr`."""
+    fmt = struct.Struct("<" + {1: "B", 4: "I"}[nbytes])
+    yield lambda: mem.load(addr, nbytes, fmt.unpack_from)
+    yield lambda: mem.store(addr, nbytes, fmt.pack_into, 0, b"\x01" * nbytes)
+    yield lambda: mem.write(addr, bytes(nbytes))
+
+
 @pytest.mark.parametrize("addr, nbytes", [
     (0, 4),                 # null
     (0x0FFF_FFFF, 1),       # just below the globals
@@ -303,9 +315,10 @@ def test_wild_pointer_access():
 ])
 def test_addresses_outside_every_region(addr, nbytes):
     mem = MemoryImage(RunLimits())
-    with pytest.raises(OutOfBoundsAccess) as info:
-        mem.read(addr, nbytes)
-    assert str(info.value) == f"out-of-bounds access of {nbytes} byte(s) at 0x{addr:08x}"
+    for access in _accesses(mem, addr, nbytes):
+        with pytest.raises(OutOfBoundsAccess) as info:
+            access()
+        assert str(info.value) == f"out-of-bounds access of {nbytes} byte(s) at 0x{addr:08x}"
 
 
 @pytest.mark.parametrize("region", ["globals", "stack", "heap"])
@@ -313,13 +326,17 @@ def test_accesses_past_a_regions_top(region):
     mem = MemoryImage(RunLimits())
     addr = getattr(mem, region).allocate(8, 4)
     top = addr + 8
-    assert mem.read(top - 4, 4) == (bytes(4), True)
+    assert mem.load(top - 4, 4, _U32.unpack_from) == 0
+    assert mem.uninitialized_loads == 1
+    mem.store(top - 4, 4, _U32.pack_into, 7, b"\x01" * 4)
+    assert mem.load(top - 4, 4, _U32.unpack_from) == 7
+    assert mem.uninitialized_loads == 1
     for start, nbytes in ((top, 4), (top, 1), (top - 2, 4), (top + 64, 4)):
-        with pytest.raises(OutOfBoundsAccess,
-                           match=f"^out-of-bounds access of {nbytes} byte\\(s\\) at 0x{start:08x}$"):
-            mem.read(start, nbytes)
-        with pytest.raises(OutOfBoundsAccess):
-            mem.write(start, bytes(nbytes))
+        for access in _accesses(mem, start, nbytes):
+            with pytest.raises(OutOfBoundsAccess,
+                               match=f"^out-of-bounds access of {nbytes} byte\\(s\\) "
+                                     f"at 0x{start:08x}$"):
+                access()
 
 
 def test_stack_overflow_on_big_alloca():

@@ -6,7 +6,10 @@ in the calls to the routines the interpreter models: such a routine may be
 called without its `declare`, and its `declare` may be given twice.  The
 whole set of line mutants takes a few seconds of `llvm-as` calls, so this
 takes a seeded sample of it.  The parser's dominance cases are checked
-against `llvm-as` in both directions.
+against `llvm-as` in both directions, and so is a seeded sample of block
+mutants: a sample with one defining instruction moved into another block,
+which breaks dominance across blocks or keeps it, and where irtime and
+LLVM must agree either way.
 """
 
 import random
@@ -28,6 +31,7 @@ LLVM_AS = shutil.which("llvm-as")
 pytestmark = pytest.mark.skipif(LLVM_AS is None, reason="llvm-as is not installed")
 
 SAMPLE_SIZE = 60
+BLOCK_SAMPLE_SIZE = 40
 
 # the two leniencies, each naming the routine that LLVM finds undeclared or
 # declared twice
@@ -71,6 +75,41 @@ def _llvm_as(text):
     return done.stderr.strip().splitlines()[0] if done.returncode else None
 
 
+_PHI = re.compile(r"%[-\w.$]+ = phi\b")
+_DEFINITION = re.compile(r"%[-\w.$]+ = ")
+
+
+def _block_mutants(lines):
+    """Each defining instruction but a phi moved to just after the phis of
+    another block of its function."""
+    blocks, moves = [], []      # blocks: [function number, insertion line]
+    function, inside, block = 0, False, None
+    for i, line in enumerate(lines):
+        code = line.split(";", 1)[0].strip()
+        if line.startswith("define"):
+            function, inside, block = function + 1, True, None
+        elif code == "}":
+            inside = False
+        elif inside and code:
+            if code.endswith(":"):
+                block = [function, i + 1]
+                blocks.append(block)
+                continue
+            if block is None:       # the unnamed entry
+                block = [function, i]
+                blocks.append(block)
+            if _PHI.match(code):
+                block[1] = i + 1
+            elif _DEFINITION.match(code):
+                moves.append((i, block))
+    for i, home in moves:
+        for target in blocks:
+            if target is not home and target[0] == home[0]:
+                mutant = lines[:i] + lines[i + 1:]
+                mutant.insert(target[1] - (target[1] > i), lines[i])
+                yield f"line {i + 1} moved before line {target[1] + 1}", mutant
+
+
 def _sampled_mutants():
     mutants = [(f"{path.name} with {what}", "\n".join(lines))
                for path in sorted(SAMPLES.glob("*.ll"))
@@ -107,3 +146,30 @@ def test_llvm_as_rejects_each_dominance_fault(name):
 def test_llvm_as_accepts_any_use_in_an_unreachable_block():
     parse_module(UNREACHABLE_USES)
     assert _llvm_as(UNREACHABLE_USES) is None
+
+
+def test_block_mutants_agree_with_llvm_as():
+    mutants = [(f"{path.name} with {what}", "\n".join(lines))
+               for path in sorted(SAMPLES.glob("*.ll"))
+               for what, lines in _block_mutants(path.read_text().split("\n"))]
+    verdicts, disagreements = set(), []
+    for what, text in random.Random(2026).sample(mutants, BLOCK_SAMPLE_SIZE):
+        try:
+            parse_module(text)
+            ours = None
+        except IrTimeError as exc:
+            ours = str(exc)
+        theirs = _llvm_as(text)
+        verdicts.add(ours is None)
+        if (ours is None) != (theirs is None):
+            disagreements.append(f"{what}: irtime {ours or 'accepts'}, "
+                                 f"llvm-as {theirs or 'accepts'}")
+    assert verdicts == {True, False}
+    assert disagreements == []
+
+
+def test_llvm_as_rejects_a_label_repeating_the_unnamed_entrys_number():
+    text = STRUCTURAL_FAULTS["label_repeating_the_unnamed_entrys_number"]
+    with pytest.raises(IrTimeError, match="duplicate block label '%0'"):
+        parse_module(text)
+    assert "label expected to be numbered" in _llvm_as(text)

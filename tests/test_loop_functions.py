@@ -276,8 +276,8 @@ exit:
 
 # a block the entry does not reach, which reads a register before its
 # definition and one whose definition does not dominate it, and has an edge
-# into the loop's body: accepted, as LLVM accepts it, but the loop returns
-# to the dispatcher, as its body holds that block
+# into the loop's body: accepted, as LLVM accepts it; the block is never
+# compiled, so the loop still runs in its header's function
 UNREACHABLE = """
 define i32 @main() {
 entry:
@@ -339,7 +339,7 @@ def _switch_chain(blocks):
 
 
 @pytest.mark.parametrize("text, compiled", [
-    (DIAMOND, 1), (SWITCH, 1), (DIVIDES, 1), (EXITS, 1), (UNREACHABLE, 0),
+    (DIAMOND, 1), (SWITCH, 1), (DIVIDES, 1), (EXITS, 1), (UNREACHABLE, 1),
     (IRREDUCIBLE, 0), (_over_cap(3), 1), (_over_cap(4), 0),
 ], ids=["diamond", "switch", "divides", "exits", "unreachable", "irreducible",
         "at_cap", "over_cap"])

@@ -192,6 +192,17 @@ def test_mlp_gradients_match_finite_differences():
             assert rel < 1e-4, (key, idx, a, fd)
 
 
+def test_mlp_fits_labels_at_ns_scale():
+    # labels around 1e5, as simulated times in ns are: SGD on them unscaled
+    # diverged, leaving non-finite weights
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 1000, size=(60, 42)).astype(float)
+    y = 1e5 + X @ rng.uniform(10, 50, size=42)
+    weights, _, _, history = fit_mlp(X, y)
+    assert all(np.isfinite(a).all() for a in weights.values())
+    assert np.isfinite(history[-1])
+
+
 def test_mlp_deterministic():
     rng = np.random.default_rng(6)
     ds, X, _ = _random_dataset(rng, 30, noise=0.01)

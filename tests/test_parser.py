@@ -68,13 +68,15 @@ entry:
 
 
 def test_the_implicit_entry_label_looks_only_at_its_own_function():
-    # a later `0:` in the same function renames the entry to `0.entry`; one
-    # in the next function does not
-    src = """
+    # LLVM numbers the unnamed entry block itself, so a later `0:` in the
+    # same function repeats its label and is rejected; one in another
+    # function is not seen
+    f = """
 define i32 @f() {
   ret i32 1
 }
-
+"""
+    main = """
 define i32 @main() {
   br label %0
 
@@ -83,9 +85,9 @@ define i32 @main() {
   ret i32 %r
 }
 """
-    m = parse_module(src)
-    assert [b.label for b in m.function("f").blocks] == ["0"]
-    assert [b.label for b in m.function("main").blocks] == ["0.entry", "0"]
+    assert [b.label for b in parse_module(f).function("f").blocks] == ["0"]
+    with pytest.raises(ParseError, match=r"^9:1: duplicate block label '%0'$"):
+        parse_module(f + main)
 
 
 def test_global_parsing():
@@ -684,6 +686,13 @@ next:
 next: ; here
   br label %done
 done:
+  ret i32 0
+}
+""",
+    "label_repeating_the_unnamed_entrys_number": """
+define i32 @main() {
+  br label %0
+0: ; here
   ret i32 0
 }
 """,
