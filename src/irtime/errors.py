@@ -131,6 +131,10 @@ class NonPositiveActualError(IrTimeError):
         super().__init__(f"actual value must be positive, got {actual!r}")
 
 
+class NonFiniteError(IrTimeError):
+    """A training loss or a prediction that is nan or infinite."""
+
+
 class DegenerateDenominatorError(IrTimeError):
     def __init__(self, actual: float, predicted: float):
         super().__init__(

@@ -6,16 +6,20 @@ vectorized walk.  Split search minimizes the summed squared error of the two
 sides, computed for every candidate position of every candidate feature from
 prefix sums over the node's rows in sorted order.
 
-`fit_forest` grows all trees in lockstep.  Each tree expands its nodes depth
-first, right child first, from its own stack and random generator, as if it
-were grown alone; one step takes the next node of every tree and searches
-all their splits in one batch of array operations.  Every column is sorted
-once per tree, and a split partitions the sorted row lists of its node
-stably, so each node sees its rows in the order a stable sort of its own
-rows would give.  Prefix sums run in that order, the first minimum in
-(position, column) order wins, and node values are pairwise means in
-bootstrap order, so the fitted forest is the same, bit for bit, as one grown
-a node at a time.
+`fit_forest` grows all trees in lockstep, and one step searches the splits
+of many nodes in batches of array operations.  A tree grown alone expands
+its nodes depth first, right child first, and a node that draws candidate
+columns draws them from its tree's random generator in that order.  So when
+columns are drawn, a step takes only the top node of each tree's stack;
+when every column is a candidate, no draw depends on the order, and a step
+takes every pending node of every tree, one level per step.  After growth
+each tree's nodes are renumbered to the ids they get when it is grown
+alone.  Every column is sorted once per tree, and a split partitions the
+sorted row lists of its node stably, so each node sees its rows in the
+order a stable sort of its own rows would give.  Prefix sums run in that
+order, the first minimum in (position, column) order wins, and node values
+are pairwise means in bootstrap order, so the fitted forest is the same,
+bit for bit, as one grown a node at a time.
 """
 
 import numpy as np
@@ -40,12 +44,15 @@ def _ranges(starts, lengths):
 
 
 class _Lockstep:
-    """Grows a group of trees together, one split of every tree per step.
+    """Grows a group of trees together, many nodes per step.
 
-    Each tree pops the nodes it will split from its own stack, right child
-    first, so its node ids and random feature draws are those of the tree
-    grown alone.  Rows are named by tree-row ids, t * n + r for row r of X in
-    tree t of the group; a row the bootstrap drew twice appears twice.
+    Each tree keeps its pending nodes in the order of its stack, right child
+    last.  When candidate columns are drawn, a step takes each tree's top
+    node, so its random draws are those of the tree grown alone; otherwise a
+    step takes every pending node.  Children get provisional ids in step
+    order, and `_renumbered` gives each tree the ids of the tree grown alone.
+    Rows are named by tree-row ids, t * n + r for row r of X in tree t of the
+    group; a row the bootstrap drew twice appears twice.
     """
 
     def __init__(self, X, y, boots, rngs, max_depth, min_split, min_leaf, k):
@@ -74,23 +81,30 @@ class _Lockstep:
         self.value = np.zeros((trees, 2 * n - 1))
 
     def grow(self):
+        """The five node arrays, (trees, 2n - 1) each, and the node count of
+        each tree, its nodes numbered in step order."""
         n, d, k = self.n, self.d, self.k
         trees = len(self.rngs)
         count = np.ones(trees, dtype=np.int64)     # nodes of each tree so far
-        stacks = [[] for _ in range(trees)]
         zero = np.zeros(trees, dtype=np.int64)
-        self._add_nodes(stacks, np.arange(trees), zero, zero, np.full(trees, n), zero,
-                        np.zeros((trees, d), dtype=bool))
-        while any(stacks):
-            live = [t for t, stack in enumerate(stacks) if stack]
-            popped = [stacks[t].pop() for t in live]
-            t = np.array(live)
-            nid, lo, m, depth = np.array([p[:4] for p in popped]).T
-            const = np.array([p[4] for p in popped])
+        # (tree, node, lo, size, depth, constant columns) of every node that
+        # may split, each tree's in the order of its stack, top last
+        pending = self._add_nodes(np.arange(trees), zero, zero, np.full(trees, n), zero,
+                                  np.zeros((trees, d), dtype=bool))
+        while pending[0].size:
             if k < d:
+                # only each tree's top node: its pop draws the tree's
+                # candidate columns, and they must be drawn in stack order
+                _, last = np.unique(pending[0][::-1], return_index=True)
+                take = np.zeros(pending[0].size, dtype=bool)
+                take[take.size - 1 - last] = True
+                t, nid, lo, m, depth, const = (a[take] for a in pending)
+                rest = [a[~take] for a in pending]
                 cand = np.array([np.sort(self.rngs[i].choice(d, size=k, replace=False))
-                                 for i in live])
+                                 for i in t.tolist()])
             else:
+                t, nid, lo, m, depth, const = pending
+                rest = [a[:0] for a in pending]
                 cand = np.broadcast_to(np.arange(d), (t.size, d))
             feat = np.empty(t.size, dtype=np.int64)
             thr = np.empty(t.size)
@@ -104,33 +118,40 @@ class _Lockstep:
                 feat[s], thr[s], nl[s], const[s] = self._split(t[s], lo[s], m[s], cand[s], const[s])
                 a = b
             split = feat != _LEAF
+            if not split.any():
+                pending = rest
+                continue
             t, nid, lo, m, depth = t[split], nid[split], lo[split], m[split], depth[split]
             nl, const = nl[split], const[split]
-            lid = count[t]
-            count[t] += 2
+            # provisional child ids in step order: a tree's r-th split in this
+            # step names the tree's next free ids + 2r and + 2r + 1
+            per = np.bincount(t, minlength=trees)
+            by_tree = np.argsort(t, kind="stable")
+            r = np.empty_like(t)
+            r[by_tree] = np.arange(t.size) - (np.cumsum(per) - per)[t[by_tree]]
+            lid = count[t] + 2 * r
+            count += 2 * per
             self.feature[t, nid] = feat[split]
             self.threshold[t, nid] = thr[split]
             self.left[t, nid] = lid
             self.right[t, nid] = lid + 1
-            # children in (left, right) pairs: the right one is pushed last
+            # children in (left, right) pairs: the right one is stacked last
             pair = np.repeat(np.arange(t.size), 2)
-            self._add_nodes(stacks, t[pair], lid[pair] + np.tile([0, 1], t.size),
-                            np.stack([lo, lo + nl], axis=1).ravel(),
-                            np.stack([nl, m - nl], axis=1).ravel(), depth[pair] + 1, const[pair])
-        return [RegressionTree(self.feature[t, :c].copy(), self.threshold[t, :c].copy(),
-                               self.left[t, :c].copy(), self.right[t, :c].copy(),
-                               self.value[t, :c].copy())
-                for t, c in enumerate(count.tolist())]
+            children = self._add_nodes(t[pair], lid[pair] + np.tile([0, 1], t.size),
+                                       np.stack([lo, lo + nl], axis=1).ravel(),
+                                       np.stack([nl, m - nl], axis=1).ravel(),
+                                       depth[pair] + 1, const[pair])
+            pending = [np.concatenate(p) for p in zip(rest, children)]
+        return self.feature, self.threshold, self.left, self.right, self.value, count
 
-    def _add_nodes(self, stacks, t, nid, lo, m, depth, const):
-        """Set each new node's value, the mean label of its rows, and stack
-        (node, lo, size, depth, constant columns) for those that may split.
+    def _add_nodes(self, t, nid, lo, m, depth, const):
+        """Set each new node's value, the mean label of its rows, and return
+        (tree, node, lo, size, depth, constant columns) of those that may
+        split, in the order given.
 
-        A node that cannot split never enters the stack: it would draw no
-        random numbers and make no nodes, so no later node id or draw moves.
+        A node that cannot split is never pending: it would draw no random
+        numbers and make no nodes, so no later node id or draw moves.
         """
-        if not t.size:
-            return
         n, d = self.n, self.d
         by_size = np.argsort(m, kind="stable")
         t_s, nid_s, lo_s, m_s = t[by_size], nid[by_size], lo[by_size], m[by_size]
@@ -145,11 +166,8 @@ class _Lockstep:
                 np.add.reduce(ys[a:a + s * c].reshape(c, s), axis=1) / s
         grow = np.empty(m.size, dtype=bool)
         grow[by_size] = np.logical_or.reduceat(ys != np.repeat(ys[starts], m_s), starts)
-        grow = np.flatnonzero(grow & (m >= self.min_split) & (depth < self.max_depth))
-        for i, ti, ni, li, mi, di in zip(grow.tolist(), t[grow].tolist(), nid[grow].tolist(),
-                                         lo[grow].tolist(), m[grow].tolist(),
-                                         depth[grow].tolist()):
-            stacks[ti].append((ni, li, mi, di, const[i]))
+        grow &= (m >= self.min_split) & (depth < self.max_depth)
+        return t[grow], nid[grow], lo[grow], m[grow], depth[grow], const[grow]
 
     def _split(self, t, lo, m, cand, const):
         """Find the best split of each node and partition its sorted lists.
@@ -157,7 +175,7 @@ class _Lockstep:
         Returns (feature, threshold, left size, constant columns) per node,
         feature _LEAF where no position separates the rows.
         """
-        n, d, min_leaf = self.n, self.d, self.min_leaf
+        n, d = self.n, self.d
         nodes = t.size
         base = ((t * (d + 1))[:, None] + np.arange(d + 1)) * n + lo[:, None]
         # a column whose first and last sorted values agree is constant here
@@ -169,48 +187,10 @@ class _Lockstep:
         const[node, col] = self.xcol[self.order[first] + off] \
             == self.xcol[self.order[first + m[node] - 1] + off]
 
-        feat = np.full(nodes, _LEAF, dtype=np.int64)
-        thr = np.zeros(nodes)
         search = np.zeros((nodes, d), dtype=bool)
         search[np.arange(nodes)[:, None], cand] = True
-        node, col = np.nonzero(search & ~const)
-        if node.size:
-            # one padded row per searched list; past the end of a shorter
-            # list its last row repeats, where no value change can show
-            first = base[node, col]
-            last = first + m[node] - 1
-            rows = self.order[np.minimum(first[:, None] + np.arange(m.max()), last[:, None])]
-            xs = self.xcol[rows + ((col - t[node]) * n)[:, None]]
-            r, i = np.nonzero(xs[:, 1:] != xs[:, :-1])   # split after sorted i
-            nleft = i + 1
-            size = m[node[r]]
-            if min_leaf > 1:
-                ok = (nleft >= min_leaf) & (size - nleft >= min_leaf)
-                r, i, nleft, size = r[ok], i[ok], nleft[ok], size[ok]
-            if r.size:
-                # prefix sums in each list's own order, as the SSE needs
-                ys = self.y[rows]
-                csum = np.cumsum(ys, axis=1)
-                csq = np.cumsum(ys * ys, axis=1)
-                lsum = csum[r, i]
-                lsq = csq[r, i]
-                total = csum[r, size - 1]
-                total_sq = csq[r, size - 1]
-                left_cnt = nleft.astype(float)
-                cost = (lsq - lsum * lsum / left_cnt) \
-                    + ((total_sq - lsq) - (total - lsum) ** 2 / (size - left_cnt))
-                # the first minimum of each node in (position, column) order
-                j = node[r]
-                span = np.bincount(j)
-                head = (np.cumsum(span) - span)[span > 0]
-                span = span[span > 0]
-                best = np.minimum.reduceat(cost, head)
-                key = np.where(cost == np.repeat(best, span), i * d + col[r],
-                               np.iinfo(np.int64).max)
-                win = np.flatnonzero((key == np.repeat(np.minimum.reduceat(key, head), span))
-                                     & np.repeat(np.isfinite(best), span))
-                feat[j[win]] = col[r[win]]
-                thr[j[win]] = (xs[r[win], i[win]] + xs[r[win], i[win] + 1]) / 2.0
+        # the search's scratch is freed before the partition makes its own
+        feat, thr = self._best_splits(t, m, base, search & ~const)
 
         nl = np.zeros(nodes, dtype=np.int64)
         sp = np.flatnonzero(feat != _LEAF)
@@ -236,6 +216,99 @@ class _Lockstep:
             self.order[_ranges(first, left)] = rows[flag]
             self.order[_ranges(first + left, size - left)] = rows[~flag]
         return feat, thr, nl, const
+
+    def _best_splits(self, t, m, base, search):
+        """The best split of each node over the sorted lists that `search`
+        marks: (feature, threshold), feature _LEAF where none is found."""
+        n, d, min_leaf = self.n, self.d, self.min_leaf
+        feat = np.full(t.size, _LEAF, dtype=np.int64)
+        thr = np.zeros(t.size)
+        node, col = np.nonzero(search)
+        if not node.size:
+            return feat, thr
+        # one padded row per searched list; past the end of a shorter list
+        # its last row repeats.  A split after sorted position i needs a
+        # value change there and min_leaf rows on each side, which also rules
+        # out the padding, where a nan, unequal to itself, would show a change
+        first = base[node, col]
+        last = first + m[node] - 1
+        rows = self.order[np.minimum(first[:, None] + np.arange(m.max()), last[:, None])]
+        xs = self.xcol[rows + ((col - t[node]) * n)[:, None]]
+        pos = np.arange(m.max() - 1)
+        r, i = np.nonzero((xs[:, 1:] != xs[:, :-1]) & (pos >= min_leaf - 1)
+                          & (pos < (m[node] - min_leaf)[:, None]))
+        if not r.size:
+            return feat, thr
+        # prefix sums in each list's own order, as the SSE needs
+        ys = self.y[rows]
+        csum = np.cumsum(ys, axis=1)
+        csq = np.cumsum(ys * ys, axis=1)
+        size = m[node[r]]
+        lsum = csum[r, i]
+        lsq = csq[r, i]
+        total = csum[r, size - 1]
+        total_sq = csq[r, size - 1]
+        left_cnt = i + 1.0
+        cost = (lsq - lsum * lsum / left_cnt) \
+            + ((total_sq - lsq) - (total - lsum) ** 2 / (size - left_cnt))
+        # the first minimum of each node in (position, column) order
+        j = node[r]
+        span = np.bincount(j)
+        head = (np.cumsum(span) - span)[span > 0]
+        span = span[span > 0]
+        best = np.minimum.reduceat(cost, head)
+        key = np.where(cost == np.repeat(best, span), i * d + col[r], np.iinfo(np.int64).max)
+        win = np.flatnonzero((key == np.repeat(np.minimum.reduceat(key, head), span))
+                             & np.repeat(np.isfinite(best), span))
+        feat[j[win]] = col[r[win]]
+        thr[j[win]] = (xs[r[win], i[win]] + xs[r[win], i[win] + 1]) / 2.0
+        return feat, thr
+
+
+def _renumbered(feature, threshold, left, right, value, count):
+    """The grown trees, each with the node ids it gets when grown alone.
+
+    Grown alone, a tree's splits, in right-child-first preorder, name their
+    two children next: the children of the r-th split are 2r + 1 and 2r + 2.
+    When each step takes one node of each tree, the splits come in that
+    order already and the permutation is the identity.
+    """
+    trees, width = feature.shape
+    feature, threshold, left, right, value = (
+        a.ravel() for a in (feature, threshold, left, right, value))
+    # the splits of each level, as flat ids t * width + node
+    levels = []
+    nodes = np.arange(trees) * width
+    while nodes.size:
+        sp = nodes[feature[nodes] != _LEAF]
+        levels.append(sp)
+        base = sp - sp % width
+        nodes = np.concatenate([base + left[sp], base + right[sp]])
+    # bottom up, the number of splits under each node; then top down, each
+    # split's preorder rank over the same array: a left child's rank needs
+    # its right sibling's count, read before that is overwritten
+    rank = np.zeros(trees * width, dtype=np.int64)
+    for sp in reversed(levels):
+        base = sp - sp % width
+        rank[sp] = 1 + rank[base + left[sp]] + rank[base + right[sp]]
+    rank[::width] = 0                                   # each root splits first
+    src = np.zeros(trees * width, dtype=np.int64)      # old flat id of each new id
+    src[::width] = np.arange(trees) * width
+    for sp in levels:
+        base = sp - sp % width
+        lft, rgt = base + left[sp], base + right[sp]
+        src[base + 2 * rank[sp] + 1] = lft
+        src[base + 2 * rank[sp] + 2] = rgt
+        rank[lft] = rank[sp] + 1 + rank[rgt]
+        rank[rgt] = rank[sp] + 1
+    out = []
+    for t, c in enumerate(count.tolist()):
+        old = src[t * width:t * width + c]
+        f = feature[old]
+        first = np.where(f != _LEAF, 2 * rank[old] + 1, _LEAF)
+        out.append(RegressionTree(f, threshold[old], first,
+                                  np.where(f != _LEAF, first + 1, _LEAF), value[old]))
+    return out
 
 
 class RegressionTree:
@@ -327,6 +400,7 @@ def fit_forest(X, y, n_trees, max_depth, min_split, min_leaf, max_features,
     group = max(1, _GROUP_CELLS // ((d + 1) * n))
     trees = []
     for g in range(0, n_trees, group):
-        trees += _Lockstep(X, y, boots[g:g + group], rngs[g:g + group],
-                           max_depth, min_split, min_leaf, k).grow()
+        # the grower and its sorted lists are freed before the renumbering
+        trees += _renumbered(*_Lockstep(X, y, boots[g:g + group], rngs[g:g + group],
+                                        max_depth, min_split, min_leaf, k).grow())
     return RandomForest(trees)

@@ -7,10 +7,11 @@ reported number can be compared with an optimizer's internal one.
 """
 
 from dataclasses import dataclass
+import math
 import re
 
 from .errors import (
-    EmptyInputError, NonPositiveActualError, DegenerateDenominatorError,
+    EmptyInputError, NonFiniteError, NonPositiveActualError, DegenerateDenominatorError,
 )
 
 HUBER_DELTA_DEFAULT = 1.35
@@ -103,12 +104,15 @@ class EvalReport:
 
 
 def score_pairs(rows) -> EvalReport:
-    """Build a report from (sample_id, actual, predicted) triples."""
+    """Build a report from (sample_id, actual, predicted) triples.  A nan or
+    infinite prediction raises NonFiniteError naming its sample."""
     rows = list(rows)
     if not rows:
         raise EmptyInputError("no samples to score")
     scores = []
     for sample_id, actual, predicted in rows:
+        if not math.isfinite(predicted):
+            raise NonFiniteError(f"sample '{sample_id}': prediction {predicted!r} is not finite")
         scores.append(SampleScore(
             sample_id=sample_id,
             actual=actual,

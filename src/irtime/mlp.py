@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidConfigError
+from .errors import EmptyDatasetError, InvalidConfigError, NonFiniteError
 
 
 def standardize_fit(X):
@@ -77,7 +77,8 @@ def loss_and_grads(weights, X, y, weight_decay=0.0):
 
 def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
           weight_decay=1e-4, seed=0):
-    """Returns (weights, per-epoch loss history on the full set)."""
+    """Returns (weights, per-epoch loss history on the full set).  Raises
+    NonFiniteError after the first epoch whose loss is nan or infinite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -89,7 +90,7 @@ def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
     weights = init_weights(X.shape[1], hidden, seed)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     history = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = perm[start:start + batch_size]
@@ -97,5 +98,8 @@ def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
             for key in weights:
                 weights[key] = weights[key] - learning_rate * grads[key]
         epoch_loss, _ = loss_and_grads(weights, X, y, weight_decay)
+        if not math.isfinite(epoch_loss):
+            raise NonFiniteError(f"mlp training loss is {epoch_loss!r} after epoch {epoch} "
+                                 f"of {epochs}; a lower learning rate may keep it finite")
         history.append(epoch_loss)
     return weights, history

@@ -2,10 +2,14 @@ import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from irtime.cli import main
-from irtime import read_features
+from irtime import (
+    FEATURE_COUNT, Dataset, DatasetRow, FeatureVector, TrainedModel, read_features,
+    save_model, write_features,
+)
 
 from conftest import EXAMPLE_B
 
@@ -190,6 +194,24 @@ def test_unlabeled_features_cannot_train(tmp_path, capsys):
     assert main(["train", "--features", str(feats), "--model", "linear",
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_fails_on_a_non_finite_prediction(tmp_path, capsys):
+    # weights near the largest float sum past it, so the prediction for
+    # 'big_2' is inf: eval fails instead of reporting an APE of inf
+    model = TrainedModel("linear", FEATURE_COUNT, {}, 0, "",
+                         {"weights": np.full(FEATURE_COUNT, 1e308), "intercept": 0.0})
+    save_model(model, tmp_path / "m.json")
+    rows = (DatasetRow("small_1", FeatureVector((0.0,) * FEATURE_COUNT), 100.0),
+            DatasetRow("big_2", FeatureVector((1.0,) * FEATURE_COUNT), 100.0))
+    write_features(Dataset(rows), tmp_path / "f.csv")
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--model", str(tmp_path / "m.json"), "--features",
+                 str(tmp_path / "f.csv"), "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample 'big_2': prediction inf is not finite\n"
+    assert "overall" not in captured.out and not report.exists()
 
 
 def test_config_file_drives_limits(tmp_path, capsys):

@@ -3,8 +3,12 @@
 `_reference_build_tree` and `_reference_best_split` are the previous
 implementation, kept as the oracle: each tree is grown alone, depth first,
 right child first, and every node argsorts each candidate column of its own
-rows.  `fit_forest` grows all trees together from presorted columns and must
-give the same node arrays, bit for bit, under every parameter set.
+rows.  `fit_forest` grows all trees together from presorted columns: each
+step takes every pending node of every tree when every column is a
+candidate, and only the top node of each tree's stack when the candidates
+are drawn.  It then renumbers each tree's nodes to the ids of the tree
+grown alone, and must give the same node arrays, bit for bit, under every
+parameter set.
 """
 
 import hashlib
@@ -137,12 +141,12 @@ _LABELS = [0.1, 0.7, 1.0, 1.0 / 3.0, 42.0, 1e5]
 
 
 @st.composite
-def small_problems(draw):
+def small_problems(draw, values=_VALUES):
     n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 5))
     columns = []
     for _ in range(d):
-        levels = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3, unique=True))
+        levels = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
         columns.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
     labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3, unique=True))
     y = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
@@ -195,6 +199,23 @@ def test_fit_forest_non_finite_feature_values():
     y = np.arange(1.0, 7.0)
     for tree in fit_forest(X, y, ForestParams(n_trees=10), master_seed=0).trees:
         assert np.all(np.isfinite(tree.value))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(problem=small_problems([-2.5, 0.0, 1.0, np.nan, 3.0]), seed=st.integers(0, 2**32 - 1))
+@example(problem=(np.array([[-2.5], [0.0], [1.0], [3.0], [1.0], [-2.5], [0.0], [np.nan], [3.0],
+                            [np.nan], [3.0]]),
+                  np.array([0.1, 42.0, 0.1, 1.0, 0.7, 0.1, 1.0, 0.7, 1.0, 0.7, 0.1])), seed=2)
+def test_fit_forest_with_nan_features_does_not_depend_on_batches(problem, seed):
+    # nan sorts last; a batch pads a shorter list by repeating its last row,
+    # and as nan != nan, positions past a list that ends in nan looked like
+    # splits, which left the node a leaf only when it shared a batch
+    X, y = problem
+    params = ForestParams(n_trees=6)
+    want = _as_lists(fit_forest(X, y, params, master_seed=seed))
+    with mock.patch.object(forest, "_BATCH_CELLS", 2 * X.shape[1]):
+        assert _as_lists(fit_forest(X, y, params, master_seed=seed)) == want
 
 
 def _pipeline_like_rows(seed=1, n=158, d=42):
@@ -259,10 +280,31 @@ def test_saved_model_bytes_pinned(kind, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SHA256_OTHER[kind]
 
 
+def _depth(tree):
+    """The number of splits on the longest walk from the root."""
+    depth = np.zeros(tree.value.size, dtype=np.int64)
+    for i in np.flatnonzero(tree.feature != _LEAF):   # children follow their parent
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
+
+
+def test_fit_forest_takes_one_step_per_level():
+    # every column is a candidate, so a step takes every pending node of
+    # every tree: one step per level of the deepest tree, where one node of
+    # each tree per step took 108 steps here
+    X, y = _pipeline_like_rows()
+    with mock.patch.object(forest._Lockstep, "_add_nodes", autospec=True,
+                           side_effect=forest._Lockstep._add_nodes) as add_nodes:
+        fitted = fit_forest(X, y, ForestParams(), master_seed=1)
+    assert add_nodes.call_count <= max(_depth(t) for t in fitted.trees) + 1
+
+
 def test_fit_forest_memory_peak():
     # the node-by-node grower peaked at 1.5 MiB here and the lockstep one at
-    # 4.8 MiB: it keeps every tree's sorted columns and a capped batch of
-    # scratch, and must stay well inside the process's other peaks
+    # 4.2 MiB, in a batch of split searches: it keeps every tree's sorted
+    # columns and a capped batch of scratch, and frees the sorted columns
+    # before it renumbers the nodes.  It must stay well inside the process's
+    # other peaks
     X, y = _pipeline_like_rows()
     tracemalloc.start()
     try:

@@ -8,7 +8,8 @@ from irtime import (
     huber_value, group_of, score_pairs,
 )
 from irtime.errors import (
-    EmptyInputError, NonPositiveActualError, DegenerateDenominatorError,
+    EmptyInputError, IrTimeError, NonFiniteError, NonPositiveActualError,
+    DegenerateDenominatorError,
 )
 
 
@@ -121,6 +122,15 @@ def test_score_pairs_report():
 def test_score_pairs_empty():
     with pytest.raises(EmptyInputError):
         score_pairs([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_score_pairs_rejects_non_finite_prediction(bad):
+    # one such prediction would make mean_ape nan or inf for the whole report
+    with pytest.raises(NonFiniteError, match=r"^sample 'b_2': prediction .* is not finite$") \
+            as info:
+        score_pairs([("a_1", 100.0, 90.0), ("b_2", 100.0, bad), ("c", 50.0, 50.0)])
+    assert isinstance(info.value, IrTimeError)
 
 
 def test_table_renders():

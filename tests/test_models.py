@@ -19,7 +19,7 @@ from irtime.cli import main as cli_main
 from irtime.trace import write_features
 from irtime.errors import (
     DimensionMismatchError, EmptyDatasetError, FormatError, InvalidConfigError,
-    IrTimeError, SingularDesignError,
+    IrTimeError, NonFiniteError, SingularDesignError,
 )
 
 
@@ -201,6 +201,16 @@ def test_mlp_fits_labels_at_ns_scale():
     weights, _, _, history = fit_mlp(X, y)
     assert all(np.isfinite(a).all() for a in weights.values())
     assert np.isfinite(history[-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mlp_train_raises_on_non_finite_loss():
+    # a learning rate this high overflows the weights within the first epoch
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((40, 5))
+    y = rng.standard_normal(40)
+    with pytest.raises(NonFiniteError, match=r"loss is (nan|inf) after epoch 1 of 10;"):
+        mlp_mod.train(X, y, learning_rate=1e3, seed=0)
 
 
 def test_mlp_deterministic():
