@@ -21,7 +21,7 @@ class CacheConfig:
     def set_count(self) -> int:
         return self.cache_size // (self.line_size * self.associativity)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.cache_size <= 0 or self.line_size <= 0 or self.associativity <= 0:
             raise InvalidConfigError("cache geometry values must be positive")
         if self.line_size & (self.line_size - 1):
@@ -53,7 +53,6 @@ class CacheModel:
     last entry; the dirty lines of every set are kept in one `set`."""
 
     def __init__(self, config: CacheConfig = CacheConfig()):
-        config.validate()
         self.config = config
         self._shift = config.line_size.bit_length() - 1
         self._set_count = config.set_count

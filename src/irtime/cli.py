@@ -26,11 +26,18 @@ from .trace import (
 
 
 def _load_config(args) -> PipelineConfig:
-    return config_from_file(args.config) if args.config else PipelineConfig()
-
-
-def _seed_of(args, cfg) -> int:
-    return args.seed if args.seed is not None else cfg.master_seed
+    """The `--config` file's config, or the default one, with the `--seed`,
+    `--max-steps` and `--workers` given applied through dataclasses.replace,
+    so each is checked as the same value in a config file is."""
+    cfg = config_from_file(args.config) if args.config else PipelineConfig()
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    if getattr(args, "max_steps", None) is not None:
+        cfg = dataclasses.replace(
+            cfg, limits=dataclasses.replace(cfg.limits, max_steps=args.max_steps))
+    if getattr(args, "workers", None) is not None:
+        cfg = dataclasses.replace(cfg, workers=args.workers)
+    return cfg
 
 
 def _collect_inputs(paths, suffix):
@@ -51,17 +58,12 @@ def _collect_inputs(paths, suffix):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    limits = cfg.limits
-    if args.max_steps is not None:
-        limits = dataclasses.replace(limits, max_steps=args.max_steps)
-        limits.validate()
     inputs = _collect_inputs(args.inputs, ".ll")
     if not inputs:
         print("error: no .ll inputs found", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.workers if args.workers is not None else cfg.workers
 
     def simulate_one(path: Path):
         try:
@@ -69,7 +71,7 @@ def _cmd_simulate(args) -> int:
             if not module.has_function("main"):
                 raise UnresolvedReferenceError("main", "entry function")
             trace = run(
-                module, entry="main", limits=limits, cache_config=cfg.cache,
+                module, entry="main", limits=cfg.limits, cache_config=cfg.cache,
                 predictor_initial_state=cfg.predictor_initial_state,
             )
             write_trace(trace, out_dir / (path.stem + ".trace"))
@@ -77,8 +79,8 @@ def _cmd_simulate(args) -> int:
             return exc
         return None
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             errors = list(pool.map(simulate_one, inputs))
     else:
         errors = [simulate_one(p) for p in inputs]
@@ -125,7 +127,7 @@ def _cmd_features(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = read_features(args.features)
-    model = TRAINERS[args.model](ds, cfg.hyper, _seed_of(args, cfg))
+    model = TRAINERS[args.model](ds, cfg.hyper, cfg.master_seed)
     save_model(model, args.out)
     print(f"trained {model.kind} on {len(ds.labeled())} samples "
           f"(fingerprint {model.dataset_fingerprint}), wrote {args.out}")
@@ -197,7 +199,7 @@ def _cmd_gen_corpus(args) -> int:
     if not opcodes or not args.counts:
         print("error: need at least one opcode and one count", file=sys.stderr)
         return 1
-    paths = generate_corpus(opcodes, args.counts, _seed_of(args, cfg), args.out)
+    paths = generate_corpus(opcodes, args.counts, cfg.master_seed, args.out)
     print(f"wrote {len(paths)} programs to {args.out}")
     return 0
 

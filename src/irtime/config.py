@@ -1,7 +1,10 @@
 """Pipeline configuration: one JSON file drives simulation and training.
 
 Unknown keys are rejected rather than ignored so a typo in a config file
-fails loudly instead of silently running with defaults.
+fails loudly instead of silently running with defaults.  Each config
+dataclass checks its values in __post_init__, so construction and
+dataclasses.replace raise InvalidConfigError and a config that exists is
+valid.
 """
 
 import dataclasses
@@ -28,10 +31,7 @@ class PipelineConfig:
     master_seed: int = 0
     workers: int = 1
 
-    def validate(self) -> None:
-        self.cache.validate()
-        self.limits.validate()
-        self.hyper.validate()
+    def __post_init__(self):
         if not isinstance(self.predictor_initial_state, PredictorState):
             raise InvalidConfigError("predictor_initial_state must be a PredictorState")
         if not self.label_unit:
@@ -45,9 +45,7 @@ class PipelineConfig:
         return _dump(self)
 
     def to_file(self, path) -> None:
-        """Write the config as config_from_file reads it; an invalid one
-        raises InvalidConfigError and writes nothing."""
-        self.validate()
+        """Write the config as config_from_file reads it."""
         write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True,
                                       allow_nan=False)])
 
@@ -99,9 +97,7 @@ def dataclass_from_json(cls, data, where):
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    cfg = dataclass_from_json(PipelineConfig, data, "config")
-    cfg.validate()
-    return cfg
+    return dataclass_from_json(PipelineConfig, data, "config")
 
 
 def config_from_file(path) -> PipelineConfig:

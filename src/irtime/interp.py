@@ -61,7 +61,7 @@ class RunLimits:
     max_stack_bytes: int = 16 * 1024 * 1024
     max_heap_bytes: int = 64 * 1024 * 1024
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_steps <= 0:
             raise InvalidConfigError("max_steps must be positive")
         if not 0 < self.max_stack_bytes <= REGION_SPAN:
@@ -1009,7 +1009,6 @@ class Interpreter:
             probes = (probes,)
         self.module = module
         self.limits = limits or RunLimits()
-        self.limits.validate()
         self.memory = MemoryImage(self.limits)
         self._state = _State()
         self._frames = []

@@ -2,8 +2,9 @@
 
 Percentage errors are expressed against positive actual runtimes; the
 relative form divides by the actual, the symmetric form by the mean of
-actual and predicted.  Loss helpers mirror the training objectives so a
-reported number can be compared with an optimizer's internal one.
+actual and predicted.  The loss helpers score predictions in the labels'
+own units, so they are not the optimizers' numbers: fit_huber minimises its
+loss in robust units and the MLP its loss in z-scored units.
 """
 
 from dataclasses import dataclass

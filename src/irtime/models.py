@@ -51,7 +51,7 @@ class HuberParams:
     max_iter: int = 100
     l2: float = 1e-4
 
-    def validate(self):
+    def __post_init__(self):
         _check_finite(self, "huber")
         if self.epsilon <= 0 or self.max_iter <= 0 or self.l2 < 0:
             raise InvalidConfigError("huber: epsilon and max_iter must be positive, l2 >= 0")
@@ -65,7 +65,7 @@ class MlpParams:
     weight_decay: float = 1e-4
     hidden: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         _check_finite(self, "mlp")
         if self.alpha <= 0 or self.batch <= 0 or self.epochs <= 0 or self.hidden <= 0:
             raise InvalidConfigError("mlp: alpha, batch, epochs and hidden must be positive")
@@ -81,7 +81,7 @@ class ForestParams:
     min_leaf: int = 1
     max_feature: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         _check_finite(self, "forest")
         if self.n_trees <= 0 or self.max_depth <= 0:
             raise InvalidConfigError("forest: n_trees and max_depth must be positive")
@@ -96,11 +96,6 @@ class Hyperparameters:
     huber: HuberParams = HuberParams()
     mlp: MlpParams = MlpParams()
     forest: ForestParams = ForestParams()
-
-    def validate(self):
-        self.huber.validate()
-        self.mlp.validate()
-        self.forest.validate()
 
 
 def _params(kind, hyper):
@@ -192,7 +187,6 @@ def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
 
 
 def fit_forest(X, y, params: ForestParams = ForestParams(), master_seed=0):
-    params.validate()
     return _forest.fit_forest(
         X, y, n_trees=params.n_trees, max_depth=params.max_depth,
         min_split=params.min_split, min_leaf=params.min_leaf,
@@ -205,7 +199,6 @@ def fit_mlp(X, y, params: MlpParams = MlpParams(), master_seed=0):
     z-scored for training and their scaling folded into W2 and b2 after, so
     the weights predict in the labels' units; the loss history is in the
     z-scored units."""
-    params.validate()
     mean, std = _mlp.standardize_fit(X)
     Xz = _mlp.standardize_apply(X, mean, std)
     y = np.asarray(y, dtype=float)
@@ -314,8 +307,6 @@ def dataset_fingerprint(ds) -> str:
 def _train(kind, ds, fit, params=None, master_seed=0, min_rows=1):
     """Fit `kind` on the labeled rows of `ds`: `fit(X, y)` returns the
     payload, and the model records `params` and `master_seed` with it."""
-    if params is not None:
-        params.validate()
     X, y, _ = dataset_matrix(ds)
     if X.shape[0] < min_rows:
         raise EmptyDatasetError(f"{kind} training needs at least {min_rows} samples")
@@ -460,7 +451,7 @@ def _check_hyperparameters(kind, hyper, path):
     where = "model.hyperparameters"
     try:
         if kind in _PARAMS:
-            dataclass_from_json(_PARAMS[kind], hyper, where).validate()
+            dataclass_from_json(_PARAMS[kind], hyper, where)
         elif hyper != {}:
             raise InvalidConfigError(f"{where} must be {{}} for a {kind} model")
     except InvalidConfigError as exc:

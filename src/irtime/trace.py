@@ -337,7 +337,7 @@ def write_features(dataset: Dataset, path) -> None:
 def read_features(path) -> Dataset:
     """Read a feature CSV.  Header columns may arrive in any order; they are
     mapped back onto the canonical order.  Unknown, missing, or duplicate
-    feature columns are an error, and so is a sample id listed twice."""
+    columns are an error, and so is a sample id listed twice."""
     header = None
     rows, seen = [], set()
     lines, unit = read_lines(path)
@@ -347,6 +347,9 @@ def read_features(path) -> Dataset:
             header = [c.strip() for c in cells]
             if "sample_id" not in header:
                 raise FormatError("header must contain sample_id", path=path, line=lineno)
+            for name in ("sample_id", "label"):
+                if header.count(name) > 1:
+                    raise FormatError(f"header lists {name} twice", path=path, line=lineno)
             names = [c for c in header if c not in ("sample_id", "label")]
             if sorted(names) != sorted(FEATURE_NAMES):
                 missing = set(FEATURE_NAMES) - set(names)

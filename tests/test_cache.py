@@ -49,11 +49,11 @@ def test_default_geometry():
 
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
-        CacheConfig(cache_size=0).validate()
+        CacheConfig(cache_size=0)
     with pytest.raises(InvalidConfigError):
-        CacheConfig(line_size=48).validate()  # not a power of two
+        CacheConfig(line_size=48)  # not a power of two
     with pytest.raises(InvalidConfigError):
-        CacheConfig(cache_size=100, line_size=32, associativity=2).validate()
+        CacheConfig(cache_size=100, line_size=32, associativity=2)
 
 
 def test_pencil_trace():
@@ -149,7 +149,6 @@ def test_random_equivalence_against_brute_force():
 def test_random_equivalence_odd_geometry():
     rng = random.Random(99)
     cfg = CacheConfig(cache_size=1024, line_size=16, associativity=4)
-    cfg.validate()
     cache = CacheModel(cfg)
     ref = BruteForceLru(1024, 16, 4)
     for _ in range(5_000):

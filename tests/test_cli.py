@@ -214,6 +214,40 @@ def test_eval_fails_on_a_non_finite_prediction(tmp_path, capsys):
     assert "overall" not in captured.out and not report.exists()
 
 
+@pytest.mark.parametrize("model", ["forest", "mlp"])
+def test_train_rejects_a_negative_seed(tmp_path, capsys, model):
+    # checked as "master_seed": -1 in a config file is, before any fit
+    rows = tuple(DatasetRow(f"s{i}", FeatureVector((float(i),) * FEATURE_COUNT), 100.0 + i)
+                 for i in range(4))
+    write_features(Dataset(rows), tmp_path / "f.csv")
+    out = tmp_path / "m.json"
+    assert main(["train", "--features", str(tmp_path / "f.csv"), "--model", model,
+                 "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: master_seed must be >= 0\n"
+    assert not out.exists()
+
+
+def test_gen_corpus_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert main(["gen-corpus", "--opcode", "add", "--counts", "10", "--out", str(out),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: master_seed must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--workers", "0"], "workers must be >= 1"),
+    (["--workers", "-3"], "workers must be >= 1"),
+    (["--max-steps", "0"], "max_steps must be positive"),
+], ids=["workers=0", "workers=-3", "max-steps=0"])
+def test_simulate_rejects_bad_overrides(tmp_path, capsys, flag, message):
+    (tmp_path / "b.ll").write_text(EXAMPLE_B)
+    out = tmp_path / "traces"
+    assert main(["simulate", str(tmp_path / "b.ll"), "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_file_drives_limits(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"limits": {"max_steps": 5}}')

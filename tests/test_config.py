@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -9,11 +11,11 @@ from irtime import (
 )
 from irtime.cli import main
 from irtime.errors import InvalidConfigError
+from irtime.interp import REGION_SPAN
 
 
 def test_defaults_validate():
     cfg = PipelineConfig()
-    cfg.validate()
     assert cfg.cache == CacheConfig()
     assert cfg.predictor_initial_state is PredictorState.WNT
     assert cfg.limits == RunLimits()
@@ -40,13 +42,54 @@ def test_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_to_file_refuses_what_config_from_file_refuses(tmp_path, value):
-    # json.dumps would write NaN or Infinity, which config_from_file refuses
-    p = tmp_path / "cfg.json"
-    cfg = PipelineConfig(hyper=Hyperparameters(huber=HuberParams(epsilon=value)))
+def test_to_file_refuses_what_config_from_file_refuses(value):
+    # json.dumps would write NaN or Infinity, which config_from_file refuses;
+    # no such config can be built, so to_file never writes one
     with pytest.raises(InvalidConfigError, match=r"huber\.epsilon must be finite"):
-        cfg.to_file(p)
-    assert not p.exists()
+        PipelineConfig(hyper=Hyperparameters(huber=HuberParams(epsilon=value)))
+    with pytest.raises(InvalidConfigError, match=r"huber\.epsilon must be finite"):
+        dataclasses.replace(HuberParams(), epsilon=value)
+
+
+_REJECTED = [
+    (CacheConfig, {"cache_size": 0}, "cache geometry values must be positive"),
+    (CacheConfig, {"line_size": -32}, "cache geometry values must be positive"),
+    (CacheConfig, {"associativity": 0}, "cache geometry values must be positive"),
+    (CacheConfig, {"line_size": 48}, "line_size must be a power of two, got 48"),
+    (CacheConfig, {"cache_size": 100},
+     "cache_size must be divisible by line_size * associativity (100 % 64 != 0)"),
+    (RunLimits, {"max_steps": 0}, "max_steps must be positive"),
+    (RunLimits, {"max_stack_bytes": 0}, "max_stack_bytes out of range"),
+    (RunLimits, {"max_stack_bytes": REGION_SPAN + 1}, "max_stack_bytes out of range"),
+    (RunLimits, {"max_heap_bytes": 0}, "max_heap_bytes out of range"),
+    (RunLimits, {"max_heap_bytes": REGION_SPAN + 1}, "max_heap_bytes out of range"),
+    *((HuberParams, {name: value}, "huber: epsilon and max_iter must be positive, l2 >= 0")
+      for name, value in (("epsilon", 0.0), ("max_iter", 0), ("l2", -1e-4))),
+    *((MlpParams, {name: 0}, "mlp: alpha, batch, epochs and hidden must be positive")
+      for name in ("alpha", "batch", "epochs", "hidden")),
+    (MlpParams, {"weight_decay": -1.0}, "mlp: weight_decay must be >= 0"),
+    (ForestParams, {"n_trees": 0}, "forest: n_trees and max_depth must be positive"),
+    (ForestParams, {"max_depth": 0}, "forest: n_trees and max_depth must be positive"),
+    (ForestParams, {"min_split": 1}, "forest: min_split >= 2 and min_leaf >= 1 required"),
+    (ForestParams, {"min_leaf": 0}, "forest: min_split >= 2 and min_leaf >= 1 required"),
+    (ForestParams, {"max_feature": 0.0}, "forest: max_feature must be in (0, 1]"),
+    (ForestParams, {"max_feature": 1.5}, "forest: max_feature must be in (0, 1]"),
+    (PipelineConfig, {"predictor_initial_state": "WNT"},
+     "predictor_initial_state must be a PredictorState"),
+    (PipelineConfig, {"label_unit": ""}, "label_unit must be a non-empty string"),
+    (PipelineConfig, {"master_seed": -1}, "master_seed must be >= 0"),
+    (PipelineConfig, {"workers": 0}, "workers must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", _REJECTED, ids=[
+    f"{cls.__name__}.{name}={value}" for cls, kwargs, _ in _REJECTED
+    for name, value in kwargs.items()])
+def test_config_dataclasses_check_their_values_when_built(cls, kwargs, message):
+    # so does dataclasses.replace, which is how the CLI applies its overrides
+    for build in (lambda: cls(**kwargs), lambda: dataclasses.replace(cls(), **kwargs)):
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_empty_dict_gives_defaults():
@@ -101,7 +144,7 @@ _FLOAT_FIELDS = [(HuberParams, "huber", "epsilon"), (HuberParams, "huber", "l2")
 def test_non_finite_hyperparameters_rejected(cls, group, name, value):
     # every bound check is false for NaN, and inf passes the lower bounds
     with pytest.raises(InvalidConfigError, match=rf"{group}\.{name}"):
-        cls(**{name: value}).validate()
+        cls(**{name: value})
     with pytest.raises(InvalidConfigError, match=rf"{group}\.{name}"):
         config_from_dict({"hyperparameters": {group: {name: value}}})
 

@@ -408,18 +408,18 @@ def test_dataset_fingerprint_tracks_content():
 
 def test_hyperparameter_validation():
     with pytest.raises(InvalidConfigError):
-        HuberParams(epsilon=0.0).validate()
+        HuberParams(epsilon=0.0)
     with pytest.raises(InvalidConfigError):
-        HuberParams(max_iter=0).validate()
+        HuberParams(max_iter=0)
     with pytest.raises(InvalidConfigError):
-        MlpParams(alpha=-1.0).validate()
+        MlpParams(alpha=-1.0)
     with pytest.raises(InvalidConfigError):
-        MlpParams(batch=0).validate()
+        MlpParams(batch=0)
     with pytest.raises(InvalidConfigError):
-        ForestParams(n_trees=0).validate()
+        ForestParams(n_trees=0)
     with pytest.raises(InvalidConfigError):
-        ForestParams(max_feature=1.5).validate()
-    Hyperparameters().validate()
+        ForestParams(max_feature=1.5)
+    Hyperparameters()
     with pytest.raises(InvalidConfigError):
         TrainedModel("svm", 42, {}, 0, "", {})
 

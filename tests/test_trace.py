@@ -222,6 +222,23 @@ def test_features_header_must_be_complete(tmp_path):
         read_features(p)
 
 
+def test_features_header_rejects_a_repeated_column(tmp_path):
+    p = tmp_path / "repeated.csv"
+    names = ",".join(FEATURE_NAMES)
+    p.write_text(f"sample_id,{names},{FEATURE_NAMES[0]}\n")
+    with pytest.raises(DimensionMismatchError, match="duplicated columns"):
+        read_features(p)
+    # a second label column would replace every label, and a second
+    # sample_id column every id
+    ones = ",".join("1" for _ in FEATURE_NAMES)
+    for header, row in ((f"sample_id,{names},label,label", f"a,{ones},5,999"),
+                        (f"sample_id,{names},sample_id", f"a,{ones},b")):
+        p.write_text(f"# unit: ns\n{header}\n{row}\n")
+        twice = header.split(",")[-1]
+        with pytest.raises(FormatError, match=f"repeated.csv:2: header lists {twice} twice"):
+            read_features(p)
+
+
 def test_features_row_width_checked(tmp_path):
     p = tmp_path / "ragged.csv"
     p.write_text(
