@@ -239,15 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="predict times for a feature matrix")
+    # predict and eval read no config and no seed, so they take neither flag
+    p = sub.add_parser("predict", help="predict times for a feature matrix")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output predictions file")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a model against labeled features")
+    p = sub.add_parser("eval", help="score a model against labeled features")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", help="optional per-sample CSV report")

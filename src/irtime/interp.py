@@ -96,15 +96,21 @@ class ProbeSet:
 
 
 class _Region:
-    __slots__ = ("name", "base", "cap", "data", "shadow", "top")
+    """A bump region: `data` holds its bytes and `shadow` one byte per byte,
+    1 where that byte has been written.  `clean` is the written prefix:
+    every byte of `shadow[:clean]` is 1, and `shadow[clean]` is 0 when
+    clean < top, so an access that ends at or below it needs no shadow."""
+
+    __slots__ = ("name", "base", "cap", "data", "shadow", "top", "clean")
 
     def __init__(self, name, base, cap):
         self.name = name
         self.base = base
         self.cap = cap
         self.data = bytearray()
-        self.shadow = bytearray()   # 1 where a byte has been written
+        self.shadow = bytearray()
         self.top = 0
+        self.clean = 0
 
     def allocate(self, size, align):
         top = (self.top + align - 1) // align * align
@@ -123,11 +129,22 @@ class _Region:
             self.data[mark:self.top] = bytes(self.top - mark)
             self.shadow[mark:self.top] = bytes(self.top - mark)
             self.top = mark
+            if self.clean > mark:
+                self.clean = mark
+
+    def advance(self, off, end):
+        """Bytes off..end have just been marked written: when they reach
+        `clean`, move it to the first unwritten byte after them."""
+        if off <= self.clean < end:
+            first = self.shadow.find(0, end, self.top)
+            self.clean = self.top if first < 0 else first
 
 
 class MemoryImage:
     """Three bump regions; a load of allocated-but-unwritten bytes reads
-    zeros and is counted in `uninitialized_loads` so the run can flag it."""
+    zeros and is counted in `uninitialized_loads` so the run can flag it.
+    Each region keeps the invariant that `shadow[:clean]` is all ones, and
+    a load or store that ends at or below `clean` skips the shadow."""
 
     def __init__(self, limits: RunLimits):
         self.globals = _Region("globals", GLOBAL_BASE, limits.max_heap_bytes)
@@ -151,9 +168,11 @@ class MemoryImage:
         end = off + len(data)
         region.data[off:end] = data
         region.shadow[off:end] = b"\x01" * len(data)
+        region.advance(off, end)
 
     # load and store run once per executed instruction, so they inline
-    # _locate and copy no bytes beyond the value's own.
+    # _locate, copy no bytes beyond the value's own, and below `clean`
+    # touch no shadow.
 
     def load(self, addr, nbytes, unpack_from):
         """unpack_from(data, offset)[0] for the `nbytes` at `addr`."""
@@ -162,7 +181,7 @@ class MemoryImage:
             off = addr - region.base
             end = off + nbytes
             if end <= region.top:
-                if region.shadow.find(0, off, end) >= 0:
+                if end > region.clean and region.shadow.find(0, off, end) >= 0:
                     self.uninitialized_loads += 1
                 return unpack_from(region.data, off)[0]
         raise OutOfBoundsAccess(addr, nbytes)
@@ -176,7 +195,9 @@ class MemoryImage:
             end = off + nbytes
             if end <= region.top:
                 pack_into(region.data, off, value)
-                region.shadow[off:end] = written
+                if end > region.clean:
+                    region.shadow[off:end] = written
+                    region.advance(off, end)
                 return
         raise OutOfBoundsAccess(addr, nbytes)
 
@@ -189,6 +210,12 @@ class MemoryImage:
         written = bytes(sregion.shadow[soff:soff + nbytes])
         dregion.data[doff:doff + nbytes] = payload
         dregion.shadow[doff:doff + nbytes] = written
+        if doff <= dregion.clean:
+            first = written.find(0)
+            if first >= 0:
+                dregion.clean = doff + first
+            else:
+                dregion.advance(doff, doff + nbytes)
 
     def fill(self, dst, byte, nbytes):
         if nbytes == 0:
@@ -196,6 +223,7 @@ class MemoryImage:
         region, off = self._locate(dst, nbytes)
         region.data[off:off + nbytes] = bytes([byte & 0xFF]) * nbytes
         region.shadow[off:off + nbytes] = b"\x01" * nbytes
+        region.advance(off, off + nbytes)
 
 
 # --- numeric helpers ---------------------------------------------------------
@@ -651,8 +679,10 @@ class _Generator:
         """Start a function.  `entered` is the static id of the block last
         entered when it starts, _RECORDED when that is known only at run
         time, or None before any block is entered."""
-        # register -> the local holding it; fused compare -> its test
-        self.lines, self.held, self.fused, self.n_locals = [], {}, {}, 0
+        # register -> the local holding it; fused compare -> its test;
+        # local an integer instruction defined -> its width, as its value
+        # is already masked to it
+        self.lines, self.held, self.fused, self.masked, self.n_locals = [], {}, {}, {}, 0
         self.entered, self.indent = entered, 1
         # in a loop function: the loop, its header's kept phis -> their
         # locals, what each exit stores, and counting slot -> its local
@@ -881,7 +911,9 @@ class _Generator:
             else:
                 self._define(ins, f"1 if {test} else 0")
         else:
-            self._define(ins, self._expression(ins))
+            name = self._define(ins, self._expression(ins))
+            if op != "zext" and ins.type.is_int():
+                self.masked[name] = ins.type.int_bits
 
     def _expression(self, ins):
         op, ty = ins.opcode, ins.type
@@ -952,7 +984,7 @@ class _Generator:
         ty, nbytes = ins.type, ins.type.size()
         if ty.kind == "float":
             value = f"F32({value})"
-        elif ty.kind != "double":
+        elif ty.kind != "double" and self.masked.get(value) != _type_bits(ty):
             value = f"{value} & {(1 << _type_bits(ty)) - 1}"
         self._line(f"ST({addr}, {nbytes}, P{_FORMATS[ty.kind]}, {value}, O{nbytes})")
         self._count_access(addr, True)

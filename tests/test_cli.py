@@ -320,6 +320,19 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--seed", "1"]])
+def test_predict_and_eval_take_no_config_or_seed(tmp_path, capsys, command, flag):
+    # neither reads a config or a seed, so either flag is a usage error, and
+    # nothing is read or written
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "m.json", "--features", "f.csv", "--out", str(out), *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not out.exists()
+
 def test_module_is_runnable():
     proc = subprocess.run(
         [sys.executable, "-m", "irtime.cli", "--help"],

@@ -320,6 +320,42 @@ def test_generated_source_catches_no_exception(monkeypatch):
     assert text.count("try:") == text.count("finally:") == text.count("while True:") > 0
 
 
+
+def test_a_store_masks_only_what_no_integer_instruction_masked(monkeypatch):
+    # %x and %b come from an add of their own width, so their stores carry
+    # no `&`; %n is read from a register and %z is a zext's copy of %b, so
+    # theirs keep one
+    sources, compile_source = [], interp_module._compile
+    monkeypatch.setattr(interp_module, "_compile",
+                        lambda source: sources.append(source) or compile_source(source))
+    module = parse_module("""
+define i32 @main(i32 %n) {
+entry:
+  %p = alloca [4 x i32]
+  %x = add i32 %n, 7
+  store i32 %x, ptr %p
+  %q = getelementptr i32, ptr %p, i32 1
+  store i32 %n, ptr %q
+  %b = add i8 255, 3
+  %q2 = getelementptr i32, ptr %p, i32 2
+  store i8 %b, ptr %q2
+  %z = zext i8 %b to i32
+  %q3 = getelementptr i32, ptr %p, i32 3
+  store i32 %z, ptr %q3
+  %l0 = load i32, ptr %p
+  %l1 = load i32, ptr %q
+  %l2 = load i32, ptr %q3
+  %s = add i32 %l0, %l1
+  %r = add i32 %s, %l2
+  ret i32 %r
+}
+""")
+    assert Interpreter(module).execute("main", (5,)) == 12 + 5 + 2
+    stored = re.findall(r"ST\(v\d+, \d, P\w, (.*?), O\d\)", sources[-1])
+    assert [re.sub(r"v\d+", "v", value) for value in stored] == [
+        "v", "v & 4294967295", "v", "v & 4294967295"]
+
+
 # --- memory ---------------------------------------------------------------------
 
 LOOP_AND_CALL = EXAMPLE_B.replace("define i32 @main()", "define i32 @sum()") + """

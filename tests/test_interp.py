@@ -339,6 +339,181 @@ def test_accesses_past_a_regions_top(region):
                 access()
 
 
+# --- the written-byte shadow and its written prefix ---------------------------
+# MemoryImage against a model that keeps, per region, its top and a dict of
+# the bytes written so far: a load reads those bytes, zero elsewhere, and is
+# an uninitialized one when any of its bytes is missing from the dict.
+
+_REGIONS = ("globals", "stack", "heap")
+_FORMATS = {n: struct.Struct("<" + c) for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+_region = st.sampled_from(_REGIONS)
+# an offset is reduced modulo the room the access has; many are 0
+_offset = st.one_of(st.just(0), st.integers(0, 40))
+_width = st.sampled_from(sorted(_FORMATS))
+_memory_ops = st.lists(st.one_of(
+    st.tuples(st.just("allocate"), _region, st.integers(0, 24), st.sampled_from((1, 2, 4, 8))),
+    st.tuples(st.just("store"), _region, _offset, _width, st.integers(0, (1 << 64) - 1)),
+    st.tuples(st.just("fill"), _region, _offset, st.integers(0, 24), st.integers(0, 255)),
+    st.tuples(st.just("copy"), _region, _offset, _region, _offset, st.integers(0, 24)),
+    st.tuples(st.just("load"), _region, _offset, _width),
+    st.tuples(st.just("release_to"), _region, _offset),
+), min_size=20, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_memory_ops)
+# a copy of never-written bytes into the written prefix, then a load of them
+@example([("allocate", "heap", 16, 8), ("fill", "heap", 0, 16, 7),
+          ("allocate", "heap", 8, 8), ("copy", "heap", 0, "heap", 16, 4),
+          ("load", "heap", 0, 4), ("load", "heap", 4, 4)])
+# a released and reallocated frame, read before it is written again
+@example([("allocate", "stack", 8, 8), ("store", "stack", 0, 8, 5),
+          ("release_to", "stack", 0), ("allocate", "stack", 8, 8),
+          ("load", "stack", 0, 8)])
+# a load that straddles the last written byte, and a store that closes the gap
+@example([("allocate", "globals", 16, 8), ("fill", "globals", 0, 6, 1),
+          ("store", "globals", 8, 4, 3), ("load", "globals", 3, 4),
+          ("load", "globals", 4, 8), ("store", "globals", 6, 2, 9),
+          ("load", "globals", 4, 8), ("load", "globals", 8, 8)])
+def test_memory_image_matches_a_byte_model(ops):
+    mem = MemoryImage(RunLimits())
+    tops = dict.fromkeys(_REGIONS, 0)
+    written = {r: {} for r in _REGIONS}     # region -> offset -> byte
+    uninitialized = 0
+
+    def place(r, raw, n):
+        """An offset in r where n bytes fit, or None."""
+        return None if n > tops[r] else raw % (tops[r] - n + 1)
+
+    for kind, r, *rest in ops:
+        region = getattr(mem, r)
+        if kind == "allocate":
+            size, align = rest
+            start = -(-tops[r] // align) * align
+            assert region.allocate(size, align) == region.base + start
+            tops[r] = start + max(size, 1)
+        elif kind == "release_to":
+            mark = rest[0] % (tops[r] + 1)
+            region.release_to(mark)
+            tops[r] = mark
+            written[r] = {o: b for o, b in written[r].items() if o < mark}
+        elif kind == "store":
+            raw, n, value = rest
+            off = place(r, raw, n)
+            if off is not None:
+                value &= (1 << (8 * n)) - 1
+                mem.store(region.base + off, n, _FORMATS[n].pack_into, value, b"\x01" * n)
+                written[r].update(enumerate(value.to_bytes(n, "little"), off))
+        elif kind == "fill":
+            raw, n, byte = rest
+            n = min(n, tops[r])
+            off = place(r, raw, n)
+            if off is not None:
+                mem.fill(region.base + off, byte, n)
+                written[r].update((o, byte) for o in range(off, off + n))
+        elif kind == "copy":
+            raw, src_r, src_raw, n = rest
+            n = min(n, tops[r], tops[src_r])
+            off, src = place(r, raw, n), place(src_r, src_raw, n)
+            if off is not None and src is not None:
+                mem.copy(region.base + off, getattr(mem, src_r).base + src, n)
+                moved = [written[src_r].get(o) for o in range(src, src + n)]
+                for o, b in enumerate(moved, off):
+                    if b is None:
+                        written[r].pop(o, None)
+                    else:
+                        written[r][o] = b
+        else:
+            raw, n = rest
+            off = place(r, raw, n)
+            if off is not None:
+                got = [written[r].get(o) for o in range(off, off + n)]
+                uninitialized += None in got
+                expected = int.from_bytes(bytes(b or 0 for b in got), "little")
+                assert mem.load(region.base + off, n, _FORMATS[n].unpack_from) == expected
+        assert mem.uninitialized_loads == uninitialized
+
+
+def _value_and_uninitialized(src):
+    m = parse_module(src)
+    interp = Interpreter(m)
+    value = interp.execute("main")
+    assert run(m).uninitialized_loads == interp.uninitialized_loads
+    return value, interp.uninitialized_loads
+
+
+def test_memcpy_of_unwritten_bytes_over_a_memset_buffer():
+    # bytes 0..7 of %a take the never-written state of %b's; 8..15 keep 7s
+    src = """
+declare ptr @malloc(i32)
+declare void @llvm.memset.p0.i32(ptr, i8, i32, i1)
+declare void @llvm.memcpy.p0.p0.i32(ptr, ptr, i32, i1)
+
+define i32 @main() {
+entry:
+  %a = call ptr @malloc(i32 16)
+  call void @llvm.memset.p0.i32(ptr %a, i8 7, i32 16, i1 false)
+  %b = call ptr @malloc(i32 16)
+  call void @llvm.memcpy.p0.p0.i32(ptr %a, ptr %b, i32 8, i1 false)
+  %p = getelementptr i8, ptr %a, i32 %which
+  %v = load i32, ptr %p
+  ret i32 %v
+}
+"""
+    assert _value_and_uninitialized(src.replace("%which", "4")) == (0, 1)
+    assert _value_and_uninitialized(src.replace("%which", "8")) == (0x07070707, 0)
+    assert _value_and_uninitialized(src.replace("%which", "6")) == (0x07070000, 1)
+
+
+def test_a_frame_reads_its_unwritten_alloca_after_another_frame_wrote_there():
+    # @reader's alloca takes the stack bytes @writer's did, written and
+    # released on return: they read as zero and unwritten again
+    src = """
+define i32 @writer() {
+entry:
+  %p = alloca i32
+  store i32 99, ptr %p
+  %r = load i32, ptr %p
+  ret i32 %r
+}
+
+define i32 @reader() {
+entry:
+  %p = alloca i32
+  %r = load i32, ptr %p
+  ret i32 %r
+}
+
+define i32 @main() {
+entry:
+  %w = call i32 @writer()
+  %r = call i32 @reader()
+  %s = add i32 %w, %r
+  ret i32 %s
+}
+"""
+    assert _value_and_uninitialized(src) == (99, 1)
+
+
+def test_an_i64_load_that_straddles_the_last_written_byte():
+    # bytes 0..3 are written; the load reads 1..8
+    src = """
+define i64 @main() {
+entry:
+  %p = alloca [4 x i32]
+  store i32 -1, ptr %p
+  %q = getelementptr i8, ptr %p, i32 1
+  %r = load i64, ptr %q
+  ret i64 %r
+}
+"""
+    assert _value_and_uninitialized(src) == (0x00FFFFFF, 1)
+    # with bytes 4..11 written too, none of its bytes is unwritten
+    src = src.replace("  %q =", "  %p1 = getelementptr i32, ptr %p, i32 1\n"
+                                "  store i64 0, ptr %p1\n  %q =")
+    assert _value_and_uninitialized(src) == (0x00FFFFFF, 0)
+
+
 def test_stack_overflow_on_big_alloca():
     src = _main(
         "  %p = alloca [100000 x i32]\n"
