@@ -99,7 +99,11 @@ class _Region:
     """A bump region: `data` holds its bytes and `shadow` one byte per byte,
     1 where that byte has been written.  `clean` is the written prefix:
     every byte of `shadow[:clean]` is 1, and `shadow[clean]` is 0 when
-    clean < top, so an access that ends at or below it needs no shadow."""
+    clean < top, so an access that ends at or below it needs no shadow.
+    A byte whose shadow is 0 holds 0: `allocate` extends both arrays with
+    zeros, every write sets the shadow, and `copy` moves data and shadow
+    together.  So `release_to` zeroes a frame only up to its last written
+    byte."""
 
     __slots__ = ("name", "base", "cap", "data", "shadow", "top", "clean")
 
@@ -126,8 +130,10 @@ class _Region:
 
     def release_to(self, mark):
         if mark < self.top:
-            self.data[mark:self.top] = bytes(self.top - mark)
-            self.shadow[mark:self.top] = bytes(self.top - mark)
+            end = self.shadow.rfind(1, mark, self.top) + 1
+            if end > mark:
+                self.data[mark:end] = bytes(end - mark)
+                self.shadow[mark:end] = bytes(end - mark)
             self.top = mark
             if self.clean > mark:
                 self.clean = mark

@@ -8,9 +8,10 @@ statement), and the parser consumes each statement with a per-opcode
 grammar.  Columns are computed only for an error: the lexer and the grammar
 raise with the token at fault, and parse_module scans that one line again,
 with a group per kind, to turn it into a ParseError at line:col.
-Metadata, attribute groups, and debug decorations are skipped; opcodes
-outside the subset raise UnsupportedOpcodeError so a program we cannot
-simulate faithfully is rejected instead of guessed at.
+Decorations (flags, attributes, `#N` groups, metadata) are skipped, each
+only where LLVM allows it; opcodes outside the subset raise
+UnsupportedOpcodeError so a program we cannot simulate faithfully is
+rejected instead of guessed at.
 """
 
 import itertools
@@ -33,27 +34,54 @@ FCMP_PREDS = frozenset({
     "ueq", "ugt", "uge", "ult", "ule", "une", "uno", "true",
 })
 
-_FLAG_WORDS = frozenset({
-    "nuw", "nsw", "exact", "disjoint", "nneg", "inbounds", "volatile",
-    "fast", "nnan", "ninf", "nsz", "arcp", "contract", "afn", "reassoc",
-})
+# opcode -> the flag words that may follow it.  LLVM 14 knows all but
+# `disjoint`, `nneg` and getelementptr's `nuw`, which newer clang writes.
+_OPCODE_FLAGS = {
+    **dict.fromkeys(("add", "sub", "mul", "shl"), frozenset({"nuw", "nsw"})),
+    **dict.fromkeys(("udiv", "sdiv", "lshr", "ashr"), frozenset({"exact"})),
+    **dict.fromkeys(("fadd", "fsub", "fmul", "fdiv", "fneg", "fcmp", "phi", "call"), frozenset({
+        "fast", "nnan", "ninf", "nsz", "arcp", "contract", "afn", "reassoc"})),
+    "zext": frozenset({"nneg"}),
+    "or": frozenset({"disjoint"}),
+    "load": frozenset({"volatile"}),
+    "store": frozenset({"volatile"}),
+    "alloca": frozenset({"inalloca"}),
+    "getelementptr": frozenset({"inbounds", "nuw"}),
+}
 
+# the words before a global's or a defined function's type: linkage,
+# preemption and visibility, then a function's calling convention or a
+# global's thread-local mode and address space, each with its argument
 _LINKAGE_WORDS = frozenset({
     "private", "internal", "external", "linkonce", "weak", "common",
     "appending", "extern_weak", "linkonce_odr", "weak_odr",
     "available_externally", "dso_local", "dso_preemptable",
-    "hidden", "protected", "default", "unnamed_addr", "local_unnamed_addr",
-    "externally_initialized", "constant", "global",
+    "hidden", "protected", "default",
 })
-
 _CCONV_WORDS = frozenset({"ccc", "fastcc", "coldcc", "tailcc", "cc"})
-_RETURN_ATTR_WORDS = frozenset({"noundef", "signext", "zeroext", "inreg", "noalias", "nonnull"})
-_CALL_PREFIX_WORDS = _CCONV_WORDS | _RETURN_ATTR_WORDS
+_DEFINE_WORDS = _LINKAGE_WORDS | _CCONV_WORDS
+_GLOBAL_WORDS = _LINKAGE_WORDS | {"thread_local", "unnamed_addr", "local_unnamed_addr",
+                                  "addrspace", "externally_initialized"}
 
-_VALUE_WORDS = frozenset({
-    "true", "false", "null", "undef", "poison", "zeroinitializer",
-    "getelementptr",
+# the attributes of a return value, and those of a parameter or argument;
+# LLVM 14 knows all but `allocalign`, `allocptr`, `captures`,
+# `dead_on_unwind`, `initializes`, `nofpclass`, `range` and `writable`
+_RETURN_ATTRS = frozenset({
+    "align", "dereferenceable", "dereferenceable_or_null", "inreg", "noalias",
+    "nonnull", "noundef", "signext", "zeroext",
 })
+_PARAM_ATTRS = _RETURN_ATTRS | {
+    "allocalign", "allocptr", "alignstack", "byref", "byval", "captures",
+    "dead_on_unwind", "elementtype", "immarg", "inalloca", "initializes", "nest",
+    "nocapture", "nofpclass", "nofree", "preallocated", "range", "readnone",
+    "readonly", "returned", "sret", "swiftasync", "swifterror", "swiftself",
+    "writable", "writeonly",
+}
+
+# the `, word` items after a global's initializer, each with its argument
+_GLOBAL_PROPS = frozenset({"align", "section", "partition", "comdat"})
+# the instructions that take `, align N`
+_ALIGNED = frozenset({"alloca", "load", "store"})
 
 _PREDICATES = {"icmp": ICMP_PREDS, "fcmp": FCMP_PREDS}
 
@@ -467,7 +495,7 @@ class _Parser:
         raise _TokenFault(f"literal not valid for type {ty!r}", tok)
 
     def parse_const_gep(self, cur: _Cursor) -> ConstGep:
-        cur.accept("word", "inbounds")
+        self._skip_flags(cur, _OPCODE_FLAGS["getelementptr"])
         cur.expect("(")
         src = self.parse_sized_type(cur, "a getelementptr source")
         cur.expect(",")
@@ -492,35 +520,72 @@ class _Parser:
             indices.append((self.parse_value(cur, ity), ity))
         return indices
 
-    def _skip_attrs(self, cur: _Cursor):
-        """Skip parameter/return attributes: bare words, word(...) groups,
-        align N, and metadata."""
-        while True:
-            tok = cur.peek()
-            if tok is None:
-                return
-            if tok[0] == "md" or tok[0] == "attr":
+    def _skip_group(self, cur: _Cursor):
+        """Skip the balanced (...) group that starts at the cursor, if one
+        does."""
+        if cur.accept("(") is None:
+            return
+        depth = 1
+        while depth:
+            kind = cur.next()[0]
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                depth -= 1
+
+    def _skip_attrs(self, cur: _Cursor, words=None):
+        """Skip a run of attributes, each a word of `words` with its
+        argument: `align N` or a (...) group.  words=None reads the function
+        attributes after a call's arguments or a definition's parameters:
+        any word, `section "x"`, and `#N` groups, which LLVM allows nowhere
+        else."""
+        while (tok := cur.peek()) is not None:
+            if tok[0] == "word" and (words is None or tok[1] in words):
                 cur.next()
-                continue
-            if tok[0] != "word":
-                return
-            if tok[1] in _VALUE_WORDS or tok[1] in SCALARS:
-                return
-            if tok[1] == "align":
+                if cur.peek() is not None and cur.peek()[0] == "(":
+                    self._skip_group(cur)
+                elif tok[1] == "align":
+                    cur.expect_count()
+                elif words is None:
+                    cur.accept("str")
+            elif tok[0] == "attr" and words is None:
                 cur.next()
-                cur.expect_count()
-                continue
-            # a generic attribute word, possibly with a parenthesized payload
+            else:
+                return
+
+    def _skip_flags(self, cur: _Cursor, words):
+        """Skip a run of `words`, each with its argument: the number after
+        `cc`, or a (...) group after `thread_local` or `addrspace`.  Return
+        the first, or None."""
+        first = None
+        while (tok := cur.peek()) is not None and tok[0] == "word" and tok[1] in words:
             cur.next()
-            if cur.accept("("):
-                depth = 1
-                while depth:
-                    t = cur.next()
-                    if t[0] == "(":
-                        depth += 1
-                    elif t[0] == ")":
-                        depth -= 1
-            continue
+            if tok[1] == "cc":
+                cur.expect_count()
+            elif tok[1] == "thread_local" or tok[1] == "addrspace":
+                self._skip_group(cur)
+            if first is None:
+                first = tok
+        return first
+
+    def _skip_trailer(self, cur: _Cursor, words) -> int:
+        """Skip the `, !name !N` items that end a statement, and the `, align
+        N`, `, section "x"`, `, partition "x"` and `, comdat` items for the
+        words of `words`; return N, or 0 without `align`."""
+        align = 0
+        while cur.accept(","):
+            tok = cur.next()
+            if tok[0] == "md":
+                cur.expect("md")
+            elif tok[0] != "word" or tok[1] not in words:
+                raise _TokenFault(f"expected metadata, found {tok[1]!r}", tok)
+            elif tok[1] == "align":
+                align = cur.expect_count()
+            elif tok[1] == "comdat":
+                self._skip_group(cur)
+            else:
+                cur.expect("str")
+        return align
 
     # --- top level --------------------------------------------------------
 
@@ -582,45 +647,21 @@ class _Parser:
         cur = _Cursor(line)
         name = self._define(cur.expect("gid"), "global")
         cur.expect("=")
-        is_const = False
-        while True:
-            tok = cur.peek()
-            if tok is None:
-                cur.error("global definition without a body")
-            if tok[0] == "word" and tok[1] in _LINKAGE_WORDS:
-                cur.next()
-                if tok[1] == "constant":
-                    is_const = True
-                    break
-                if tok[1] == "global":
-                    break
-                continue
-            if tok[0] == "word" and tok[1] in ("thread_local", "addrspace"):
-                cur.next()
-                if cur.accept("("):
-                    while not cur.accept(")"):
-                        cur.next()
-                continue
-            cur.error(f"unexpected token {tok[1]!r} in global definition")
+        self._skip_flags(cur, _GLOBAL_WORDS)
+        keyword = cur.expect("word")
+        if keyword[1] not in ("global", "constant"):
+            raise _TokenFault(f"expected 'global' or 'constant', found {keyword[1]!r}", keyword)
         ty = self.parse_sized_type(cur, "a global")
         init = None
         tok = cur.peek()
-        if tok is not None and tok[0] != ",":
+        if tok is not None and tok[0] != "," and tok[0] != "attr":
             init = self._parse_init(cur, ty)
-        align = 0
-        while cur.accept(","):
-            tok = cur.peek()
-            if tok is None:
-                break
-            if tok[0] == "word" and tok[1] == "align":
-                cur.next()
-                align = cur.expect_count()
-            else:
-                # section, comdat, !annotations: decoration we do not model
-                cur.next()
-                while cur.peek() is not None and cur.peek()[0] not in (",",):
-                    cur.next()
-        self.module.globals.append(GlobalVar(name, ty, init, is_const, align))
+        align = self._skip_trailer(cur, _GLOBAL_PROPS)
+        while cur.accept("attr"):
+            pass
+        if not cur.at_end():
+            cur.error(f"unexpected trailing token {cur.peek()[1]!r}")
+        self.module.globals.append(GlobalVar(name, ty, init, keyword[1] == "constant", align))
 
     def _parse_init(self, cur: _Cursor, ty: IrType, depth: int = 0):
         tok = cur.peek()
@@ -667,22 +708,8 @@ class _Parser:
     def _parse_define(self, line_index: int) -> int:
         cur = _Cursor(self.lines[line_index])
         cur.expect("word", "define")
-        while True:
-            tok = cur.peek()
-            if tok is None:
-                cur.error("truncated function definition")
-            if tok[0] in ("md", "attr"):
-                cur.next()
-                continue
-            if tok[0] == "word" and (tok[1] in _LINKAGE_WORDS or tok[1] in _CCONV_WORDS):
-                cur.next()
-                if tok[1] == "cc":
-                    cur.accept("num")
-                continue
-            if tok[0] == "word" and tok[1] in _RETURN_ATTR_WORDS:
-                cur.next()
-                continue
-            break
+        self._skip_flags(cur, _DEFINE_WORDS)
+        self._skip_attrs(cur, _RETURN_ATTRS)
         ret_ty = self.parse_type(cur)
         name_tok = cur.expect("gid")
         self._define(name_tok, "function")
@@ -694,7 +721,7 @@ class _Parser:
                 if cur.peek() is not None and cur.peek()[0] == "dots":
                     cur.error("variadic functions are not supported")
                 pty = self.parse_type(cur)
-                self._skip_attrs(cur)
+                self._skip_attrs(cur, _PARAM_ATTRS)
                 ptok = cur.accept("lid")
                 if ptok is not None:
                     pname = ptok[1]
@@ -707,15 +734,16 @@ class _Parser:
                 if cur.accept(")"):
                     break
                 cur.expect(",")
-        while not cur.at_end():
-            tok = cur.next()
-            if tok[0] == "{":
-                if not cur.at_end():
-                    cur.error("code on the same line as '{'")
-                return self._parse_body(line_index + 1,
-                                        IrFunction(name_tok[1], ret_ty, params),
-                                        entry_hint=str(auto))
-        cur.error("function definition without a body")
+        self._skip_attrs(cur)
+        while cur.accept("md"):     # `!dbg !N` attachments
+            cur.expect("md")
+        if cur.at_end():
+            cur.error("function definition without a body")
+        cur.expect("{")
+        if not cur.at_end():
+            cur.error("code on the same line as '{'")
+        return self._parse_body(line_index + 1, IrFunction(name_tok[1], ret_ty, params),
+                                entry_hint=str(auto))
 
     def _parse_body(self, i: int, func: IrFunction, entry_hint: str) -> int:
         block = None
@@ -832,13 +860,15 @@ class _Parser:
             raise _TokenFault(f"unknown opcode {opcode!r}", tok)
 
         ins = IrInstruction(opcode=opcode, result=result, line=tok[2])
-        if opcode in _CASTS:
-            self._ins_cast(cur, ins)
-        elif opcode in _PREDICATES:
-            self._ins_cmp(cur, ins)
-        else:
-            getattr(self, "_ins_" + opcode, self._ins_binop)(cur, ins)
-        self._finish_statement(cur, ins)
+        flags = _OPCODE_FLAGS.get(opcode)
+        flag = self._skip_flags(cur, flags) if flags is not None else None
+        _READERS[opcode](self, cur, ins)
+        if flag is not None and (opcode == "phi" or opcode == "call") and not ins.type.is_float():
+            raise _TokenFault(f"fast-math flags on a '{opcode}' of type {ins.type!r}", flag)
+        if not cur.at_end():
+            ins.align = self._skip_trailer(cur, ("align",) if opcode in _ALIGNED else ())
+            if not cur.at_end():
+                cur.error(f"unexpected trailing token {cur.peek()[1]!r}")
         produces = not (opcode in TERMINATORS or opcode == "store"
                         or (opcode == "call" and ins.type is VOID))
         if (result is not None) != produces:
@@ -852,33 +882,7 @@ class _Parser:
                 raise _TokenFault("phi after a non-phi instruction", first)
         block.instructions.append(ins)
 
-    def _finish_statement(self, cur: _Cursor, ins: IrInstruction):
-        while not cur.at_end():
-            tok = cur.peek()
-            if tok[0] in ("md", "attr"):
-                cur.next()
-                continue
-            if tok[0] == ",":
-                nxt = cur.peek(1)
-                if nxt is not None and nxt[0] == "word" and nxt[1] == "align":
-                    cur.next()
-                    cur.next()
-                    ins.align = cur.expect_count()
-                    continue
-                if nxt is not None and nxt[0] == "md":
-                    cur.next()
-                    continue
-            cur.error(f"unexpected trailing token {tok[1]!r}")
-
-    def _skip_flags(self, cur: _Cursor, words=_FLAG_WORDS):
-        """Skip a run of `words`, and the number after `cc`."""
-        while (tok := cur.peek()) is not None and tok[0] == "word" and tok[1] in words:
-            cur.next()
-            if tok[1] == "cc":
-                cur.accept("num")
-
     def _ins_binop(self, cur: _Cursor, ins: IrInstruction):
-        self._skip_flags(cur)
         ty = self.parse_type(cur)
         a = self.parse_value(cur, ty)
         cur.expect(",")
@@ -891,7 +895,6 @@ class _Parser:
             cur.error(f"'{ins.opcode}' needs an integer type")
 
     def _ins_fneg(self, cur, ins):
-        self._skip_flags(cur)
         ty = self.parse_type(cur)
         if not ty.is_float():
             cur.error("'fneg' needs a float type")
@@ -899,7 +902,6 @@ class _Parser:
         ins.operands = [self.parse_value(cur, ty)]
 
     def _ins_cmp(self, cur, ins):
-        self._skip_flags(cur)
         pred = cur.expect("word")
         if pred[1] not in _PREDICATES[ins.opcode]:
             raise _TokenFault(f"unknown {ins.opcode} predicate {pred[1]!r}", pred)
@@ -930,7 +932,6 @@ class _Parser:
         ins.operands = [val]
 
     def _ins_alloca(self, cur, ins):
-        cur.accept("word", "inalloca")
         ty = self.parse_sized_type(cur, "'alloca'")
         count = Const(I32, 1)
         if _typed_operand_follows(cur):
@@ -950,7 +951,6 @@ class _Parser:
         return self.parse_value(cur, PTR)
 
     def _ins_load(self, cur, ins):
-        self._skip_flags(cur)
         if cur.peek() is not None and cur.peek()[0] == "word" and cur.peek()[1] == "atomic":
             cur.error("atomic loads are not supported")
         ty = self.parse_sized_type(cur, "'load'")
@@ -959,7 +959,6 @@ class _Parser:
         ins.operands = [self._pointer(cur, "load")]
 
     def _ins_store(self, cur, ins):
-        self._skip_flags(cur)
         if cur.peek() is not None and cur.peek()[0] == "word" and cur.peek()[1] == "atomic":
             cur.error("atomic stores are not supported")
         tok = cur.peek()
@@ -972,7 +971,6 @@ class _Parser:
         ins.operands = [val, self._pointer(cur, "store")]
 
     def _ins_getelementptr(self, cur, ins):
-        self._skip_flags(cur)
         src = self.parse_sized_type(cur, "a getelementptr source")
         cur.expect(",")
         base = self._pointer(cur, "getelementptr")
@@ -983,7 +981,6 @@ class _Parser:
         ins.gep = _fold_gep(src, indices, ins.line)
 
     def _ins_phi(self, cur, ins):
-        self._skip_flags(cur)
         ty = self.parse_type(cur)
         ins.type = ty
         while True:
@@ -997,20 +994,10 @@ class _Parser:
                 break
 
     def _ins_call(self, cur, ins):
-        self._skip_flags(cur)
-        self._skip_flags(cur, _CALL_PREFIX_WORDS)
+        self._skip_flags(cur, _CCONV_WORDS)
+        self._skip_attrs(cur, _RETURN_ATTRS)
         rty = self.parse_type(cur)
-        if cur.peek() is not None and cur.peek()[0] == "(":
-            # explicit function-type suffix, e.g. `call i32 (ptr, ...) @f(...)`
-            depth = 0
-            while True:
-                t = cur.next()
-                if t[0] == "(":
-                    depth += 1
-                elif t[0] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
+        self._skip_group(cur)       # a function type, as in `call i32 (ptr, ...) @f(...)`
         callee_tok = cur.peek()
         if callee_tok is not None and callee_tok[0] == "lid":
             cur.error("indirect calls are not supported")
@@ -1020,7 +1007,7 @@ class _Parser:
         if not cur.accept(")"):
             while True:
                 aty = self.parse_type(cur)
-                self._skip_attrs(cur)
+                self._skip_attrs(cur, _PARAM_ATTRS)
                 args.append(self.parse_value(cur, aty))
                 if cur.accept(")"):
                     break
@@ -1105,6 +1092,11 @@ class _Parser:
                     inst_id += 1
                     if ins.opcode == "call":
                         _check_call(ins, functions.get(ins.callee))
+
+
+# opcode -> the method that reads the rest of its instruction
+_READERS = {op: _Parser._ins_cast if op in _CASTS else _Parser._ins_cmp if op in _PREDICATES
+            else getattr(_Parser, "_ins_" + op, _Parser._ins_binop) for op in SUPPORTED_OPCODES}
 
 
 def _dominators(func: IrFunction) -> dict:

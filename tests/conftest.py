@@ -1,8 +1,32 @@
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+# LLVM's assembler and interpreter, the reference for what parses and what
+# it computes; a test that needs one skips when it is not installed
+LLVM_AS = shutil.which("llvm-as")
+LLI = shutil.which("lli")
+needs_llvm_as = pytest.mark.skipif(LLVM_AS is None, reason="llvm-as is not installed")
+needs_lli = pytest.mark.skipif(LLI is None, reason="lli is not installed")
+
+
+def llvm_as(text):
+    """llvm-as's first line of complaint about `text`, or None when it
+    accepts it."""
+    done = subprocess.run([LLVM_AS, "-opaque-pointers", "-o", "/dev/null", "-"],
+                          input=text, capture_output=True, text=True, timeout=60)
+    return done.stderr.strip().splitlines()[0] if done.returncode else None
+
+
+def lli(text):
+    """The exit status of `lli` running the module `text`: the result of its
+    main, mod 256."""
+    return subprocess.run([LLI, "-opaque-pointers", "-"], input=text, capture_output=True,
+                          text=True, timeout=60).returncode
 
 # Minimal module: a single empty main.
 EXAMPLE_A = """

@@ -16,7 +16,7 @@ from irtime import interp as interp_module
 from irtime.interp import MemoryImage, FRAME_BYTES, GLOBAL_BASE, HEAP_BASE
 from irtime.irtypes import SCALARS, array_of, struct_of, gep_offset
 
-from conftest import EXAMPLE_B
+from conftest import EXAMPLE_B, lli, needs_lli
 
 
 def _ret(src, entry="main", limits=None):
@@ -1395,3 +1395,56 @@ def test_getelementptr_names_the_first_unresolved_register():
         _gep("getelementptr [4 x i32], ptr %b, i32 %a, i32 %nope")
     with pytest.raises(UnresolvedReferenceError, match=r"^unresolved register 'nob' \(line 3\)$"):
         _gep("getelementptr [4 x i32], ptr %nob, i32 %nope, i32 %a")
+
+
+# --- paths checked against lli --------------------------------------------------
+# Each program's main returns what irtime computes here; lli's exit status,
+# that result mod 256, must agree.
+
+AGAINST_LLI = {
+    # a float store rounds its value to single precision
+    "float_store": (_main("  %p = alloca float, align 4\n  %h = fadd float 0.25, 16.5\n"
+                          "  store float %h, ptr %p, align 4\n  %x = load float, ptr %p, align 4\n"
+                          "  %y = fmul float %x, 4.0\n  %r = fptosi float %y to i32"), 67),
+    "float_global_initializer": ("@f = global float 2.5, align 4\n"
+                                 + _main("  %g = load float, ptr @f, align 4\n"
+                                         "  %h = fmul float %g, 10.0\n"
+                                         "  %r = fptosi float %h to i32"), 25),
+    # a constant getelementptr as an initializer and as an operand
+    "constant_getelementptr": (
+        "@arr = global [4 x i32] [i32 10, i32 20, i32 30, i32 40]\n"
+        "@third = global ptr getelementptr inbounds ([4 x i32], ptr @arr, i32 0, i32 2)\n"
+        + _main("  %p = load ptr, ptr @third\n  %a = load i32, ptr %p\n"
+                "  %b = load i32, ptr getelementptr inbounds ([4 x i32], ptr @arr, i32 0, i32 1)\n"
+                "  %r = add i32 %a, %b"), 50),
+    # libc memcpy returns its destination
+    "memcpy_result": (
+        "@src = global [4 x i32] [i32 3, i32 5, i32 7, i32 11]\n"
+        "declare ptr @memcpy(ptr, ptr, i64)\n"
+        + _main("  %buf = alloca [4 x i32]\n"
+                "  %d = call ptr @memcpy(ptr %buf, ptr @src, i64 16)\n"
+                "  %e = getelementptr [4 x i32], ptr %d, i32 0, i32 3\n  %v = load i32, ptr %e\n"
+                "  %f = getelementptr [4 x i32], ptr %buf, i32 0, i32 1\n  %w = load i32, ptr %f\n"
+                "  %t = mul i32 %v, 10\n  %r = add i32 %t, %w"), 115),
+}
+
+
+@pytest.mark.parametrize("name", AGAINST_LLI)
+def test_result_of_each_lli_program(name):
+    text, want = AGAINST_LLI[name]
+    assert _ret(text) == want
+
+
+@needs_lli
+@pytest.mark.parametrize("name", AGAINST_LLI)
+def test_lli_agrees_on_each_program(name):
+    text, want = AGAINST_LLI[name]
+    assert lli(text) == want % 256
+
+
+def test_execute_checks_the_argument_count():
+    m = parse_module("define i32 @f(i32 %a, i32 %b) {\nentry:\n  %r = add i32 %a, %b\n"
+                     "  ret i32 %r\n}\n")
+    assert Interpreter(m).execute("f", (2, 3)) == 5
+    with pytest.raises(InterpreterError, match=r"^entry '@f' takes 2 arguments, got 1$"):
+        Interpreter(m).execute("f", (2,))

@@ -14,8 +14,6 @@ LLVM must agree either way.
 
 import random
 import re
-import shutil
-import subprocess
 
 import pytest
 
@@ -23,12 +21,11 @@ from irtime import parse_module
 from irtime.errors import IrTimeError
 from irtime.irmodel import is_recognized_callee
 
-from conftest import SAMPLES
+from conftest import SAMPLES, llvm_as, needs_llvm_as
 from test_mutants import _line_mutants
 from test_parser import STRUCTURAL_FAULTS
 
-LLVM_AS = shutil.which("llvm-as")
-pytestmark = pytest.mark.skipif(LLVM_AS is None, reason="llvm-as is not installed")
+pytestmark = needs_llvm_as
 
 SAMPLE_SIZE = 60
 BLOCK_SAMPLE_SIZE = 40
@@ -65,14 +62,6 @@ exit:
   ret i32 %r
 }
 """
-
-
-def _llvm_as(text):
-    """llvm-as's first line of complaint about `text`, or None when it
-    accepts it."""
-    done = subprocess.run([LLVM_AS, "-opaque-pointers", "-o", "/dev/null", "-"],
-                          input=text, capture_output=True, text=True, timeout=60)
-    return done.stderr.strip().splitlines()[0] if done.returncode else None
 
 
 _PHI = re.compile(r"%[-\w.$]+ = phi\b")
@@ -125,7 +114,7 @@ def test_line_mutants_that_parse_pass_llvm_as():
         except IrTimeError:
             continue
         accepted += 1
-        complaint = _llvm_as(text)
+        complaint = llvm_as(text)
         if complaint is None:
             continue
         lenient = _LENIENCIES.search(complaint)
@@ -140,12 +129,12 @@ def test_llvm_as_rejects_each_dominance_fault(name):
     text = STRUCTURAL_FAULTS[name]
     with pytest.raises(IrTimeError):
         parse_module(text)
-    assert _llvm_as(text) is not None
+    assert llvm_as(text) is not None
 
 
 def test_llvm_as_accepts_any_use_in_an_unreachable_block():
     parse_module(UNREACHABLE_USES)
-    assert _llvm_as(UNREACHABLE_USES) is None
+    assert llvm_as(UNREACHABLE_USES) is None
 
 
 def test_block_mutants_agree_with_llvm_as():
@@ -159,7 +148,7 @@ def test_block_mutants_agree_with_llvm_as():
             ours = None
         except IrTimeError as exc:
             ours = str(exc)
-        theirs = _llvm_as(text)
+        theirs = llvm_as(text)
         verdicts.add(ours is None)
         if (ours is None) != (theirs is None):
             disagreements.append(f"{what}: irtime {ours or 'accepts'}, "
@@ -172,4 +161,4 @@ def test_llvm_as_rejects_a_label_repeating_the_unnamed_entrys_number():
     text = STRUCTURAL_FAULTS["label_repeating_the_unnamed_entrys_number"]
     with pytest.raises(IrTimeError, match="duplicate block label '%0'"):
         parse_module(text)
-    assert "label expected to be numbered" in _llvm_as(text)
+    assert "label expected to be numbered" in llvm_as(text)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from irtime import irparser, parse_module
 from irtime.errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
-from irtime.irmodel import Const, GlobalRef, ConstGep
+from irtime.irmodel import Const, GlobalRef, ConstGep, LocalRef
+from irtime.irtypes import I32
 
 from conftest import EXAMPLE_A, EXAMPLE_B
 
@@ -231,20 +232,24 @@ d:
 
 def test_call_with_function_type_suffix():
     src = """
-declare void @llvm.memset.p0.i32(ptr, i8, i32, i1)
+define i32 @f(i32 %x) {
+entry:
+  ret i32 %x
+}
 
 define i32 @main() {
 entry:
-  %buf = alloca [16 x i8]
-  call void @llvm.memset.p0.i32(ptr noundef %buf, i8 0, i32 16, i1 false)
-  ret i32 0
+  %a = call i32 (i32) @f(i32 5)
+  %b = tail call fastcc i32 @f(i32 noundef %a) #0
+  ret i32 %b
 }
+
+attributes #0 = { nounwind }
 """
     m = parse_module(src)
-    call = m.function("main").blocks[0].instructions[1]
-    assert call.opcode == "call"
-    assert call.callee == "llvm.memset.p0.i32"
-
+    calls = m.function("main").blocks[0].instructions[:2]
+    assert [(c.opcode, c.callee, c.type) for c in calls] == [("call", "f", I32)] * 2
+    assert calls[1].operands == [LocalRef("a", I32)]
 
 
 def test_declare_needs_a_function_name():
