@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import PipelineConfig, config_from_file
 from .corpus import GENERATOR_OPCODES, generate_corpus
-from .errors import IrTimeError, MissingLabelError, UnresolvedReferenceError
+from .errors import EmptyInputError, IrTimeError, MissingLabelError, UnresolvedReferenceError
 from .interp import run
 from .irparser import parse_file
 from .metrics import evaluate
@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     inputs = _collect_inputs(args.inputs, ".ll")
     if not inputs:
-        print("error: no .ll inputs found", file=sys.stderr)
+        print(f"error: no .ll inputs found in {' '.join(args.inputs)}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,7 +150,10 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = read_features(args.features)
-    report = evaluate(model, ds)
+    try:
+        report = evaluate(model, ds)
+    except EmptyInputError as exc:      # a file without labels
+        raise EmptyInputError(f"{args.features}: {exc}") from None
     print(report.table())
     if args.out:
         lines = [f"# unit: {ds.unit}", "sample_id,actual,predicted,ape,sape"]

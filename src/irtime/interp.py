@@ -608,24 +608,20 @@ class _Generator:
     """The source of every segment function of a module, and the namespace
     it runs in."""
 
-    def __init__(self, module, memory, limits, state, frames, probes):
+    def __init__(self, module, memory, limits, state, frames, probes, trace):
         self.module, self.global_addrs, self.limits = module, memory.global_addrs, limits
         stack = memory.stack
         self.ns = dict(_RUNTIME, S=state, FR=frames, STK=stack, LD=memory.load,
                        ST=memory.store, MCPY=memory.copy, MSET=memory.fill,
                        ALLOC=stack.allocate, HALLOC=memory.heap.allocate,
                        RET=_returner(frames, state, stack.release_to))
-        builders = [p for p in probes if isinstance(p, TraceBuilder)]
-        if len(builders) > 1:
-            raise InterpreterError("an interpreter counts into one TraceBuilder at most")
-        self.counting = bool(builders)
-        if builders:
-            b = builders[0]
-            self.ns.update(E=b.entries, P=b.states, C=b.counts, TOUCH=b.touch,
+        self.counting = trace is not None
+        if trace is not None:
+            self.ns.update(E=trace.entries, P=trace.states, C=trace.counts, TOUCH=trace.touch,
                            TAKEN=TAKEN, NOT_TAKEN=NOT_TAKEN)
         self.consts = {}
-        self.probes = {kind: [self._bind(getattr(ps, kind), "h") for ps in probes
-                              if isinstance(ps, ProbeSet) and getattr(ps, kind)]
+        # probe kind -> the name its callback is bound to, or None
+        self.probes = {kind: self._bind(fn, "h") if (fn := getattr(probes, kind, None)) else None
                        for kind in ProbeSet.__slots__}
         self.first = {}         # block static id -> index of its first segment
 
@@ -736,10 +732,12 @@ class _Generator:
         return f"({x} - {1 << bits} if {x} >= {1 << (bits - 1)} else {x})"
 
     def _probe(self, kind, *args):
-        if self.probes[kind] and self.slots is not None:
+        name = self.probes[kind]
+        if name is None:
+            return
+        if self.slots is not None:
             self._line(f"S.steps = {self._slot('S.steps')}")    # a probe may read it
-        for name in self.probes[kind]:
-            self._line(f"{name}({', '.join(map(str, args))})")
+        self._line(f"{name}({', '.join(map(str, args))})")
 
     def _slot(self, slot):
         """`slot`, or in a loop function the local that holds it."""
@@ -1028,23 +1026,22 @@ class Interpreter:
 
     Construction compiles every segment of the module into one generated
     Python function (see "generated segment functions" above), specialised
-    to the probes given here: ProbeSets, and at most one TraceBuilder, whose
-    counts the generated code keeps inline.  A loop that calls no function
-    body and holds no inner loop runs inside its header's function, its
-    values and counts held in locals, with the same counts, probe events
-    and steps as edges that return to the dispatcher.  Steps are charged
-    a whole block at a time, on entry, so `steps` is exact for a run that
-    finishes and a run fails with StepLimitExceeded if and only if its
-    total exceeds `limits.max_steps`.
+    to what observes it: `probes`, a ProbeSet whose callbacks it calls, and
+    `trace`, a TraceBuilder whose counts the generated code keeps inline.
+    A loop that calls no function body and holds no inner loop runs inside
+    its header's function, its values and counts held in locals, with the
+    same counts, probe events and steps as edges that return to the
+    dispatcher.  Steps are charged a whole block at a time, on entry, so
+    `steps` is exact for a run that finishes and a run fails with
+    StepLimitExceeded if and only if its total exceeds `limits.max_steps`.
     The parser has checked every label, global, callee, call signature, type
     and getelementptr shape, and that each register's definition dominates
     its every use, so decoding a parsed module cannot fail and no register
     is read before it is assigned.
     """
 
-    def __init__(self, module, probes=(), limits: RunLimits | None = None):
-        if isinstance(probes, ProbeSet):
-            probes = (probes,)
+    def __init__(self, module, probes: ProbeSet | None = None, limits: RunLimits | None = None,
+                 trace: TraceBuilder | None = None):
         self.module = module
         self.limits = limits or RunLimits()
         self.memory = MemoryImage(self.limits)
@@ -1052,7 +1049,7 @@ class Interpreter:
         self._frames = []
         self._setup_globals()
         generator = _Generator(module, self.memory, self.limits, self._state, self._frames,
-                               [p for p in probes if p is not None])
+                               probes, trace)
         self._segments, self._entries = generator.build()
 
     @property
@@ -1140,6 +1137,6 @@ def run(module, entry: str = "main", probes: ProbeSet | None = None,
     """
     builder = TraceBuilder(module, CacheModel(cache_config or CacheConfig()),
                            predictor_initial_state or PredictorState.WNT)
-    interp = Interpreter(module, [builder, probes], limits)
+    interp = Interpreter(module, probes, limits, trace=builder)
     interp.execute(entry)
     return builder.build(uninitialized_loads=interp.uninitialized_loads)

@@ -4,10 +4,11 @@ One findall of one regular expression splits the file into tokens, each a
 plain (kind, value, line, nth) tuple whose kind comes from its first
 character and whose nth counts the tokens before it on its line; the same
 pass groups them into statements (newlines inside (...) or [...] do not end a
-statement), and the parser consumes each statement with a per-opcode
-grammar.  Columns are computed only for an error: the lexer and the grammar
-raise with the token at fault, and parse_module scans that one line again,
-with a group per kind, to turn it into a ParseError at line:col.
+statement), each closed by an end token, and the parser consumes each
+statement with a per-opcode grammar.  Columns are computed only for an
+error: the lexer and the grammar raise with the token at fault, and
+parse_module scans that one line again to turn it into a ParseError at
+line:col.
 Decorations (flags, attributes, `#N` groups, metadata) are skipped, each
 only where LLVM allows it; opcodes outside the subset raise
 UnsupportedOpcodeError so a program we cannot simulate faithfully is
@@ -132,11 +133,8 @@ _TOKENS = (
     ("bad", r"[^ \t\r]"),
 )
 _BLANKS = r"[ \t\r]*"
-# the lexer's scan: the text of each token, as one findall
+# the lexer's scan: group 1 is the text of each token
 _FAST_RE = re.compile(_BLANKS + "(" + "|".join(pattern for _, pattern in _TOKENS) + ")")
-# the same scan with a group per kind, to place a token on its line
-_TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join(f"(?P<{kind}>{pattern})"
-                                                  for kind, pattern in _TOKENS) + ")")
 
 # A token's kind by its first character.  Four need a second look: `c` may
 # start a word or a c-string, `.` a word or `...`, `-` a number or nothing,
@@ -167,8 +165,6 @@ class _TokenFault(Exception):
         self.tok = tok
 
     def placed(self, text: str) -> ParseError:
-        if self.tok is None:
-            return ParseError(self.message)
         _, _, line, nth = self.tok
         return ParseError(self.message, line, _column(text, line, nth))
 
@@ -177,8 +173,7 @@ def _column(text: str, line: int, nth: int) -> int:
     """The column of the `nth` token on `line` of `text`, found by scanning
     that line again.  A column counts characters from 1."""
     row = text.split("\n", line)[line - 1]
-    m = next(itertools.islice(_TOKEN_RE.finditer(row), nth, None))
-    return m.start(m.lastgroup) + 1
+    return next(itertools.islice(_FAST_RE.finditer(row), nth, None)).start(1) + 1
 
 
 def _statements(text: str):
@@ -186,7 +181,8 @@ def _statements(text: str):
     tokens, where nth counts the tokens before it on its line.  A newline
     ends a statement unless it falls inside (...) or [...], which is how
     multi-line switch tables stay parseable.  A punctuation token's kind is
-    its text."""
+    its text, and each statement ends in an ("end", "", line, nth) token
+    placed at its last token."""
     statements, cur = [], []
     line, nth, depth = 1, 0, 0
     kind_of = _FIRST_CHAR.get
@@ -207,6 +203,7 @@ def _statements(text: str):
             line += 1
             nth = 0
             if depth == 0 and cur:
+                cur.append(("end", "", *cur[-1][2:]))
                 statements.append(cur)
                 cur = []
             continue
@@ -240,6 +237,7 @@ def _statements(text: str):
             raise _TokenFault(f"unexpected character {tok!r}", (kind, tok, line, nth))
         nth += 1
     if cur:
+        cur.append(("end", "", *cur[-1][2:]))
         statements.append(cur)
     return statements
 
@@ -279,11 +277,11 @@ def _too_deep(tok):
 def _typed_operand_follows(cur):
     """Whether `cur` is at a comma and a type, which start one more operand
     (not `, align N` or metadata)."""
-    tok, nxt = cur.peek(), cur.peek(1)
-    return (tok is not None and tok[0] == "," and nxt is not None
-            and (nxt[0] in ("[", "{", "lid")
-                 or (nxt[0] == "word"
-                     and (nxt[1] in SCALARS or re.fullmatch(r"i\d+", nxt[1]) is not None))))
+    if cur.peek()[0] != ",":
+        return False
+    kind, value, _, _ = cur.peek(1)
+    return kind in ("[", "{", "lid") or (
+        kind == "word" and (value in SCALARS or re.fullmatch(r"i\d+", value) is not None))
 
 
 def _fold_gep(src, indices, line):
@@ -318,7 +316,8 @@ def _fold_gep(src, indices, line):
 
 
 class _Cursor:
-    """A window over one logical line of tokens."""
+    """A window over the tokens of one statement.  It never moves past the
+    end token, so peek() always returns a token."""
 
     __slots__ = ("toks", "i")
 
@@ -327,16 +326,15 @@ class _Cursor:
         self.i = 0
 
     def peek(self, ahead=0):
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks[self.i + ahead]
 
     def at_end(self):
-        return self.i >= len(self.toks)
+        return self.toks[self.i][0] == "end"
 
     def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise _TokenFault("unexpected end of statement", self.toks[-1] if self.toks else None)
+        tok = self.toks[self.i]
+        if tok[0] == "end":
+            raise _TokenFault("unexpected end of statement", tok)
         self.i += 1
         return tok
 
@@ -355,21 +353,24 @@ class _Cursor:
         return int(tok[1])
 
     def accept(self, kind, value=None):
-        tok = self.peek()
-        if tok is not None and tok[0] == kind and (value is None or tok[1] == value):
+        tok = self.toks[self.i]
+        if tok[0] == kind and (value is None or tok[1] == value):
             self.i += 1
             return tok
         return None
 
     def error(self, msg):
-        raise _TokenFault(msg, self.peek() or (self.toks[-1] if self.toks else None))
+        raise _TokenFault(msg, self.toks[self.i])
+
+    def expect_end(self):
+        if not self.at_end():
+            self.error(f"unexpected trailing token {self.peek()[1]!r}")
 
 
 class _Parser:
     def __init__(self, text: str, source_name: str):
-        self.lines = _statements(text)
-        self.source_name = source_name
-        self.type_defs = {}        # name -> token list (unresolved)
+        self.statements = iter(_statements(text))
+        self.type_defs = {}        # name -> a cursor after its `type` (unresolved)
         self.types = {}            # name -> IrType (resolved)
         self._resolving = []
         self._global_refs = []     # every @name token read as a value
@@ -386,13 +387,14 @@ class _Parser:
         if name in self._resolving:
             raise _TokenFault(f"type '%{name}' nests itself by value", where)
         self._resolving.append(name)
-        cur = _Cursor(self.type_defs[name])
+        cur = self.type_defs[name]
         if cur.accept("word", "opaque"):
             ty = struct_of((), name="%" + name)
         else:
             ty = self.parse_type(cur, depth)
             if ty.kind == "struct" and not ty.name:
                 ty = struct_of(ty.fields, name="%" + name)
+        cur.expect_end()
         self._resolving.pop()
         self.types[name] = ty
         return ty
@@ -423,7 +425,7 @@ class _Parser:
                     cur.expect(",")
             base = struct_of(fields)
         elif tok[0] == "lid":
-            if cur.peek() is not None and cur.peek()[0] == "*":
+            if cur.peek()[0] == "*":
                 while cur.accept("*"):
                     pass
                 return PTR
@@ -523,7 +525,7 @@ class _Parser:
     def _skip_group(self, cur: _Cursor):
         """Skip the balanced (...) group that starts at the cursor, if one
         does."""
-        if cur.accept("(") is None:
+        if not cur.accept("("):
             return
         depth = 1
         while depth:
@@ -539,10 +541,11 @@ class _Parser:
         attributes after a call's arguments or a definition's parameters:
         any word, `section "x"`, and `#N` groups, which LLVM allows nowhere
         else."""
-        while (tok := cur.peek()) is not None:
+        while True:
+            tok = cur.peek()
             if tok[0] == "word" and (words is None or tok[1] in words):
                 cur.next()
-                if cur.peek() is not None and cur.peek()[0] == "(":
+                if cur.peek()[0] == "(":
                     self._skip_group(cur)
                 elif tok[1] == "align":
                     cur.expect_count()
@@ -558,14 +561,13 @@ class _Parser:
         `cc`, or a (...) group after `thread_local` or `addrspace`.  Return
         the first, or None."""
         first = None
-        while (tok := cur.peek()) is not None and tok[0] == "word" and tok[1] in words:
+        while (tok := cur.peek())[0] == "word" and tok[1] in words:
             cur.next()
             if tok[1] == "cc":
                 cur.expect_count()
             elif tok[1] == "thread_local" or tok[1] == "addrspace":
                 self._skip_group(cur)
-            if first is None:
-                first = tok
+            first = first or tok
         return first
 
     def _skip_trailer(self, cur: _Cursor, words) -> int:
@@ -590,33 +592,24 @@ class _Parser:
     # --- top level --------------------------------------------------------
 
     def parse(self) -> IrModule:
-        i = 0
-        while i < len(self.lines):
-            line = self.lines[i]
+        for line in self.statements:
             first = line[0]
             if first[0] == "md" or (
                 first[0] == "word"
                 and (first[1] in ("source_filename", "target", "attributes", "module")
                      or first[1].startswith("$"))
             ):
-                i += 1
                 continue
             if first[0] == "lid":
                 self._collect_type_def(line)
-                i += 1
-                continue
-            if first[0] == "word" and first[1] == "declare":
+            elif first[0] == "word" and first[1] == "declare":
                 self._parse_declare(line)
-                i += 1
-                continue
-            if first[0] == "gid":
+            elif first[0] == "gid":
                 self._parse_global(line)
-                i += 1
-                continue
-            if first[0] == "word" and first[1] == "define":
-                i = self._parse_define(i)
-                continue
-            raise _TokenFault(f"unexpected top-level token {first[1]!r}", first)
+            elif first[0] == "word" and first[1] == "define":
+                self._parse_define(line)
+            else:
+                raise _TokenFault(f"unexpected top-level token {first[1]!r}", first)
         self._finish()
         return self.module
 
@@ -625,7 +618,7 @@ class _Parser:
         name = cur.expect("lid")[1]
         cur.expect("=")
         cur.expect("word", "type")
-        self.type_defs[name] = line[cur.i:]
+        self.type_defs[name] = cur
 
     def _parse_declare(self, line):
         if not any(tok[0] == "gid" for tok in line):
@@ -653,19 +646,17 @@ class _Parser:
             raise _TokenFault(f"expected 'global' or 'constant', found {keyword[1]!r}", keyword)
         ty = self.parse_sized_type(cur, "a global")
         init = None
-        tok = cur.peek()
-        if tok is not None and tok[0] != "," and tok[0] != "attr":
+        if cur.peek()[0] not in (",", "attr", "end"):
             init = self._parse_init(cur, ty)
         align = self._skip_trailer(cur, _GLOBAL_PROPS)
         while cur.accept("attr"):
             pass
-        if not cur.at_end():
-            cur.error(f"unexpected trailing token {cur.peek()[1]!r}")
+        cur.expect_end()
         self.module.globals.append(GlobalVar(name, ty, init, keyword[1] == "constant", align))
 
     def _parse_init(self, cur: _Cursor, ty: IrType, depth: int = 0):
         tok = cur.peek()
-        if tok is None:
+        if tok[0] == "end":
             cur.error("missing initializer")
         if depth > MAX_NESTING:
             raise _too_deep(tok)
@@ -705,8 +696,8 @@ class _Parser:
 
     # --- functions ----------------------------------------------------------
 
-    def _parse_define(self, line_index: int) -> int:
-        cur = _Cursor(self.lines[line_index])
+    def _parse_define(self, line):
+        cur = _Cursor(line)
         cur.expect("word", "define")
         self._skip_flags(cur, _DEFINE_WORDS)
         self._skip_attrs(cur, _RETURN_ATTRS)
@@ -718,12 +709,12 @@ class _Parser:
         auto = 0
         if not cur.accept(")"):
             while True:
-                if cur.peek() is not None and cur.peek()[0] == "dots":
+                if cur.peek()[0] == "dots":
                     cur.error("variadic functions are not supported")
                 pty = self.parse_type(cur)
                 self._skip_attrs(cur, _PARAM_ATTRS)
                 ptok = cur.accept("lid")
-                if ptok is not None:
+                if ptok:
                     pname = ptok[1]
                     if pname == str(auto):
                         auto += 1
@@ -742,25 +733,24 @@ class _Parser:
         cur.expect("{")
         if not cur.at_end():
             cur.error("code on the same line as '{'")
-        return self._parse_body(line_index + 1, IrFunction(name_tok[1], ret_ty, params),
-                                entry_hint=str(auto))
+        self._parse_body(IrFunction(name_tok[1], ret_ty, params), str(auto), line)
 
-    def _parse_body(self, i: int, func: IrFunction, entry_hint: str) -> int:
+    def _parse_body(self, func: IrFunction, entry_hint: str, line):
+        """Read the statements of `func`'s body, up to its `}`; `line` is
+        the statement that opens it."""
         block = None
         labels = set()
-        while i < len(self.lines):
-            line = self.lines[i]
+        for line in self.statements:
             first = line[0]
-            i += 1
             if first[0] == "}":
                 if block is None:
                     raise _TokenFault("function has no blocks", first)
                 _end_block(block, first)
                 self._link(func)
-                return i
+                return
             cur = _Cursor(line)
             label = None
-            if len(line) >= 2 and first[0] in _LABEL_KINDS and line[1][0] == ":":
+            if first[0] in _LABEL_KINDS and line[1][0] == ":":
                 if block is not None:
                     _end_block(block, first)
                 label = first[1]
@@ -775,8 +765,8 @@ class _Parser:
                 func.blocks.append(block)
             if not cur.at_end():
                 self._parse_instruction(cur, block)
-        raise ParseError("unterminated function body (missing '}')",
-                         self.lines[-1][0][2] if self.lines else None, 0)
+        # `line` is the last statement of the text
+        raise ParseError("unterminated function body (missing '}')", line[0][2], 0)
 
     def _link(self, func: IrFunction):
         """Derive the control-flow graph (block map, successors,
@@ -863,12 +853,11 @@ class _Parser:
         flags = _OPCODE_FLAGS.get(opcode)
         flag = self._skip_flags(cur, flags) if flags is not None else None
         _READERS[opcode](self, cur, ins)
-        if flag is not None and (opcode == "phi" or opcode == "call") and not ins.type.is_float():
+        if flag and (opcode == "phi" or opcode == "call") and not ins.type.is_float():
             raise _TokenFault(f"fast-math flags on a '{opcode}' of type {ins.type!r}", flag)
         if not cur.at_end():
             ins.align = self._skip_trailer(cur, ("align",) if opcode in _ALIGNED else ())
-            if not cur.at_end():
-                cur.error(f"unexpected trailing token {cur.peek()[1]!r}")
+            cur.expect_end()
         produces = not (opcode in TERMINATORS or opcode == "store"
                         or (opcode == "call" and ins.type is VOID))
         if (result is not None) != produces:
@@ -951,7 +940,7 @@ class _Parser:
         return self.parse_value(cur, PTR)
 
     def _ins_load(self, cur, ins):
-        if cur.peek() is not None and cur.peek()[0] == "word" and cur.peek()[1] == "atomic":
+        if cur.peek()[:2] == ("word", "atomic"):
             cur.error("atomic loads are not supported")
         ty = self.parse_sized_type(cur, "'load'")
         cur.expect(",")
@@ -959,7 +948,7 @@ class _Parser:
         ins.operands = [self._pointer(cur, "load")]
 
     def _ins_store(self, cur, ins):
-        if cur.peek() is not None and cur.peek()[0] == "word" and cur.peek()[1] == "atomic":
+        if cur.peek()[:2] == ("word", "atomic"):
             cur.error("atomic stores are not supported")
         tok = cur.peek()
         ty = self.parse_sized_type(cur, "'store'")
@@ -998,8 +987,7 @@ class _Parser:
         self._skip_attrs(cur, _RETURN_ATTRS)
         rty = self.parse_type(cur)
         self._skip_group(cur)       # a function type, as in `call i32 (ptr, ...) @f(...)`
-        callee_tok = cur.peek()
-        if callee_tok is not None and callee_tok[0] == "lid":
+        if cur.peek()[0] == "lid":
             cur.error("indirect calls are not supported")
         callee = cur.expect("gid")[1]
         cur.expect("(")
@@ -1062,9 +1050,7 @@ class _Parser:
         ins.cases = cases
 
     def _ins_ret(self, cur, ins):
-        tok = cur.peek()
-        if tok is not None and tok[0] == "word" and tok[1] == "void":
-            cur.next()
+        if cur.accept("word", "void"):
             ins.type = VOID
             return
         ty = self.parse_type(cur)

@@ -90,16 +90,19 @@ def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
     weights = init_weights(X.shape[1], hidden, seed)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     history = []
-    for epoch in range(1, epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = perm[start:start + batch_size]
-            _, grads = loss_and_grads(weights, X[sel], y[sel], weight_decay)
-            for key in weights:
-                weights[key] = weights[key] - learning_rate * grads[key]
-        epoch_loss, _ = loss_and_grads(weights, X, y, weight_decay)
-        if not math.isfinite(epoch_loss):
-            raise NonFiniteError(f"mlp training loss is {epoch_loss!r} after epoch {epoch} "
-                                 f"of {epochs}; a lower learning rate may keep it finite")
-        history.append(epoch_loss)
+    # a diverging run overflows before its epoch ends; the NonFiniteError
+    # below reports it, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            perm = shuffle_rng.permutation(n)
+            for start in range(0, n, batch_size):
+                sel = perm[start:start + batch_size]
+                _, grads = loss_and_grads(weights, X[sel], y[sel], weight_decay)
+                for key in weights:
+                    weights[key] = weights[key] - learning_rate * grads[key]
+            epoch_loss, _ = loss_and_grads(weights, X, y, weight_decay)
+            if not math.isfinite(epoch_loss):
+                raise NonFiniteError(f"mlp training loss is {epoch_loss!r} after epoch {epoch} "
+                                     f"of {epochs}; a lower learning rate may keep it finite")
+            history.append(epoch_loss)
     return weights, history

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 
@@ -7,9 +8,10 @@ import pytest
 
 from irtime.cli import main
 from irtime import (
-    FEATURE_COUNT, Dataset, DatasetRow, FeatureVector, TrainedModel, read_features,
-    save_model, write_features,
+    FEATURE_COUNT, Dataset, DatasetRow, FeatureVector, RunLimits, TrainedModel, parse_module,
+    read_features, run, save_model, write_features,
 )
+from irtime.errors import HeapExhausted
 
 from conftest import EXAMPLE_B
 
@@ -246,6 +248,95 @@ def test_simulate_rejects_bad_overrides(tmp_path, capsys, flag, message):
     assert main(["simulate", str(tmp_path / "b.ll"), "--out", str(out), *flag]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _features_file(d, labeled=True):
+    rows = tuple(DatasetRow(f"s{i}", FeatureVector((float(i),) * FEATURE_COUNT),
+                            100.0 + i if labeled else None) for i in range(3))
+    write_features(Dataset(rows), d / "f.csv")
+
+
+def _edit_model(edit):
+    """A step that changes the JSON of m.json by `edit`."""
+    def step(d):
+        doc = json.loads((d / "m.json").read_text())
+        edit(doc)
+        (d / "m.json").write_text(json.dumps(doc))
+    return step
+
+
+def _forest(**tree):
+    """A step that makes m.json a forest of one tree, a leaf but for `tree`."""
+    leaf = {"feature": [-1], "left": [-1], "right": [-1], "threshold": [0.0], "value": [1.0]}
+    return _edit_model(lambda doc: doc.update(kind="forest",
+                                              parameters={"trees": [{**leaf, **tree}]}))
+
+
+def _edit_csv(lineno, old, new):
+    """A step that changes the first `old` on line `lineno` of f.csv to
+    `new`: line 2 is the header, line 3 the first sample's row."""
+    def step(d):
+        lines = (d / "f.csv").read_text().split("\n")
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        (d / "f.csv").write_text("\n".join(lines))
+    return step
+
+
+_PREDICT = ["predict", "--model", "{d}/m.json", "--features", "{d}/f.csv", "--out", "{d}/p.txt"]
+
+# name -> (the arguments, the error printed, the step that breaks the
+# directory's sound f.csv and m.json); {d} stands for the directory.  Each
+# error names the file at fault, and its line where the format has lines.
+INPUT_FAULTS = {
+    "simulate_of_a_directory_without_ll_files": (
+        ["simulate", "{d}", "--out", "{d}/t"], "no .ll inputs found in {d}", lambda d: None),
+    "gen_corpus_without_an_opcode": (
+        ["gen-corpus", "--opcode", ",", "--counts", "3", "--out", "{d}/c"],
+        "need at least one opcode and one count", lambda d: None),
+    "model_file_holding_an_array": (
+        _PREDICT, "{d}/m.json: model file must hold a JSON object",
+        lambda d: (d / "m.json").write_text("[]")),
+    "model_of_no_features": (
+        _PREDICT, "{d}/m.json: feature_count must be a positive integer, got 0",
+        _edit_model(lambda doc: doc.update(feature_count=0))),
+    "model_weight_of_nan": (
+        _PREDICT, "{d}/m.json: malformed model file: parameter 'weights' is not finite",
+        _edit_model(lambda doc: doc["parameters"]["weights"].__setitem__(0, float("nan")))),
+    "forest_tree_arrays_of_two_lengths": (
+        _PREDICT, "{d}/m.json: malformed model file: a tree needs five lists of one non-zero "
+        "length", _forest(value=[1.0, 2.0])),
+    "forest_threshold_of_infinity": (
+        _PREDICT, "{d}/m.json: malformed model file: a tree threshold or value is not finite",
+        _forest(threshold=[float("inf")])),
+    "features_without_a_sample_id_column": (
+        _PREDICT, "{d}/f.csv:2: header must contain sample_id", _edit_csv(2, "sample_id", "id")),
+    "bad_feature_value": (
+        _PREDICT, "{d}/f.csv:3: bad feature value (could not convert string to float: 'x')",
+        _edit_csv(3, ",0", ",x")),
+    "bad_label": (_PREDICT, "{d}/f.csv:3: bad label 'lots'", _edit_csv(3, "100", "lots")),
+    "eval_of_features_without_labels": (
+        ["eval", "--model", "{d}/m.json", "--features", "{d}/f.csv"],
+        "{d}/f.csv: dataset has no labeled rows", lambda d: _features_file(d, labeled=False)),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_FAULTS)
+def test_input_fault_is_an_error_naming_its_file(tmp_path, capsys, name):
+    argv, message, breaks = INPUT_FAULTS[name]
+    _features_file(tmp_path)
+    save_model(TrainedModel("linear", FEATURE_COUNT, {}, 0, "",
+                            {"weights": np.zeros(FEATURE_COUNT), "intercept": 0.0}),
+               tmp_path / "m.json")
+    breaks(tmp_path)
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(d=tmp_path)}\n"
+
+
+def test_malloc_beyond_the_heap_limit_raises_heap_exhausted():
+    module = parse_module("declare ptr @malloc(i32)\ndefine i32 @main() {\nentry:\n"
+                          "  %p = call ptr @malloc(i32 4096)\n  ret i32 0\n}\n")
+    with pytest.raises(HeapExhausted, match="^heap limit of 1024 bytes exhausted$"):
+        run(module, limits=RunLimits(max_heap_bytes=1024))
 
 
 def test_config_file_drives_limits(tmp_path, capsys):

@@ -376,7 +376,7 @@ def test_an_interpreter_is_freed_without_the_cycle_collector(probed):
     gc.collect()
     gc.disable()
     try:
-        interp = Interpreter(module, ProbeSet(block_enter=lambda b: None) if probed else ())
+        interp = Interpreter(module, ProbeSet(block_enter=lambda b: None) if probed else None)
         assert interp.execute() == 45
         alive = weakref.ref(interp), weakref.ref(interp.memory)
         del interp

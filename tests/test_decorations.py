@@ -131,6 +131,14 @@ CASES = {
     "fast_phi_of_an_integer": ("define i32 @g() {\nentry:\n  br label %b\nb:\n"
                                "  %a = phi fast i32 [ 1, %entry ]\n  ret i32 %a\n}\n"
                                + _main(""), False),
+    # a type definition ends where its type ends; one that no code uses is
+    # not read, so a struct of members outside the subset may stand
+    "trailing_token_after_a_used_type": (_global(
+        "@g = global %T zeroinitializer", "%T = type { i32 } garbage\n"), False),
+    "trailing_token_after_a_used_opaque_type": (_global(
+        "@g = external global %T", "%T = type opaque junk\n"), False),
+    "used_opaque_type": (_global("@g = external global %T", "%T = type opaque\n"), True),
+    "unused_struct_of_a_long_double": (_global("%struct.S = type { x86_fp80, i32 }"), True),
 }
 
 # name -> (module, whether parse_module accepts it), which llvm-as 14

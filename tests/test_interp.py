@@ -1302,7 +1302,7 @@ def test_step_limit_inside_an_inlined_block():
     # entering the third join takes the steps from 45 to 46
     assert ("join", 46) in _diamond_path()
     builder = TraceBuilder(m, CacheModel(CacheConfig()))
-    interp = Interpreter(m, [builder], RunLimits(max_steps=45))
+    interp = Interpreter(m, limits=RunLimits(max_steps=45), trace=builder)
     with pytest.raises(StepLimitExceeded):
         interp.execute()
     assert interp.steps == 46

@@ -35,7 +35,7 @@ def _observe(module, limits, path):
             return lambda *args: events.append((kind, args, interp.steps))
         builder = TraceBuilder(module, CacheModel(CacheConfig()))
         probes = ProbeSet(**{kind: recorder(kind) for kind in ProbeSet.__slots__})
-        interp = Interpreter(module, [builder, probes] if probed else [builder], limits)
+        interp = Interpreter(module, probes if probed else None, limits, trace=builder)
         try:
             result = ("value", interp.execute())
         except IrTimeError as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ def test_mlp_train_raises_on_non_finite_loss():
     y = rng.standard_normal(40)
     with pytest.raises(NonFiniteError, match=r"loss is (nan|inf) after epoch 1 of 10;"):
         mlp_mod.train(X, y, learning_rate=1e3, seed=0)
+
+
+def test_mlp_divergence_is_reported_only_as_non_finite_error():
+    # labels near 1e5 at this learning rate overflow in the first epoch;
+    # numpy's overflow and invalid-value warnings would be errors here
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 1000, size=(158, 42)).astype(float)
+    y = 1e5 + X @ rng.uniform(10, 50, size=42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"loss is nan after epoch 1 of 20;"):
+            fit_mlp(X, y, MlpParams(alpha=0.1, epochs=20))
 
 
 def test_mlp_deterministic():

@@ -3,12 +3,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irtime import irparser, parse_module
+from irtime import Interpreter, irparser, parse_module
 from irtime.errors import ParseError, UnsupportedOpcodeError, UnresolvedReferenceError
 from irtime.irmodel import Const, GlobalRef, ConstGep, LocalRef
 from irtime.irtypes import I32
 
-from conftest import EXAMPLE_A, EXAMPLE_B
+from conftest import EXAMPLE_A, EXAMPLE_B, lli, llvm_as, needs_lli, needs_llvm_as
 
 
 def test_minimal_main():
@@ -155,6 +155,74 @@ entry:
     assert p.type.kind == "struct"
     assert p.type.fields[1].kind == "i64"
     assert p.init == [1, 2]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("%T = type { i32 } garbage\n@g = global %T zeroinitializer\n" + EXAMPLE_A,
+     "1:19: unexpected trailing token 'garbage'"),
+    ("%T = type opaque junk\n@g = external global %T\n" + EXAMPLE_A,
+     "1:18: unexpected trailing token 'junk'"),
+    # the end of a definition has a place too: its last token
+    ("%T = type\n@g = external global %T\n" + EXAMPLE_A, "1:6: unexpected end of statement"),
+])
+def test_a_used_type_definition_ends_where_its_type_ends(text, want):
+    with pytest.raises(ParseError) as info:
+        parse_module(text)
+    assert str(info.value) == want
+
+
+def _operand_main(body, head=""):
+    return f"{head}define i32 @main() {{\nentry:\n{body}\n}}\n"
+
+
+# name -> (module, what main returns, or the ParseError of a module that
+# llvm-as rejects too); undef and poison are read where their value cannot
+# change the result
+OPERAND_FORMS = {
+    "true_condition": (_operand_main(
+        "  br i1 true, label %a, label %b\na:\n  ret i32 3\nb:\n  ret i32 4"), 3),
+    "undef_operand": (_operand_main("  %u = and i32 undef, 0\n  %r = add i32 %u, 9\n"
+                                    "  ret i32 %r"), 9),
+    "poison_operand": (_operand_main("  %p = add i32 poison, 1\n  ret i32 11"), 11),
+    "float_undef_operand": (_operand_main("  %u = fmul double undef, 0.0\n  ret i32 5"), 5),
+    "integer_zeroinitializer_operand": (_operand_main(
+        "  %z = add i32 zeroinitializer, 3\n  ret i32 %z"), 3),
+    "float_zeroinitializer_operand": (_operand_main(
+        "  %z = fadd double zeroinitializer, 2.0\n  %r = fptosi double %z to i32\n"
+        "  ret i32 %r"), 2),
+    "aggregate_zeroinitializer_operand": (_operand_main(
+        "  %a = add [2 x i32] zeroinitializer, zeroinitializer\n  ret i32 0"),
+        "3:22: aggregate operands are not supported here"),
+    "typed_pointer_to_a_named_type": (_operand_main(
+        "  %p = load ptr, ptr @g\n  %c = icmp eq ptr %p, null\n  %r = zext i1 %c to i32\n"
+        "  ret i32 %r", "%T = type { i32 }\n@g = global %T* null\n"), 1),
+}
+
+
+@pytest.mark.parametrize("name", OPERAND_FORMS)
+def test_operand_forms(name):
+    text, want = OPERAND_FORMS[name]
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as info:
+            parse_module(text)
+        assert str(info.value) == want
+    else:
+        assert Interpreter(parse_module(text)).execute() == want
+
+
+@needs_llvm_as
+@pytest.mark.parametrize("name", OPERAND_FORMS)
+def test_llvm_as_decides_each_operand_form_alike(name):
+    text, want = OPERAND_FORMS[name]
+    assert (llvm_as(text) is None) == (not isinstance(want, str))
+
+
+@needs_lli
+@pytest.mark.parametrize("name", [n for n, (_, want) in OPERAND_FORMS.items()
+                                  if not isinstance(want, str)])
+def test_lli_returns_what_each_operand_form_returns(name):
+    text, want = OPERAND_FORMS[name]
+    assert lli(text) == want % 256
 
 
 def test_constexpr_gep_initializer_and_operand():
@@ -476,8 +544,9 @@ def test_lexer_contract(name):
         assert str(info.value) == want
     else:
         lines = irparser._statements(text)
+        assert all(toks[-1] == ("end", "", *toks[-2][2:]) for toks in lines)
         assert [[(kind, value, line, irparser._column(text, line, nth))
-                 for kind, value, line, nth in toks] for toks in lines] == want
+                 for kind, value, line, nth in toks[:-1]] for toks in lines] == want
 
 
 # Pieces that start, end or change a token, for texts that reach every
@@ -489,13 +558,19 @@ _LEX_PIECES = [
 ]
 
 
+# the lexer's token table as a scan with a group per kind: the reference
+# that the lexer's first-character dispatch is checked against
+_NAMED_RE = re.compile(irparser._BLANKS + "(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in irparser._TOKENS) + ")")
+
+
 def _named_scan(text):
     """The (kind, value, line) of each token of `text` as the named-group
     scan splits it, with the lexer's rules for values: a punctuation mark is
     its own kind, a sigil is dropped and a string is unquoted.  Returns the
     tokens, and the message and line:col of the first fault or None."""
     out, line, line_start = [], 1, 0
-    for m in irparser._TOKEN_RE.finditer(text):
+    for m in _NAMED_RE.finditer(text):
         kind, raw = m.lastgroup, m.group(m.lastgroup)
         place = (line, m.start(kind) - line_start + 1)
         if kind == "nl":
@@ -537,7 +612,7 @@ def test_fast_lexer_matches_the_named_group_scan(text):
         assert (got.message, (line, irparser._column(text, line, nth))) == fault
         return
     assert fault is None
-    assert [(kind, value, line) for toks in lines for kind, value, line, _ in toks] == want
+    assert [(kind, value, line) for toks in lines for kind, value, line, _ in toks[:-1]] == want
 
 
 _TWO_CASES = """
