@@ -14,7 +14,10 @@ from pathlib import Path
 
 from .config import PipelineConfig, config_from_file
 from .corpus import GENERATOR_OPCODES, generate_corpus
-from .errors import EmptyInputError, IrTimeError, MissingLabelError, UnresolvedReferenceError
+from .errors import (
+    EmptyDatasetError, EmptyInputError, IrTimeError, MissingLabelError,
+    UnresolvedReferenceError,
+)
 from .interp import run
 from .irparser import parse_file
 from .metrics import evaluate
@@ -26,11 +29,12 @@ from .trace import (
 
 
 def _load_config(args) -> PipelineConfig:
-    """The `--config` file's config, or the default one, with the `--seed`,
-    `--max-steps` and `--workers` given applied through dataclasses.replace,
-    so each is checked as the same value in a config file is."""
+    """The `--config` file's config, or the default one, with those of
+    `--seed`, `--max-steps` and `--workers` that the subcommand takes and
+    was given applied through dataclasses.replace, so each is checked as
+    the same value in a config file is."""
     cfg = config_from_file(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     if getattr(args, "max_steps", None) is not None:
         cfg = dataclasses.replace(
@@ -99,7 +103,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    cfg = _load_config(args)
     traces = _collect_inputs(args.traces, ".trace")
     labels = None
     unit = None
@@ -118,7 +121,7 @@ def _cmd_features(args) -> int:
     if not rows:
         print("warning: no trace files found, writing an empty matrix",
               file=sys.stderr)
-    ds = Dataset(tuple(rows), unit=unit or cfg.label_unit)
+    ds = Dataset(tuple(rows), unit=unit or "ns")
     write_features(ds, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -127,7 +130,10 @@ def _cmd_features(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = read_features(args.features)
-    model = TRAINERS[args.model](ds, cfg.hyper, cfg.master_seed)
+    try:
+        model = TRAINERS[args.model](ds, cfg.hyper, cfg.master_seed)
+    except EmptyDatasetError as exc:    # too few labeled rows
+        raise EmptyDatasetError(f"{args.features}: {exc}") from None
     save_model(model, args.out)
     print(f"trained {model.kind} on {len(ds.labeled())} samples "
           f"(fingerprint {model.dataset_fingerprint}), wrote {args.out}")
@@ -215,13 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="irtime",
         description="Simulate IR programs and train execution-time models.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="pipeline config JSON file")
-    common.add_argument("--seed", type=int, default=None,
+    # each subcommand takes only the options it reads: simulate reads the
+    # config but no seed, features neither, predict and eval only files
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="pipeline config JSON file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[config])
+    seeded.add_argument("--seed", type=int, default=None,
                         help="master seed (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[config],
                        help="run .ll programs and write .trace files")
     p.add_argument("inputs", nargs="+", help=".ll files or directories")
     p.add_argument("--out", required=True, help="output directory")
@@ -229,20 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("features", parents=[common],
-                       help="turn traces into a feature matrix")
+    p = sub.add_parser("features", help="turn traces into a feature matrix")
     p.add_argument("traces", nargs="+", help=".trace files or directories")
     p.add_argument("--labels", help="two-column sample_id/time file")
     p.add_argument("--out", required=True, help="output .features CSV")
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("train", parents=[common], help="fit a model")
+    p = sub.add_parser("train", parents=[seeded], help="fit a model")
     p.add_argument("--features", required=True, help="labeled feature CSV")
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=_cmd_train)
 
-    # predict and eval read no config and no seed, so they take neither flag
     p = sub.add_parser("predict", help="predict times for a feature matrix")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional per-sample CSV report")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gen-corpus", parents=[common],
+    p = sub.add_parser("gen-corpus", parents=[seeded],
                        help="emit synthetic single-opcode loop programs")
     p.add_argument("--opcode", action="append", required=True,
                    help=f"target opcode (repeatable or comma separated); "

@@ -25,7 +25,6 @@ class PipelineConfig:
     cache: CacheConfig = CacheConfig()
     predictor_initial_state: PredictorState = PredictorState.WNT
     limits: RunLimits = RunLimits()
-    label_unit: str = "ns"
     hyper: Hyperparameters = field(default=Hyperparameters(),
                                    metadata={"key": "hyperparameters"})
     master_seed: int = 0
@@ -34,8 +33,6 @@ class PipelineConfig:
     def __post_init__(self):
         if not isinstance(self.predictor_initial_state, PredictorState):
             raise InvalidConfigError("predictor_initial_state must be a PredictorState")
-        if not self.label_unit:
-            raise InvalidConfigError("label_unit must be a non-empty string")
         if self.master_seed < 0:
             raise InvalidConfigError("master_seed must be >= 0")
         if self.workers < 1:

@@ -24,8 +24,6 @@ bit for bit, as one grown a node at a time.
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidConfigError
-
 _LEAF = -1
 
 
@@ -365,8 +363,6 @@ class RegressionTree:
 
 class RandomForest:
     def __init__(self, trees):
-        if not trees:
-            raise InvalidConfigError("forest needs at least one tree")
         self.trees = list(trees)
 
     def predict(self, X):
@@ -387,11 +383,8 @@ def fit_forest(X, y, n_trees, max_depth, min_split, min_leaf, max_features,
                master_seed=0):
     """Fit n_trees on bootstrap resamples.  Each tree draws its randomness
     from an independent child of the master seed, so adding trees never
-    perturbs the ones already grown."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDatasetError("cannot fit a forest without rows")
+    perturbs the ones already grown.  X and y are float arrays, as
+    models.fit_forest checks them."""
     n, d = X.shape
     k = max(1, min(d, int(round(max_features * d))))
     rngs = [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(i,)))

@@ -302,8 +302,8 @@ def _address(global_addrs, op):
 #   frame through `_returner`;
 # - a natural loop runs inside one function, its header's, as a `while
 #   True:` loop (see "loop functions" below).
-# Probe calls are unrolled, one per registered callable, and the instruction
-# observer is emitted only when one is registered.
+# Each probe kind holds at most one callable, and a probe call is emitted
+# only for a kind that holds one, so a run without probes makes none.
 #
 # Loop functions.  A block H is a loop header when it has an edge p -> H
 # from a block p that the entry reaches and H dominates, by the dominator
@@ -1022,7 +1022,7 @@ class _Generator:
 
 class Interpreter:
     """Drives one module.  Use execute() for the raw return value; the
-    module-level run() wraps an interpreter with the standard trace probes.
+    module-level run() wraps an interpreter that counts a TraceBuilder.
 
     Construction compiles every segment of the module into one generated
     Python function (see "generated segment functions" above), specialised

@@ -35,15 +35,12 @@ class IrType:
     depth: int = field(default=0, compare=False)   # array/struct nesting levels
     # Layout, computed once from the members' own when the type is built,
     # so it costs time linear in the type's text however deeply it nests.
-    # None for void and for aggregates that hold it.
+    # None for void, which the parser keeps out of every aggregate.
     _size: int | None = field(default=None, init=False, compare=False, repr=False)
     _align: int | None = field(default=None, init=False, compare=False, repr=False)
     _offsets: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        members = (self.elem,) if self.kind == "array" else self.fields
-        if any(m._size is None for m in members):
-            return      # void inside: size() raises, as for void itself
         if self.kind in _SCALAR_SIZE:
             size = align = _SCALAR_SIZE[self.kind]
         elif self.kind == "array":
@@ -88,16 +85,10 @@ class IrType:
         return self._size
 
     def alignment(self) -> int:
-        if self._align is None:
-            raise ParseError(f"type {self.kind} has no alignment")
         return self._align
 
     def field_offset(self, index: int) -> int:
-        """Byte offset of struct member `index`."""
-        if self.kind != "struct":
-            raise ParseError(f"field access into non-struct type {self!r}")
-        if not 0 <= index < len(self.fields):
-            raise ParseError(f"struct field index {index} out of range for {self!r}")
+        """Byte offset of struct member `index`, which the parser has checked."""
         return self._offsets[index]
 
 

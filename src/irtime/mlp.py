@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidConfigError, NonFiniteError
+from .errors import NonFiniteError
 
 
 def standardize_fit(X):
@@ -78,14 +78,9 @@ def loss_and_grads(weights, X, y, weight_decay=0.0):
 def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
           weight_decay=1e-4, seed=0):
     """Returns (weights, per-epoch loss history on the full set).  Raises
-    NonFiniteError after the first epoch whose loss is nan or infinite."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDatasetError("cannot train on an empty matrix")
-    if batch_size <= 0 or epochs <= 0 or learning_rate <= 0:
-        raise InvalidConfigError("batch_size, epochs and learning_rate must be positive")
-
+    NonFiniteError after the first epoch whose loss is nan or infinite.
+    X and y are float arrays and the hyperparameters valid, as
+    models.fit_mlp checks them."""
     n = X.shape[0]
     weights = init_weights(X.shape[1], hidden, seed)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))

@@ -122,12 +122,22 @@ _SHAPES = {
 # --- matrix-level fits -------------------------------------------------------
 
 
-def fit_linear(X, y, damping=1e-9):
-    """Least squares with intercept.  Returns (weights, intercept)."""
+def _fit_arrays(kind, X, y):
+    """X and y as float arrays, checked once for every fit: X a matrix with
+    at least one row, y one label per row."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDatasetError("linear fit needs at least one row")
+        raise EmptyDatasetError(f"{kind} fit needs a matrix with at least one row")
+    if y.shape != X.shape[:1]:
+        raise DimensionMismatchError(
+            f"{kind} fit: the matrix has {X.shape[0]} rows but there are {y.size} labels")
+    return X, y
+
+
+def fit_linear(X, y, damping=1e-9):
+    """Least squares with intercept.  Returns (weights, intercept)."""
+    X, y = _fit_arrays("linear", X, y)
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
     A = Xa.T @ Xa
@@ -157,10 +167,7 @@ def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
     curvature everywhere (the Huber second derivative never exceeds 1), so
     each iteration cannot overshoot.  Stops early once the gradient is flat.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDatasetError("huber fit needs at least one row")
+    X, y = _fit_arrays("huber", X, y)
     n, d = X.shape
     x_mean, x_std = _mlp.standardize_fit(X)
     Z = _mlp.standardize_apply(X, x_mean, x_std)
@@ -187,6 +194,7 @@ def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
 
 
 def fit_forest(X, y, params: ForestParams = ForestParams(), master_seed=0):
+    X, y = _fit_arrays("forest", X, y)
     return _forest.fit_forest(
         X, y, n_trees=params.n_trees, max_depth=params.max_depth,
         min_split=params.min_split, min_leaf=params.min_leaf,
@@ -199,9 +207,9 @@ def fit_mlp(X, y, params: MlpParams = MlpParams(), master_seed=0):
     z-scored for training and their scaling folded into W2 and b2 after, so
     the weights predict in the labels' units; the loss history is in the
     z-scored units."""
+    X, y = _fit_arrays("mlp", X, y)
     mean, std = _mlp.standardize_fit(X)
     Xz = _mlp.standardize_apply(X, mean, std)
-    y = np.asarray(y, dtype=float)
     (y_mean,), (y_std,) = _mlp.standardize_fit(y[:, None])
     weights, history = _mlp.train(
         Xz, (y - y_mean) / y_std, hidden=params.hidden, learning_rate=params.alpha,
@@ -245,12 +253,9 @@ class TrainedModel:
     def predict(self, X):
         """Predict times for a feature matrix; results clamped at 0."""
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.feature_count:
+        if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise DimensionMismatchError(
-                f"model expects {self.feature_count} features, matrix has {X.shape[1]}"
-            )
+                f"model expects a matrix of {self.feature_count} columns, got shape {X.shape}")
         return np.maximum(self._raw_predict(X), 0.0)
 
     def _parameter(self, name):
@@ -266,12 +271,7 @@ def predict(model: TrainedModel, x) -> float:
     """Predict the time of a single feature vector (FeatureVector or any
     sequence with the trained width)."""
     values = x.values if hasattr(x, "values") else x
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != model.feature_count:
-        raise DimensionMismatchError(
-            f"expected {model.feature_count} components, got {arr.shape}"
-        )
-    return float(model.predict(arr[None, :])[0])
+    return float(model.predict([values])[0])
 
 
 # --- dataset plumbing -------------------------------------------------------

@@ -91,10 +91,10 @@ NOT_TAKEN = outcome_table(False, BR_HIT, BR_MISS)
 class TraceBuilder:
     """The counts of one traced run, and the ExecutionTrace built from them.
 
-    Pass the builder among an Interpreter's probes, as run() does: the
+    Pass the builder as an Interpreter's `trace=`, as run() does: the
     generated segment code then counts into its lists inline, never calling
     back into the builder, and each counting line holds only static ids and
-    slots as literals.  ProbeSets passed beside it still see every event.
+    slots as literals.  A ProbeSet passed beside it still sees every event.
     - `entries[block static id]`: entries into the block, added on each
       edge into it;
     - `states[instruction static id]`: the two-bit predictor state code of

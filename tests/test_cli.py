@@ -250,9 +250,9 @@ def test_simulate_rejects_bad_overrides(tmp_path, capsys, flag, message):
     assert not out.exists()
 
 
-def _features_file(d, labeled=True):
+def _features_file(d, labeled=True, n=3):
     rows = tuple(DatasetRow(f"s{i}", FeatureVector((float(i),) * FEATURE_COUNT),
-                            100.0 + i if labeled else None) for i in range(3))
+                            100.0 + i if labeled else None) for i in range(n))
     write_features(Dataset(rows), d / "f.csv")
 
 
@@ -283,6 +283,7 @@ def _edit_csv(lineno, old, new):
 
 
 _PREDICT = ["predict", "--model", "{d}/m.json", "--features", "{d}/f.csv", "--out", "{d}/p.txt"]
+_TRAIN = ["train", "--features", "{d}/f.csv", "--model", "linear", "--out", "{d}/n.json"]
 
 # name -> (the arguments, the error printed, the step that breaks the
 # directory's sound f.csv and m.json); {d} stands for the directory.  Each
@@ -317,6 +318,12 @@ INPUT_FAULTS = {
     "eval_of_features_without_labels": (
         ["eval", "--model", "{d}/m.json", "--features", "{d}/f.csv"],
         "{d}/f.csv: dataset has no labeled rows", lambda d: _features_file(d, labeled=False)),
+    "train_of_features_without_labels": (
+        _TRAIN, "{d}/f.csv: dataset has no labeled rows",
+        lambda d: _features_file(d, labeled=False)),
+    "linear_training_on_one_row": (
+        _TRAIN, "{d}/f.csv: linear training needs at least 2 samples",
+        lambda d: _features_file(d, n=1)),
 }
 
 
@@ -352,6 +359,12 @@ def test_config_file_drives_limits(tmp_path, capsys):
                  "--out", str(tmp_path / "t")]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # the unit of the labels comes from the labels file, not the config
+    cfg.write_text('{"label_unit": "us"}')
+    assert main(["simulate", str(tmp_path / "b.ll"), "--config", str(cfg),
+                 "--out", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['label_unit']\n"
+
 
 def test_simulate_rejects_oversized_globals_and_keeps_going(tmp_path, capsys, samples_dir):
     src = tmp_path / "src"
@@ -378,6 +391,11 @@ def test_gen_corpus_range_and_bad_opcode(tmp_path, capsys):
     assert main(["gen-corpus", "--opcode", "br", "--counts", "5",
                  "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # an empty part between commas is skipped
+    assert main(["gen-corpus", "--opcode", "add", "--counts", "10,,20",
+                 "--out", str(tmp_path / "e")]) == 0
+    assert sorted(p.name for p in (tmp_path / "e").glob("*.ll")) == ["add_10.ll", "add_20.ll"]
 
 
 @pytest.mark.parametrize("counts", ["x", "1::", "1:5:0", "1:10:2:7", ":5", "10,y"])
@@ -423,6 +441,26 @@ def test_predict_and_eval_take_no_config_or_seed(tmp_path, capsys, command, flag
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"unrecognized arguments: {' '.join(flag)}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", ["--seed", "1"]),
+    ("features", ["--seed", "1"]),
+    ("features", ["--config", "f.json"]),
+])
+def test_simulate_and_features_take_no_option_they_do_not_read(tmp_path, capsys, command, flag):
+    # simulate reads the config but no seed, and features reads neither: the
+    # labels file gives the unit.  Each such flag is a usage error, and
+    # nothing is written
+    (tmp_path / "b.ll").write_text(EXAMPLE_B)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path), "--out", str(out), *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not out.exists()
+
 
 def test_module_is_runnable():
     proc = subprocess.run(

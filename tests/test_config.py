@@ -28,7 +28,6 @@ def test_file_round_trip(tmp_path):
         cache=CacheConfig(cache_size=8192, line_size=64, associativity=4),
         predictor_initial_state=PredictorState.ST,
         limits=RunLimits(max_steps=5000),
-        label_unit="us",
         master_seed=11,
         workers=3,
     )
@@ -76,7 +75,6 @@ _REJECTED = [
     (ForestParams, {"max_feature": 1.5}, "forest: max_feature must be in (0, 1]"),
     (PipelineConfig, {"predictor_initial_state": "WNT"},
      "predictor_initial_state must be a PredictorState"),
-    (PipelineConfig, {"label_unit": ""}, "label_unit must be a non-empty string"),
     (PipelineConfig, {"master_seed": -1}, "master_seed must be >= 0"),
     (PipelineConfig, {"workers": 0}, "workers must be >= 1"),
 ]
@@ -109,6 +107,9 @@ def test_unknown_keys_rejected_everywhere():
         config_from_dict({"hyperparameters": {"huber": {"delta": 2.0}}})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"cache": {"write_policy": "write-back"}})
+    # the unit of the labels comes from the labels file, not the config
+    with pytest.raises(InvalidConfigError, match=r"^unknown config keys: \['label_unit'\]$"):
+        config_from_dict({"label_unit": "us"})
 
 
 def test_bad_values_rejected():
@@ -116,8 +117,6 @@ def test_bad_values_rejected():
         config_from_dict({"workers": 0})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"master_seed": -1})
-    with pytest.raises(InvalidConfigError):
-        config_from_dict({"label_unit": ""})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"cache": {"cache_size": 100, "line_size": 32,
                                     "associativity": 2}})

@@ -1426,6 +1426,18 @@ AGAINST_LLI = {
                 "  %e = getelementptr [4 x i32], ptr %d, i32 0, i32 3\n  %v = load i32, ptr %e\n"
                 "  %f = getelementptr [4 x i32], ptr %buf, i32 0, i32 1\n  %w = load i32, ptr %f\n"
                 "  %t = mul i32 %v, 10\n  %r = add i32 %t, %w"), 115),
+    # an alloca of four elements: the next alloca does not overlap its second
+    "alloca_with_a_count": (_main(
+        "  %p = alloca i32, i32 4\n  %o = alloca i32\n  store i32 1, ptr %o\n"
+        "  %q = getelementptr i32, ptr %p, i32 1\n  store i32 9, ptr %q\n"
+        "  %v = load i32, ptr %q\n  %w = load i32, ptr %o\n  %t = mul i32 %w, 10\n"
+        "  %r = add i32 %t, %v"), 19),
+    # undef and poison initializers, read where their value cannot change
+    # the result
+    "undef_and_poison_initializers": (
+        "@u = global i32 undef\n@p = global [2 x i32] [i32 7, i32 poison]\n"
+        + _main("  %a = load i32, ptr @u\n  %z = and i32 %a, 0\n  %b = load i32, ptr @p\n"
+                "  %r = add i32 %z, %b"), 7),
 }
 
 

@@ -397,7 +397,27 @@ def test_predict_single_vector():
     with pytest.raises(DimensionMismatchError):
         predict(model, [1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
+        predict(model, [[1.0, 1.0, 1.0]])
+    with pytest.raises(DimensionMismatchError):
         model.predict(np.ones((4, 5)))
+    # a matrix method takes a matrix; predict() is the one-vector form
+    with pytest.raises(DimensionMismatchError, match=r"got shape \(3,\)$"):
+        model.predict(np.ones(3))
+
+
+@pytest.mark.parametrize("fit", [fit_linear, fit_huber, fit_forest, fit_mlp])
+def test_each_fit_checks_its_rows_and_labels(fit):
+    X = np.ones((6, 3))
+    for labels in (7, 4):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"the matrix has 6 rows but there are {labels} labels$"):
+            fit(X, np.ones(labels))
+    # before any numpy arithmetic, so no warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for empty in (np.empty((0, 3)), []):
+            with pytest.raises(EmptyDatasetError, match="at least one row$"):
+                fit(empty, [])
 
 
 def test_train_linear_needs_two_samples():

@@ -918,6 +918,37 @@ entry:
   ret i32 1
 }
 """,
+    "type_that_holds_itself_by_value": "%T = type { %T } ; here\n"
+        "@g = global %T zeroinitializer\n" + _MAIN,
+    "literal_of_an_aggregate_type": "define {i32} @main() {\nentry:\n  ret {i32} 5 ; here\n}\n",
+    "constant_getelementptr_with_a_register_index": "@a = global [4 x i32] zeroinitializer\n"
+        + _in_main("  %v = load i32, ptr getelementptr ([4 x i32], ptr @a, i32 0, i32 %i) ; here",
+                   "i32 %i"),
+    "getelementptr_index_of_a_float": _in_main(
+        "  %p = alloca [4 x i32]\n"
+        "  %q = getelementptr [4 x i32], ptr %p, i32 0, double 1.0 ; here"),
+    "global_initializer_of_a_register": "@g = global i32 %x ; here\n" + _MAIN,
+    # an unclosed bracket runs to the end of the file
+    "initializer_cut_off_by_the_end_of_the_file": _MAIN + "@a = global [1 x i32] [i32 ; here\n",
+    "function_without_a_body": "define i32 @main() ; here\n",
+    "function_without_blocks": "define i32 @main() {\n} ; here\n",
+    "terminator_that_assigns_a_result":
+        "define i32 @main() {\nentry:\n  %r = ret i32 0 ; here\n}\n",
+    "float_opcode_on_integers": _in_main("  %r = fadd i32 1, 2 ; here"),
+    "integer_opcode_on_floats": _in_main("  %r = add double 1.0, 2.0 ; here"),
+    "fneg_of_an_integer": _in_main("  %r = fneg i32 1 ; here"),
+    "fcmp_of_integers": _in_main("  %r = fcmp olt i32 1, 2 ; here"),
+    "cast_from_a_wrong_type": _in_main("  %r = sitofp double 1.0 to double ; here"),
+    "load_through_a_non_pointer": _in_main("  %v = load i32, i32 4 ; here"),
+    "branch_on_an_i32": _in_main("  br i32 1, label %a, label %a ; here\na:"),
+    "switch_on_a_float": _in_main("  switch double 1.0, label %a [] ; here\na:"),
+    # LLVM accepts these; they are outside the subset
+    "code_on_the_line_of_the_opening_brace": "define i32 @main() { ret i32 0 ; here\n}\n",
+    "atomic_load": _in_main(
+        "  %p = alloca i32\n  %v = load atomic i32, ptr %p seq_cst, align 4 ; here"),
+    "atomic_store": _in_main(
+        "  %p = alloca i32\n  store atomic i32 1, ptr %p seq_cst, align 4 ; here"),
+    "indirect_call": _in_main("  %r = call i32 %f() ; here", "ptr %f"),
 }
 
 

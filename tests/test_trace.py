@@ -187,6 +187,18 @@ def test_features_csv_round_trip(tmp_path):
         assert a.label == b.label
 
 
+def test_fractional_label_round_trips_exactly(tmp_path):
+    # a whole label is written as an integer, any other by repr
+    labels = (1234.5, 0.1 + 0.2, 2.0 ** -30, 100.0)
+    ds = Dataset(tuple(DatasetRow(f"s{i}", FeatureVector((0,) * 42), label=v)
+                       for i, v in enumerate(labels)))
+    p = tmp_path / "f.csv"
+    write_features(ds, p)
+    cells = [line.rsplit(",", 1)[1] for line in p.read_text().splitlines()[2:]]
+    assert cells == ["1234.5", "0.30000000000000004", "9.313225746154785e-10", "100"]
+    assert tuple(r.label for r in read_features(p).rows) == labels
+
+
 def test_features_header_may_be_reordered(tmp_path):
     rng = random.Random(8)
     row = DatasetRow("only", _vector(rng), label=12.0)
