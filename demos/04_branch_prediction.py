@@ -5,11 +5,11 @@ starting at WNT.  Loops are cheap to predict; alternation is the worst
 case because the counter keeps changing its mind.
 """
 
-from irtime import BranchPredictorTable, PredictorState, count_bb_jump
+from irtime import BranchPredictorTable, count_bb_jump
 
 
-def score(pattern, initial=PredictorState.WNT):
-    table = BranchPredictorTable(initial)
+def score(pattern):
+    table = BranchPredictorTable()
     hits = sum(table.predict_and_update("site", taken) for taken in pattern)
     return hits, len(pattern) - hits
 
@@ -27,10 +27,6 @@ def main():
 
     hits, misses = score([False] * 100)
     print(f"never-taken branch:   {hits} hits, {misses} misses")
-
-    # a biased initial state flips the early cost
-    hits, misses = score(loop, initial=PredictorState.ST)
-    print(f"loop, ST start:       {hits} hits, {misses} misses")
     print()
 
     # block jumps count transitions in the global entry sequence;

@@ -51,11 +51,8 @@ _STEP = tuple(
           for taken in (True, False))
     for state in _CODED
 )
-
-
-def state_code(state: PredictorState) -> int:
-    """The code a state is stored as."""
-    return _CODE[state]
+# every site starts weakly not-taken
+START = _CODE[_S.WNT]
 
 
 def outcome_table(taken: bool, hit, miss) -> tuple:
@@ -68,18 +65,16 @@ def outcome_table(taken: bool, hit, miss) -> tuple:
 class BranchPredictorTable:
     """Maps branch site ids to predictor states, allocating on first use."""
 
-    def __init__(self, initial_state: PredictorState = PredictorState.WNT):
-        self.initial_state = initial_state
-        self._initial = _CODE[initial_state]
+    def __init__(self):
         self._states = {}
 
     def state_of(self, site) -> PredictorState:
-        return _CODED[self._states.get(site, self._initial)]
+        return _CODED[self._states.get(site, START)]
 
     def predict_and_update(self, site, taken: bool) -> bool:
         """Feed one outcome; returns True when the prediction was correct."""
         states = self._states
-        states[site], hit = _STEP[states.get(site, self._initial)][not taken]
+        states[site], hit = _STEP[states.get(site, START)][not taken]
         return hit
 
     def reset(self) -> None:

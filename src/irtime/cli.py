@@ -74,10 +74,7 @@ def _cmd_simulate(args) -> int:
             module = parse_file(path)
             if not module.has_function("main"):
                 raise UnresolvedReferenceError("main", "entry function")
-            trace = run(
-                module, entry="main", limits=cfg.limits, cache_config=cfg.cache,
-                predictor_initial_state=cfg.predictor_initial_state,
-            )
+            trace = run(module, entry="main", limits=cfg.limits, cache_config=cfg.cache)
             write_trace(trace, out_dir / (path.stem + ".trace"))
         except (IrTimeError, OSError) as exc:
             return exc

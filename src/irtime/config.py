@@ -8,11 +8,9 @@ valid.
 """
 
 import dataclasses
-import enum
 import json
 from dataclasses import dataclass, field
 
-from .branch import PredictorState
 from .cache import CacheConfig
 from .errors import InvalidConfigError
 from .interp import RunLimits
@@ -23,7 +21,6 @@ from .trace import read_text, write_lines
 @dataclass(frozen=True)
 class PipelineConfig:
     cache: CacheConfig = CacheConfig()
-    predictor_initial_state: PredictorState = PredictorState.WNT
     limits: RunLimits = RunLimits()
     hyper: Hyperparameters = field(default=Hyperparameters(),
                                    metadata={"key": "hyperparameters"})
@@ -31,8 +28,6 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.predictor_initial_state, PredictorState):
-            raise InvalidConfigError("predictor_initial_state must be a PredictorState")
         if self.master_seed < 0:
             raise InvalidConfigError("master_seed must be >= 0")
         if self.workers < 1:
@@ -52,8 +47,6 @@ def _key(f):
 
 
 def _dump(value):
-    if isinstance(value, enum.Enum):
-        return value.name
     if not dataclasses.is_dataclass(value):
         return value
     return {_key(f): _dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -65,9 +58,8 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
 def dataclass_from_json(cls, data, where):
     """The `cls` dataclass that the JSON object `data` describes, the inverse
     of _dump.  A field whose default is a dataclass is built from a nested
-    object, an enum from its name; any other value must have the JSON type
-    of the field's default, where an integer is also a number and a boolean
-    is neither."""
+    object; any other value must have the JSON type of the field's default,
+    where an integer is also a number and a boolean is neither."""
     if not isinstance(data, dict):
         raise InvalidConfigError(f"{where} must be a JSON object")
     fields = {_key(f): f for f in dataclasses.fields(cls)}
@@ -79,12 +71,6 @@ def dataclass_from_json(cls, data, where):
         default, name = fields[key].default, f"{where}.{key}"
         if dataclasses.is_dataclass(default):
             value = dataclass_from_json(type(default), value, name)
-        elif isinstance(default, enum.Enum):
-            names = [m.name for m in type(default)]
-            if value not in names:
-                raise InvalidConfigError(
-                    f"{name} must be one of {names}, got {json.dumps(value)}")
-            value = type(default)[value]
         elif isinstance(value, bool) or not isinstance(
                 value, (int, float) if type(default) is float else type(default)):
             raise InvalidConfigError(f"{name} must be {_JSON_TYPES[type(default)]}, "
@@ -98,10 +84,16 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def config_from_file(path) -> PipelineConfig:
+    """The config of the JSON file at `path`; each fault in it is an
+    InvalidConfigError naming the file, and its line:col where it has one."""
     text = read_text(path, lambda message, line, column:
                      InvalidConfigError(f"{path}:{line}:{column}: {message}"))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+        raise InvalidConfigError(
+            f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}") from None
+    try:
+        return config_from_dict(data)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from None

@@ -379,14 +379,14 @@ class RandomForest:
         return cls([RegressionTree.from_dict(t, n_features) for t in d["trees"]])
 
 
-def fit_forest(X, y, n_trees, max_depth, min_split, min_leaf, max_features,
-               master_seed=0):
-    """Fit n_trees on bootstrap resamples.  Each tree draws its randomness
-    from an independent child of the master seed, so adding trees never
-    perturbs the ones already grown.  X and y are float arrays, as
-    models.fit_forest checks them."""
+def fit_forest(X, y, params, master_seed):
+    """Fit the n_trees of the models.ForestParams `params` on bootstrap
+    resamples.  Each tree draws its randomness from an independent child of
+    the master seed, so adding trees never perturbs the ones already grown.
+    X and y are float arrays, as models.fit_forest checks them."""
     n, d = X.shape
-    k = max(1, min(d, int(round(max_features * d))))
+    n_trees = params.n_trees
+    k = max(1, min(d, int(round(params.max_feature * d))))
     rngs = [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(i,)))
             for i in range(n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
@@ -395,5 +395,6 @@ def fit_forest(X, y, n_trees, max_depth, min_split, min_leaf, max_features,
     for g in range(0, n_trees, group):
         # the grower and its sorted lists are freed before the renumbering
         trees += _renumbered(*_Lockstep(X, y, boots[g:g + group], rngs[g:g + group],
-                                        max_depth, min_split, min_leaf, k).grow())
+                                        params.max_depth, params.min_split,
+                                        params.min_leaf, k).grow())
     return RandomForest(trees)

@@ -33,7 +33,6 @@ from .irmodel import (
     TERMINATORS, Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
 )
 from .cache import CacheModel, CacheConfig
-from .branch import PredictorState
 from .trace import (
     TraceBuilder, ExecutionTrace, JUMP, LOADS, STORES, VOLUMES, TAKEN, NOT_TAKEN,
 )
@@ -1127,16 +1126,14 @@ class Interpreter:
 
 def run(module, entry: str = "main", probes: ProbeSet | None = None,
         limits: RunLimits | None = None,
-        cache_config: CacheConfig | None = None,
-        predictor_initial_state: PredictorState | None = None) -> ExecutionTrace:
+        cache_config: CacheConfig | None = None) -> ExecutionTrace:
     """Simulate `entry` and return the accumulated ExecutionTrace.
 
     Every run starts with a cold cache and predictor of its own.  The
     generated code counts the trace inline; extra probes observe the same
     event stream the trace is counted from.
     """
-    builder = TraceBuilder(module, CacheModel(cache_config or CacheConfig()),
-                           predictor_initial_state or PredictorState.WNT)
+    builder = TraceBuilder(module, CacheModel(cache_config or CacheConfig()))
     interp = Interpreter(module, probes, limits, trace=builder)
     interp.execute(entry)
     return builder.build(uninitialized_loads=interp.uninitialized_loads)

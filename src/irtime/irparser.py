@@ -640,14 +640,17 @@ class _Parser:
         cur = _Cursor(line)
         name = self._define(cur.expect("gid"), "global")
         cur.expect("=")
-        self._skip_flags(cur, _GLOBAL_WORDS)
+        linkage = self._skip_flags(cur, _GLOBAL_WORDS)
         keyword = cur.expect("word")
         if keyword[1] not in ("global", "constant"):
             raise _TokenFault(f"expected 'global' or 'constant', found {keyword[1]!r}", keyword)
         ty = self.parse_sized_type(cur, "a global")
         init = None
+        # as in LLVM, only an external declaration may leave out the initializer
         if cur.peek()[0] not in (",", "attr", "end"):
             init = self._parse_init(cur, ty)
+        elif linkage is None or linkage[1] not in ("external", "extern_weak"):
+            cur.error("missing initializer")
         align = self._skip_trailer(cur, _GLOBAL_PROPS)
         while cur.accept("attr"):
             pass

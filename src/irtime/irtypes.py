@@ -101,26 +101,6 @@ def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-def gep_offset(source_type: IrType, indices) -> int:
-    """Byte offset computed the way getelementptr does: the first index
-    scales by the full source type, later indices step into arrays and
-    structs.  Indices are signed Python ints."""
-    if not indices:
-        return 0
-    offset = indices[0] * source_type.size()
-    cur = source_type
-    for idx in indices[1:]:
-        if cur.kind == "array":
-            offset += idx * cur.elem.size()
-            cur = cur.elem
-        elif cur.kind == "struct":
-            offset += cur.field_offset(idx)
-            cur = cur.fields[idx]
-        else:
-            raise ParseError(f"cannot index into type {cur!r}")
-    return offset
-
-
 VOID = IrType("void")
 I1 = IrType("i1")
 I8 = IrType("i8")

@@ -75,14 +75,14 @@ def loss_and_grads(weights, X, y, weight_decay=0.0):
     return loss, {"W1": grad_W1, "b1": grad_b1, "W2": grad_W2, "b2": grad_b2}
 
 
-def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
-          weight_decay=1e-4, seed=0):
-    """Returns (weights, per-epoch loss history on the full set).  Raises
-    NonFiniteError after the first epoch whose loss is nan or infinite.
-    X and y are float arrays and the hyperparameters valid, as
+def train(X, y, params, seed):
+    """Returns (weights, per-epoch loss history on the full set) of SGD with
+    the models.MlpParams `params`.  Raises NonFiniteError after the first
+    epoch whose loss is nan or infinite.  X and y are float arrays, as
     models.fit_mlp checks them."""
     n = X.shape[0]
-    weights = init_weights(X.shape[1], hidden, seed)
+    epochs, weight_decay = params.epochs, params.weight_decay
+    weights = init_weights(X.shape[1], params.hidden, seed)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     history = []
     # a diverging run overflows before its epoch ends; the NonFiniteError
@@ -90,11 +90,11 @@ def train(X, y, hidden=64, learning_rate=2e-5, batch_size=4, epochs=10,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             perm = shuffle_rng.permutation(n)
-            for start in range(0, n, batch_size):
-                sel = perm[start:start + batch_size]
+            for start in range(0, n, params.batch):
+                sel = perm[start:start + params.batch]
                 _, grads = loss_and_grads(weights, X[sel], y[sel], weight_decay)
                 for key in weights:
-                    weights[key] = weights[key] - learning_rate * grads[key]
+                    weights[key] = weights[key] - params.alpha * grads[key]
             epoch_loss, _ = loss_and_grads(weights, X, y, weight_decay)
             if not math.isfinite(epoch_loss):
                 raise NonFiniteError(f"mlp training loss is {epoch_loss!r} after epoch {epoch} "

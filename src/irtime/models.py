@@ -157,7 +157,7 @@ def _median(a):
     return float(s[(s.size - 1) // 2] + s[s.size // 2]) / 2
 
 
-def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
+def fit_huber(X, y, params: HuberParams = HuberParams()):
     """Gradient descent on mean Huber loss + (l2/2)·|w|², intercept unpenalized,
     in robust units: X z-scored, y centered on its median and divided by
     1.4826 × its MAD (else its std, else 1), so `epsilon` is a multiple of the
@@ -169,6 +169,7 @@ def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
     """
     X, y = _fit_arrays("huber", X, y)
     n, d = X.shape
+    epsilon, l2 = params.epsilon, params.l2
     x_mean, x_std = _mlp.standardize_fit(X)
     Z = _mlp.standardize_apply(X, x_mean, x_std)
     center = _median(y)
@@ -180,7 +181,7 @@ def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
 
     w = np.zeros(d)
     b = 0.0
-    for _ in range(max_iter):
+    for _ in range(params.max_iter):
         r = t - Z @ w - b
         clipped = np.clip(r, -epsilon, epsilon)
         grad_w = -(Z.T @ clipped) / n + l2 * w
@@ -195,11 +196,7 @@ def fit_huber(X, y, epsilon=1.35, max_iter=100, l2=1e-4):
 
 def fit_forest(X, y, params: ForestParams = ForestParams(), master_seed=0):
     X, y = _fit_arrays("forest", X, y)
-    return _forest.fit_forest(
-        X, y, n_trees=params.n_trees, max_depth=params.max_depth,
-        min_split=params.min_split, min_leaf=params.min_leaf,
-        max_features=params.max_feature, master_seed=master_seed,
-    )
+    return _forest.fit_forest(X, y, params, master_seed)
 
 
 def fit_mlp(X, y, params: MlpParams = MlpParams(), master_seed=0):
@@ -211,11 +208,7 @@ def fit_mlp(X, y, params: MlpParams = MlpParams(), master_seed=0):
     mean, std = _mlp.standardize_fit(X)
     Xz = _mlp.standardize_apply(X, mean, std)
     (y_mean,), (y_std,) = _mlp.standardize_fit(y[:, None])
-    weights, history = _mlp.train(
-        Xz, (y - y_mean) / y_std, hidden=params.hidden, learning_rate=params.alpha,
-        batch_size=params.batch, epochs=params.epochs,
-        weight_decay=params.weight_decay, seed=master_seed,
-    )
+    weights, history = _mlp.train(Xz, (y - y_mean) / y_std, params, master_seed)
     weights["W2"] = weights["W2"] * y_std
     weights["b2"] = weights["b2"] * y_std + y_mean
     return weights, mean, std, history
@@ -327,10 +320,8 @@ def train_linear(ds, hyper=None, master_seed=0) -> TrainedModel:
 
 def train_huber(ds, hyper=None, master_seed=0) -> TrainedModel:
     params = _params("huber", hyper)
-
-    def fit(X, y):
-        return _flat("huber", fit_huber(X, y, params.epsilon, params.max_iter, params.l2))
-    return _train("huber", ds, fit, params, min_rows=2)
+    return _train("huber", ds, lambda X, y: _flat("huber", fit_huber(X, y, params)),
+                  params, min_rows=2)
 
 
 def train_forest(ds, hyper=None, master_seed=0) -> TrainedModel:

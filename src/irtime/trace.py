@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 
-from .branch import PredictorState, outcome_table, state_code
+from .branch import START, outcome_table
 from .errors import (
     FormatError, DimensionMismatchError, MissingLabelError, EmptyDatasetError,
 )
@@ -107,12 +107,12 @@ class TraceBuilder:
     exactly from the entry counts and each block's instructions.
     """
 
-    def __init__(self, module, cache, initial_state: PredictorState = PredictorState.WNT):
+    def __init__(self, module, cache):
         # static ids are dense from 0, in source order (see irmodel)
         self._blocks = [(f"{f.name}:{b.label}", b.instructions)
                         for f in module.functions for b in f.blocks]
         self.entries = [0] * len(self._blocks)
-        self.states = [state_code(initial_state)] * module.instruction_count()
+        self.states = [START] * module.instruction_count()
         self.counts = [0] * (max(VOLUMES.values()) + 1)
         self.touch = cache.touch
 

@@ -28,6 +28,21 @@ def lli(text):
     return subprocess.run([LLI, "-opaque-pointers", "-"], input=text, capture_output=True,
                           text=True, timeout=60).returncode
 
+
+def gep_offset(source_type, indices):
+    """The byte offset getelementptr computes, the reference the
+    interpreter's is checked against: the first index scales by the whole
+    source type, each later one steps into an array or a struct.  Indices
+    are signed Python ints, and there is at least one."""
+    offset, cur = indices[0] * source_type.size(), source_type
+    for idx in indices[1:]:
+        if cur.kind == "array":
+            offset, cur = offset + idx * cur.elem.size(), cur.elem
+        else:
+            offset, cur = offset + cur.field_offset(idx), cur.fields[idx]
+    return offset
+
+
 # Minimal module: a single empty main.
 EXAMPLE_A = """
 define i32 @main() {

@@ -1,7 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
-from irtime import BranchPredictorTable, PredictorState, count_bb_jump
-from irtime.branch import TRANSITIONS
+from irtime import BranchPredictorTable, PredictorState, count_bb_jump, trace
+from irtime.branch import _CODED, START, TRANSITIONS
 
 
 def test_transition_table_is_exact():
@@ -68,11 +68,6 @@ def test_alternating_pattern_from_wnt():
     assert hits == [False, False, False, False]
 
 
-def test_configurable_initial_state():
-    table = BranchPredictorTable(PredictorState.ST)
-    assert table.predict_and_update(0, True) is True
-
-
 def test_reset():
     table = BranchPredictorTable()
     table.predict_and_update(0, True)
@@ -92,20 +87,30 @@ def test_bb_jump_counting():
     assert count_bb_jump([]) == 0
 
 
+def test_inline_outcome_tables_follow_the_transitions():
+    # the tables the generated code updates each site's state code through
+    assert _CODED[START] is PredictorState.WNT
+    for code, state in enumerate(_CODED):
+        for outcome, table in ((True, trace.TAKEN), (False, trace.NOT_TAKEN)):
+            next_code, slot = table[code]
+            assert _CODED[next_code] is TRANSITIONS[(state, outcome)], (state, outcome)
+            assert slot == (trace.BR_HIT if state.predicts_taken == outcome
+                            else trace.BR_MISS), (state, outcome)
+
+
 @settings(max_examples=200, deadline=None)
-@given(initial=st.sampled_from(list(PredictorState)),
-       stream=st.lists(st.tuples(st.integers(0, 4),
+@given(stream=st.lists(st.tuples(st.integers(0, 4),
                                  st.one_of(st.booleans(), st.sampled_from([0, 1, 2]))),
                        max_size=60))
-def test_table_matches_a_walk_over_transitions(initial, stream):
+def test_table_matches_a_walk_over_transitions(stream):
     # `taken` may be any truthy or falsy value; the walk reads it as a bool
-    table = BranchPredictorTable(initial)
+    table = BranchPredictorTable()
     walk = {}
     for site, taken in stream:
-        state = walk.get(site, initial)
+        state = walk.get(site, PredictorState.WNT)
         predicted = state in (PredictorState.ST, PredictorState.WT)
         walk[site] = TRANSITIONS[(state, bool(taken))]
         assert table.predict_and_update(site, taken) is (predicted == bool(taken))
     for site in range(5):
-        assert table.state_of(site) is walk.get(site, initial)
+        assert table.state_of(site) is walk.get(site, PredictorState.WNT)
     assert len(table) == len(walk)

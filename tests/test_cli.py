@@ -282,6 +282,12 @@ def _edit_csv(lineno, old, new):
     return step
 
 
+def _config(text):
+    """A step that writes `text` to c.json."""
+    return lambda d: (d / "c.json").write_text(text)
+
+
+_SIMULATE = ["simulate", "{d}", "--config", "{d}/c.json", "--out", "{d}/t"]
 _PREDICT = ["predict", "--model", "{d}/m.json", "--features", "{d}/f.csv", "--out", "{d}/p.txt"]
 _TRAIN = ["train", "--features", "{d}/f.csv", "--model", "linear", "--out", "{d}/n.json"]
 
@@ -324,6 +330,17 @@ INPUT_FAULTS = {
     "linear_training_on_one_row": (
         _TRAIN, "{d}/f.csv: linear training needs at least 2 samples",
         lambda d: _features_file(d, n=1)),
+    # every branch site starts weakly not-taken, so no config sets its state
+    "config_naming_the_predictor_start_state": (
+        _SIMULATE, "{d}/c.json: unknown config keys: ['predictor_initial_state']",
+        _config('{"predictor_initial_state": "ST"}')),
+    "config_of_a_bad_value": (
+        _SIMULATE, "{d}/c.json: max_steps must be positive",
+        _config('{"limits": {"max_steps": 0}}')),
+    "config_that_is_not_json": (
+        _TRAIN + ["--config", "{d}/c.json"],
+        "{d}/c.json:2:2: not valid JSON: Expecting ',' delimiter",
+        _config('{"master_seed": 1\n "workers": 2}')),
 }
 
 
@@ -363,7 +380,7 @@ def test_config_file_drives_limits(tmp_path, capsys):
     cfg.write_text('{"label_unit": "us"}')
     assert main(["simulate", str(tmp_path / "b.ll"), "--config", str(cfg),
                  "--out", str(tmp_path / "t")]) == 1
-    assert capsys.readouterr().err == "error: unknown config keys: ['label_unit']\n"
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: ['label_unit']\n"
 
 
 def test_simulate_rejects_oversized_globals_and_keeps_going(tmp_path, capsys, samples_dir):

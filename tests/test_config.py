@@ -7,7 +7,7 @@ import pytest
 
 from irtime import (
     CacheConfig, ForestParams, HuberParams, Hyperparameters, MlpParams, PipelineConfig,
-    PredictorState, RunLimits, config_from_dict, config_from_file,
+    RunLimits, config_from_dict, config_from_file,
 )
 from irtime.cli import main
 from irtime.errors import InvalidConfigError
@@ -17,7 +17,6 @@ from irtime.interp import REGION_SPAN
 def test_defaults_validate():
     cfg = PipelineConfig()
     assert cfg.cache == CacheConfig()
-    assert cfg.predictor_initial_state is PredictorState.WNT
     assert cfg.limits == RunLimits()
     assert cfg.master_seed == 0
     assert cfg.workers == 1
@@ -26,7 +25,6 @@ def test_defaults_validate():
 def test_file_round_trip(tmp_path):
     cfg = PipelineConfig(
         cache=CacheConfig(cache_size=8192, line_size=64, associativity=4),
-        predictor_initial_state=PredictorState.ST,
         limits=RunLimits(max_steps=5000),
         master_seed=11,
         workers=3,
@@ -73,8 +71,6 @@ _REJECTED = [
     (ForestParams, {"min_leaf": 0}, "forest: min_split >= 2 and min_leaf >= 1 required"),
     (ForestParams, {"max_feature": 0.0}, "forest: max_feature must be in (0, 1]"),
     (ForestParams, {"max_feature": 1.5}, "forest: max_feature must be in (0, 1]"),
-    (PipelineConfig, {"predictor_initial_state": "WNT"},
-     "predictor_initial_state must be a PredictorState"),
     (PipelineConfig, {"master_seed": -1}, "master_seed must be >= 0"),
     (PipelineConfig, {"workers": 0}, "workers must be >= 1"),
 ]
@@ -163,11 +159,12 @@ def test_non_finite_hyperparameter_in_file_rejected(tmp_path, capsys, text):
     assert not out.exists()
 
 
-def test_predictor_state_parsed_by_name():
-    cfg = config_from_dict({"predictor_initial_state": "SNT"})
-    assert cfg.predictor_initial_state is PredictorState.SNT
-    with pytest.raises(InvalidConfigError):
-        config_from_dict({"predictor_initial_state": "MAYBE"})
+def test_predictor_start_state_is_not_a_config_key():
+    # every branch site starts weakly not-taken
+    for name in ("WNT", "ST"):
+        with pytest.raises(InvalidConfigError,
+                           match=r"^unknown config keys: \['predictor_initial_state'\]$"):
+            config_from_dict({"predictor_initial_state": name})
 
 
 def test_hyperparameter_overrides_apply():
@@ -189,8 +186,10 @@ def test_hyperparameter_overrides_apply():
 def test_non_json_file(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{nope")
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(str(p))}:1:2: not valid JSON: "
+                                                 "Expecting property name"):
         config_from_file(p)
     p.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError,
+                       match=f"^{re.escape(str(p))}: config must be a JSON object$"):
         config_from_file(p)

@@ -139,6 +139,11 @@ CASES = {
         "@g = external global %T", "%T = type opaque junk\n"), False),
     "used_opaque_type": (_global("@g = external global %T", "%T = type opaque\n"), True),
     "unused_struct_of_a_long_double": (_global("%struct.S = type { x86_fp80, i32 }"), True),
+    # only an external declaration may leave out a global's initializer
+    "global_without_an_initializer": (_global("@g = global i32"), False),
+    "internal_global_without_an_initializer": (_global("@g = internal global i32"), False),
+    "external_global_without_an_initializer": (_global("@g = external global i32"), True),
+    "extern_weak_global_without_an_initializer": (_global("@g = extern_weak global i32"), True),
 }
 
 # name -> (module, whether parse_module accepts it), which llvm-as 14

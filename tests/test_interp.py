@@ -14,9 +14,9 @@ from irtime.errors import (
 )
 from irtime import interp as interp_module
 from irtime.interp import MemoryImage, FRAME_BYTES, GLOBAL_BASE, HEAP_BASE
-from irtime.irtypes import SCALARS, array_of, struct_of, gep_offset
+from irtime.irtypes import SCALARS, array_of, struct_of
 
-from conftest import EXAMPLE_B, lli, needs_lli
+from conftest import EXAMPLE_B, gep_offset, lli, needs_lli
 
 
 def _ret(src, entry="main", limits=None):

@@ -2,8 +2,10 @@ import pytest
 
 from irtime.irtypes import (
     I1, I8, I16, I32, I64, FLOAT, DOUBLE, PTR, VOID,
-    array_of, struct_of, gep_offset, POINTER_BYTES,
+    array_of, struct_of, POINTER_BYTES,
 )
+
+from conftest import gep_offset
 
 
 def test_scalar_sizes():

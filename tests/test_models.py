@@ -104,7 +104,7 @@ def test_huber_huge_delta_is_least_squares():
     X = rng.uniform(-1, 1, size=(30, 3))
     y = 0.3 + X @ np.array([0.2, 0.1, -0.2]) + rng.normal(0, 0.005, 30)
     wl, bl = fit_linear(X, y)
-    wh, bh = fit_huber(X, y, epsilon=1e9)
+    wh, bh = fit_huber(X, y, HuberParams(epsilon=1e9))
     assert np.max(np.abs(wl - wh)) < 1e-3
     assert abs(bl - bh) < 1e-3
 
@@ -165,7 +165,7 @@ def test_mlp_loss_decreases():
     Xz = mlp_mod.standardize_apply(X, *mlp_mod.standardize_fit(X))
     init = mlp_mod.init_weights(42, 64, seed=0)
     initial_loss, _ = mlp_mod.loss_and_grads(init, Xz, y, weight_decay=1e-4)
-    weights, history = mlp_mod.train(Xz, y, seed=0)
+    weights, history = mlp_mod.train(Xz, y, MlpParams(), 0)
     assert len(history) == 10
     assert history[-1] < initial_loss
 
@@ -211,7 +211,7 @@ def test_mlp_train_raises_on_non_finite_loss():
     X = rng.standard_normal((40, 5))
     y = rng.standard_normal(40)
     with pytest.raises(NonFiniteError, match=r"loss is (nan|inf) after epoch 1 of 10;"):
-        mlp_mod.train(X, y, learning_rate=1e3, seed=0)
+        mlp_mod.train(X, y, MlpParams(alpha=1e3), 0)
 
 
 def test_mlp_divergence_is_reported_only_as_non_finite_error():

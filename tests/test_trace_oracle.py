@@ -16,7 +16,7 @@ import pytest
 
 from irtime import (
     GENERATOR_OPCODES, BranchPredictorTable, CacheConfig, CacheModel, Interpreter,
-    PredictorState, ProbeSet, RunLimits, TraceBuilder, count_bb_jump,
+    ProbeSet, RunLimits, TraceBuilder, count_bb_jump,
     generate_program, parse_file, parse_module, run, write_trace,
 )
 from irtime.errors import StepLimitExceeded
@@ -335,15 +335,14 @@ def _equivalence_modules():
 
 
 @pytest.mark.parametrize("config", [CacheConfig(), SMALL_CACHE], ids=["default", "1k-16b-4way"])
-@pytest.mark.parametrize("state", list(PredictorState), ids=lambda s: s.name)
-def test_inline_counts_equal_a_replay_through_the_models(state, config):
+def test_inline_counts_equal_a_replay_through_the_models(config):
     for name, module in _equivalence_modules():
         events = []
         probes = ProbeSet(load=lambda a, n: events.append(("load", a)),
                           store=lambda a, n: events.append(("store", a)),
                           cond_branch=lambda site, taken: events.append((site, taken)))
-        trace = run(module, probes=probes, cache_config=config, predictor_initial_state=state)
-        cache, predictor = CacheModel(config), BranchPredictorTable(state)
+        trace = run(module, probes=probes, cache_config=config)
+        cache, predictor = CacheModel(config), BranchPredictorTable()
         want = dict.fromkeys(("br_hit", "br_miss", "load_hit", "load_miss", "store_hit",
                               "store_miss", "dirty_evictions"), 0)
         for what, value in events:
