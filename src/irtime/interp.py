@@ -290,6 +290,15 @@ def _address(global_addrs, op):
 # - a register is read into a Python local once, in operand order, and every
 #   instruction is an inline expression over locals; its result is also
 #   stored in `regs` only where code outside the function reads it;
+# - integer arithmetic, compares, shifts and integer casts are Python
+#   operators with no call, and so are a division, a remainder and an
+#   `fdiv` whose divisor is a constant other than zero (see _divide_by);
+#   `ashr` by a constant has its amount clamped while generating.  Short
+#   of calls and returns, a helper is called only for DIV and FDIV when the
+#   divisor is a register or a constant zero, so a zero raises or gives its
+#   IEEE result when the instruction runs; F32, which rounds a `float`
+#   result; ISFIN in `fptosi`; the memory image's LD, ST, ALLOC, HALLOC,
+#   MCPY and MSET; and, when counting, TOUCH;
 # - each successor's edge is inlined: charge the target block's steps, check
 #   the limit, count the entry, call the block_enter probes, read the phis'
 #   incoming values, assign them, return the target's index.  A conditional
@@ -404,7 +413,7 @@ _FORMATS = {"i1": "B", "i8": "B", "i16": "H", "i32": "I", "i64": "Q", "ptr": "I"
             "float": "f", "double": "d"}
 
 _RUNTIME = {
-    "F32": _to_f32, "FDIV": _fdiv, "DIV": _divide, "SGN": _signed, "ISFIN": math.isfinite,
+    "F32": _to_f32, "FDIV": _fdiv, "DIV": _divide, "ISFIN": math.isfinite,
     "FRAME": _Frame, "SLE": StepLimitExceeded, "SOVF": StackOverflow, "HEXH": HeapExhausted,
     **{"U" + f: struct.Struct("<" + f).unpack_from for f in "BHIQfd"},
     **{"P" + f: struct.Struct("<" + f).pack_into for f in "BHIQfd"},
@@ -414,7 +423,6 @@ _RUNTIME = {
 _INT_BINOPS = {
     "add": "({a} + {b}) & {m}", "sub": "({a} - {b}) & {m}", "mul": "({a} * {b}) & {m}",
     "and": "{a} & {b} & {m}", "or": "({a} | {b}) & {m}", "xor": "({a} ^ {b}) & {m}",
-    "ashr": "(SGN({a}, {bits}) >> min({b}, {bits} - 1)) & {m}",
 }
 # operations with a floating-point result; sitofp's {a} is the signed view
 _FLOAT_OPS = {"fadd": "{a} + {b}", "fsub": "{a} - {b}", "fmul": "{a} * {b}",
@@ -921,9 +929,14 @@ class _Generator:
     def _expression(self, ins):
         op, ty = ins.opcode, ins.type
         x = [self._operand(o) for o in ins.operands]
+        right = ins.operands[-1]
+        constant = right.__class__ is Const
         if op in _FLOAT_OPS:
             a = self._signed(ins.operands[0], ins.source_type.int_bits) if op == "sitofp" else x[0]
-            expr = _FLOAT_OPS[op].format(a=a, b=x[-1])
+            if op == "fdiv" and constant and right.value != 0.0:
+                expr = f"{a} / {x[1]}"
+            else:
+                expr = _FLOAT_OPS[op].format(a=a, b=x[-1])
             return f"F32({expr})" if ty.kind == "float" else expr
         if op == "zext":
             return x[0]
@@ -935,14 +948,43 @@ class _Generator:
             return f"(int({x[0]}) if ISFIN({x[0]}) else 0) & {m}"
         a, b = x
         if op in ("udiv", "sdiv", "urem", "srem"):
+            if constant and right.value:
+                return self._divide_by(op, a, right.value, bits)
             return f"DIV({a}, {b}, {bits}, {op[0] == 's'}, {op.endswith('rem')}) & {m}"
         if op in ("shl", "lshr"):
             shift = "<<" if op == "shl" else ">>"
-            amount = ins.operands[1]
-            if amount.__class__ is Const:
-                return f"({a} {shift} {b}) & {m}" if amount.value < bits else "0"
+            if constant:
+                return f"({a} {shift} {b}) & {m}" if right.value < bits else "0"
             return f"({a} {shift} {b} if {b} < {bits} else 0) & {m}"
-        return _INT_BINOPS[op].format(a=a, b=b, m=m, bits=bits)
+        if op == "ashr":
+            top = bits - 1
+            if constant:
+                # a negative value shifts ones into its top `amount` bits
+                amount = min(right.value, top)
+                c, fill = self._const(amount), self._const(m ^ (m >> amount))
+                return f"({a} >> {c} | {fill} if {a} >= {1 << top} else {a} >> {c})"
+            return (f"({self._signed(ins.operands[0], bits)} >> ({b} if {b} < {top} else {top}))"
+                    f" & {m}")
+        return _INT_BINOPS[op].format(a=a, b=b, m=m)
+
+    def _divide_by(self, op, a, k, bits):
+        """udiv/sdiv/urem/srem of `a` by the non-zero constant `k`, as
+        inline arithmetic.  A signed one tests the unsigned `a` against
+        2**(bits-1) and takes a negative dividend's magnitude as 2**bits - a;
+        the quotient truncates toward zero for the sign of `k`, and the
+        remainder takes the dividend's sign.  The mask turns a negative
+        result into its bit pattern; INT_MIN / -1 comes out as 2**(bits-1),
+        INT_MIN's own, as DIV gives it."""
+        if op[0] == "u":
+            return f"{a} {'//' if op == 'udiv' else '%'} {self._const(k)}"
+        k, m = _signed(k, bits), (1 << bits) - 1
+        d = self._const(abs(k))
+        negative, magnitude = f"{a} >= {1 << (bits - 1)}", f"({m + 1} - {a})"
+        if op == "srem":
+            return f"(-({magnitude} % {d}) if {negative} else {a} % {d}) & {m}"
+        if k > 0:
+            return f"(-({magnitude} // {d}) if {negative} else {a} // {d}) & {m}"
+        return f"({magnitude} // {d} if {negative} else -({a} // {d})) & {m}"
 
     def _compare(self, ins):
         """A Python boolean expression for an icmp or fcmp."""
@@ -1070,14 +1112,17 @@ class Interpreter:
             if addr is None:
                 raise InterpreterError(f"global storage exhausted at '@{g.name}'")
             mem.global_addrs[g.name] = addr
+        # a declaration's value lies outside the module: its bytes stay
+        # unwritten, so a load of them is counted until a store writes them
         for g in self.module.globals:
-            addr = mem.global_addrs[g.name]
-            mem.fill(addr, 0, max(g.type.size(), 1))
-            self._write_init(addr, g.type, g.init)
+            if g.init is not None:
+                addr = mem.global_addrs[g.name]
+                mem.fill(addr, 0, max(g.type.size(), 1))
+                self._write_init(addr, g.type, g.init)
 
     def _write_init(self, addr, ty, init):
         mem = self.memory
-        if init is None or init == ("zero",):
+        if init == ("zero",):
             return
         if isinstance(init, bytes):
             mem.write(addr, init[: ty.size()])
@@ -1104,7 +1149,10 @@ class Interpreter:
     # --- main loop ---------------------------------------------------------
 
     def execute(self, entry: str = "main", args=()):
-        """Run `entry` to completion and return its return value."""
+        """Run `entry` to completion and return its return value.  An
+        integer or pointer argument is taken as its bit pattern at the
+        parameter's width, and a `float` one is rounded to 32 bits, as the
+        generated code holds every value of those types."""
         func = self.module.function(entry)
         if args and len(args) != len(func.params):
             raise InterpreterError(
@@ -1112,7 +1160,14 @@ class Interpreter:
             )
         regs = {}
         for i, (pname, pty) in enumerate(func.params):
-            regs[pname] = args[i] if args else (0.0 if pty.is_float() else 0)
+            if not args:
+                regs[pname] = 0.0 if pty.is_float() else 0
+            elif pty.kind == "float":
+                regs[pname] = _to_f32(args[i])
+            elif pty.is_int() or pty.kind == "ptr":
+                regs[pname] = args[i] & ((1 << _type_bits(pty)) - 1)
+            else:
+                regs[pname] = args[i]
         segments, frames = self._segments, self._frames
         frames[:] = [_Frame(regs, self.memory.stack.top)]
         self._state.result = None

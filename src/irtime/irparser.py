@@ -646,10 +646,14 @@ class _Parser:
             raise _TokenFault(f"expected 'global' or 'constant', found {keyword[1]!r}", keyword)
         ty = self.parse_sized_type(cur, "a global")
         init = None
-        # as in LLVM, only an external declaration may leave out the initializer
+        # as in LLVM, an external declaration has no initializer, and every
+        # other global has one
+        external = linkage is not None and linkage[1] in ("external", "extern_weak")
         if cur.peek()[0] not in (",", "attr", "end"):
+            if external:
+                cur.error(f"an {linkage[1]} global takes no initializer")
             init = self._parse_init(cur, ty)
-        elif linkage is None or linkage[1] not in ("external", "extern_weak"):
+        elif not external:
             cur.error("missing initializer")
         align = self._skip_trailer(cur, _GLOBAL_PROPS)
         while cur.accept("attr"):

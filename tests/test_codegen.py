@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from irtime import Interpreter, ProbeSet, parse_module, read_trace, run, write_trace
 from irtime import interp as interp_module
 from irtime.corpus import GENERATOR_OPCODES, generate_program
-from irtime.errors import UnresolvedReferenceError
+from irtime.errors import DivisionByZero, UnresolvedReferenceError
 
 from conftest import EXAMPLE_B, SAMPLES
 
@@ -307,12 +307,18 @@ entry:
     assert info.value.line == 7
 
 
-def test_generated_source_catches_no_exception(monkeypatch):
-    # the parser has checked that every register read is dominated by its
-    # definition, so the only `try` is a loop function's, with a `finally`
+def _sources(monkeypatch):
+    """The list each generated source is appended to from now on."""
     sources, compile_source = [], interp_module._compile
     monkeypatch.setattr(interp_module, "_compile",
                         lambda source: sources.append(source) or compile_source(source))
+    return sources
+
+
+def test_generated_source_catches_no_exception(monkeypatch):
+    # the parser has checked that every register read is dominated by its
+    # definition, so the only `try` is a loop function's, with a `finally`
+    sources = _sources(monkeypatch)
     for path in SAMPLE_PATHS:
         run(parse_module(path.read_text()))
     text = "\n".join(sources)
@@ -325,9 +331,7 @@ def test_a_store_masks_only_what_no_integer_instruction_masked(monkeypatch):
     # %x and %b come from an add of their own width, so their stores carry
     # no `&`; %n is read from a register and %z is a zext's copy of %b, so
     # theirs keep one
-    sources, compile_source = [], interp_module._compile
-    monkeypatch.setattr(interp_module, "_compile",
-                        lambda source: sources.append(source) or compile_source(source))
+    sources = _sources(monkeypatch)
     module = parse_module("""
 define i32 @main(i32 %n) {
 entry:
@@ -354,6 +358,78 @@ entry:
     stored = re.findall(r"ST\(v\d+, \d, P\w, (.*?), O\d\)", sources[-1])
     assert [re.sub(r"v\d+", "v", value) for value in stored] == [
         "v", "v & 4294967295", "v", "v & 4294967295"]
+
+
+# --- division and shifts by a constant ---------------------------------------
+
+DIVISIONS = ("udiv", "sdiv", "urem", "srem")
+
+
+def _function(ty, body):
+    return parse_module(f"define {ty} @f({ty} %a, {ty} %b) {{\nentry:\n  {body}\n"
+                        f"  ret {ty} %r\n}}\n")
+
+
+@pytest.mark.parametrize("op", DIVISIONS + ("ashr",))
+def test_a_constant_divisor_or_shift_amount_calls_no_helper(op, monkeypatch):
+    sources = _sources(monkeypatch)
+    for k in (7, -7, 1, 40):
+        Interpreter(_function("i32", f"%r = {op} i32 %a, {k}"))
+        assert re.search(r"\b(DIV|SGN|min)\(", sources[-1]) is None, (op, k)
+    if op != "ashr":
+        # a register or zero divisor is divided when the instruction runs,
+        # so that a zero raises DivisionByZero there
+        for b in ("%b", "0"):
+            Interpreter(_function("i32", f"%r = {op} i32 %a, {b}"))
+            assert "DIV(" in sources[-1], (op, b)
+
+
+def test_a_constant_float_divisor_calls_no_helper(monkeypatch):
+    sources = _sources(monkeypatch)
+    for ty in ("float", "double"):
+        for b, helper in (("2.5", False), ("-0.0", True), ("0.0", True), ("%b", True)):
+            Interpreter(_function(ty, f"%r = fdiv {ty} %a, {b}"))
+            assert ("FDIV(" in sources[-1]) == helper, (ty, b)
+            assert ("F32(" in sources[-1]) == (ty == "float"), (ty, b)
+
+
+def _result(module, a, b):
+    """What @f returns for %a = a and %b = b, or the DivisionByZero's message."""
+    try:
+        return Interpreter(module).execute("f", (a, b))
+    except DivisionByZero as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("bits", (1, 8, 32, 64))
+@pytest.mark.parametrize("op", DIVISIONS + ("ashr",))
+def test_a_constant_divisor_gives_what_a_register_gives(op, bits):
+    # each value as a bit pattern of the width, so at i1 the divisors 2 and
+    # -2 are a constant zero, and 1 and INT_MIN are -1
+    ty, int_min, mask = f"i{bits}", 1 << (bits - 1), (1 << bits) - 1
+    divisors = sorted({v & mask for v in (1, -1, 2, -2, 7, int_min)})
+    dividends = sorted({v & mask for v in (0, 7, -7, int_min, int_min - 1, -1)})
+    register = _function(ty, f"%r = {op} {ty} %a, %b")
+    for b in divisors:
+        constant = _function(ty, f"%r = {op} {ty} %a, {b}")
+        for a in dividends:
+            assert _result(constant, a, 0) == _result(register, a, b), (a, b)
+
+
+@pytest.mark.parametrize("body", ["%r = sdiv i32 %a, 7", "%r = ashr i32 %a, 1",
+                                  "%r = udiv i32 %a, %b", "%r = srem i32 %a, %b"])
+def test_an_argument_is_taken_as_its_bit_pattern(body):
+    module = _function("i32", body)
+    assert _result(module, -5, -7) == _result(module, 2**32 - 5, 2**32 - 7)
+
+
+def test_a_float_argument_is_rounded_to_32_bits():
+    # 0x3FB99999A0000000 is 0.1 rounded to float
+    compare = parse_module("define i1 @f(float %a) {\nentry:\n"
+                           "  %r = fcmp oeq float %a, 0x3FB99999A0000000\n  ret i1 %r\n}\n")
+    assert Interpreter(compare).execute("f", (0.1,)) == 1
+    same = parse_module("define float @f(float %a) {\nentry:\n  ret float %a\n}\n")
+    assert Interpreter(same).execute("f", (0.1,)) == f32(0.1)
 
 
 # --- memory ---------------------------------------------------------------------

@@ -144,6 +144,9 @@ CASES = {
     "internal_global_without_an_initializer": (_global("@g = internal global i32"), False),
     "external_global_without_an_initializer": (_global("@g = external global i32"), True),
     "extern_weak_global_without_an_initializer": (_global("@g = extern_weak global i32"), True),
+    # and a declaration takes none
+    "external_global_with_an_initializer": (_global("@g = external global i32 0"), False),
+    "extern_weak_global_with_an_initializer": (_global("@g = extern_weak global i32 5"), False),
 }
 
 # name -> (module, whether parse_module accepts it), which llvm-as 14

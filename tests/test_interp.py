@@ -465,6 +465,26 @@ entry:
     assert _value_and_uninitialized(src.replace("%which", "6")) == (0x07070000, 1)
 
 
+def test_a_load_of_an_external_declaration_is_uninitialized():
+    # the module only declares @g, so its value is unknown: its bytes read
+    # as zero and unwritten until a store writes them; @h's are written
+    src = """
+@g = external global i32
+@h = global i32 5
+
+define i32 @main() {
+entry:
+  %v = load i32, ptr @g
+  %w = load i32, ptr @h
+  %r = add i32 %v, %w
+  ret i32 %r
+}
+"""
+    assert _value_and_uninitialized(src) == (5, 1)
+    stored = src.replace("  %v =", "  store i32 7, ptr @g\n  %v =")
+    assert _value_and_uninitialized(stored) == (12, 0)
+
+
 def test_a_frame_reads_its_unwritten_alloca_after_another_frame_wrote_there():
     # @reader's alloca takes the stack bytes @writer's did, written and
     # released on return: they read as zero and unwritten again
@@ -1119,21 +1139,33 @@ exit:
 """
 
 
-def test_division_by_zero_inside_a_self_loop():
-    m = parse_module(_DIVIDES)
+def _assert_faults_in_iteration(m, iterations, message):
+    """`m`, _DIVIDES or a variant, raises DivisionByZero with `message` at
+    the loop's fifth instruction in iteration `iterations`, having charged
+    each iteration's steps and fired its probe events up to there."""
     interp, events = _events(m)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match=f"^{message}$"):
         interp.execute()
-    assert interp.steps == 1 + 6 * 8
+    assert interp.steps == 1 + iterations * 8
     entry, loop = (b for b in m.functions[0].blocks[:2])
     ids = [ins.static_id for ins in loop.instructions]
     want = [("enter", entry.static_id), ("ins", entry.instructions[0].static_id)]
-    for k in range(1, 7):
+    for k in range(1, iterations + 1):
         want.append(("enter", loop.static_id))
-        want += [("ins", s) for s in ids[:5]]       # the phis, add, sub, sdiv
-        if k < 6:
+        want += [("ins", s) for s in ids[:5]]       # the phis, add, sub, division
+        if k < iterations:
             want += [("ins", s) for s in ids[5:]] + [("branch", ids[-1], True)]
     assert events == want
+
+
+def test_division_by_zero_inside_a_self_loop():
+    _assert_faults_in_iteration(parse_module(_DIVIDES), 6, "integer division by zero")
+
+
+def test_remainder_by_a_constant_zero_inside_a_self_loop():
+    # a constant zero divisor is not inlined: it fails when it runs
+    m = parse_module(_DIVIDES.replace("sdiv i32 60, %d", "urem i32 %d, 0"))
+    _assert_faults_in_iteration(m, 1, "integer remainder by zero")
 
 
 def test_step_limit_inside_a_self_loop():

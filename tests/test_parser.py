@@ -171,6 +171,14 @@ def test_a_used_type_definition_ends_where_its_type_ends(text, want):
     assert str(info.value) == want
 
 
+@pytest.mark.parametrize("linkage, col", [("external", 26), ("extern_weak", 29)])
+def test_an_external_declaration_takes_no_initializer(linkage, col):
+    # llvm-as 14 places its "expected top-level entity" at the same column
+    with pytest.raises(ParseError) as info:
+        parse_module(f"@g = {linkage} global i32 5\n" + EXAMPLE_A)
+    assert str(info.value) == f"1:{col}: an {linkage} global takes no initializer"
+
+
 def _operand_main(body, head=""):
     return f"{head}define i32 @main() {{\nentry:\n{body}\n}}\n"
 
