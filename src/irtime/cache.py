@@ -70,7 +70,10 @@ class CacheModel:
     def touch(self, addr: int, is_store: bool) -> int:
         """The LRU update for one access to a non-negative `addr`, unchecked:
         returns 0 for a hit, 1 for a clean miss, 2 for a miss that evicts a
-        dirty line."""
+        dirty line.  A traced run calls it only for an access that changes
+        lines, or for a store to a clean line just loaded: a load of the
+        line last accessed, or a store to it once dirty, changes nothing
+        here."""
         line = addr >> self._shift
         ways = self._sets[line % self._set_count]
         if line in ways:

@@ -35,6 +35,7 @@ from .irmodel import (
 from .cache import CacheModel, CacheConfig
 from .trace import (
     TraceBuilder, ExecutionTrace, JUMP, LOADS, STORES, VOLUMES, TAKEN, NOT_TAKEN,
+    TAKEN_FIXED, NOT_TAKEN_FIXED,
 )
 
 GLOBAL_BASE = 0x1000_0000
@@ -298,7 +299,8 @@ def _address(global_addrs, op):
 #   divisor is a register or a constant zero, so a zero raises or gives its
 #   IEEE result when the instruction runs; F32, which rounds a `float`
 #   result; ISFIN in `fptosi`; the memory image's LD, ST, ALLOC, HALLOC,
-#   MCPY and MSET; and, when counting, TOUCH;
+#   MCPY and MSET; and, when counting, TOUCH on an access that changes
+#   lines;
 # - each successor's edge is inlined: charge the target block's steps, check
 #   the limit, count the entry, call the block_enter probes, read the phis'
 #   incoming values, assign them, return the target's index.  A conditional
@@ -348,28 +350,44 @@ def _address(global_addrs, op):
 # before each probe call, as a probe may read `Interpreter.steps`.
 #
 # Given a TraceBuilder, the code counts the trace itself, with no call into
-# the builder: `E[block] += 1` on each edge; `P[site], c = TAKEN[P[site]]`
-# and `C[c] += 1` in each arm of a conditional `br` (NOT_TAKEN in the other);
-# `C[LOADS + TOUCH(addr, False)] += 1` after a load and the same with STORES
-# after a store; `C[VOLUMES[kind]] += nbytes` after a memory routine.  These
-# lines hold only static ids and slots as literals.  bb_jump is known at
-# generation time on an edge out of a block's first segment, where the last
-# block entered is that block, so `C[JUMP] += 1` is emitted only where the
-# target differs.  Only a call changes the last block entered: a `ret` in a
-# first segment records its block in S.last_block, a later segment's `ret`
-# leaves the id a deeper `ret` recorded, and the edges and call entries of a
-# segment that resumes after a call compare against it.  The entry stub
-# counts no jump.  ProbeSets given beside the builder see the same events.
+# the builder, and updates a model only where its state can change:
+# - `E[block] += 1` on each edge;
+# - in each arm of a conditional `br`, `P[site], c = TAKEN[P[site]]` and
+#   `C[c] += 1` under `if P[site] != TAKEN_FIXED:` (NOT_TAKEN and
+#   NOT_TAKEN_FIXED in the other arm): a site in the state that its outcome
+#   leaves unchanged with a hit skips its update;
+# - `C[LOADS + TOUCH(addr, False)] += 1` after a load and the same with
+#   STORES after a store, but only when the access changes lines.  Each
+#   function that counts an access holds two locals, set to -1 on entry:
+#   `ll`, the line of its last cache access, and `ld`, that line when it is
+#   known to be dirty.  A load of line `ll` or a store to line `ld` is a hit
+#   that leaves the LRU order and every dirty bit as they are, so it emits
+#   no TOUCH.  Otherwise the access calls TOUCH and sets `ll` to its line,
+#   and `ld` to it after a store or to -1 after a load.  This is exact as no
+#   other code touches the cache within one call of a generated function:
+#   the memory routines bypass it, a call into a function body ends its
+#   segment, and a loop function makes no call;
+# - `C[VOLUMES[kind]] += nbytes` after a memory routine.
+# These lines hold only static ids, slots, state codes and the line shift
+# as literals.  The hits are not counted: TraceBuilder.build() derives them
+# from the block entries.  bb_jump is known at generation time on an edge
+# out of a block's first segment, where the last block entered is that
+# block, so `C[JUMP] += 1` is emitted only where the target differs.  Only
+# a call changes the last block entered: a `ret` in a first segment records
+# its block in S.last_block, a later segment's `ret` leaves the id a deeper
+# `ret` recorded, and the edges and call entries of a segment that resumes
+# after a call compare against it.  The entry stub counts no jump.
+# ProbeSets given beside the builder see the same events.
 #
 # Text from the IR reaches the source only as repr() of a register name:
 # every constant, global address and string is bound by name in the
 # namespace, and the only literals are integers the interpreter computes
-# (masks, sizes, static ids, slots, limits, segment indices).  A register is
-# read only where the parser has checked that its definition dominates the
-# read, so the read finds it assigned, and the code catches no exception: one
-# raised by a probe passes through unchanged.  The namespace never holds the
-# Interpreter or the segment table, so an Interpreter is freed by reference
-# counting alone.
+# (masks, sizes, static ids, slots, state codes, line shifts, limits,
+# segment indices).  A register is read only where the parser has checked
+# that its definition dominates the read, so the read finds it assigned, and
+# the code catches no exception: one raised by a probe passes through
+# unchanged.  The namespace never holds the Interpreter or the segment
+# table, so an Interpreter is freed by reference counting alone.
 
 
 class _Frame:
@@ -626,6 +644,7 @@ class _Generator:
         if trace is not None:
             self.ns.update(E=trace.entries, P=trace.states, C=trace.counts, TOUCH=trace.touch,
                            TAKEN=TAKEN, NOT_TAKEN=NOT_TAKEN)
+            self.line_shift = trace.line_shift
         self.consts = {}
         # probe kind -> the name its callback is bound to, or None
         self.probes = {kind: self._bind(fn, "h") if (fn := getattr(probes, kind, None)) else None
@@ -692,13 +711,15 @@ class _Generator:
         # local an integer instruction defined -> its width, as its value
         # is already masked to it
         self.lines, self.held, self.fused, self.masked, self.n_locals = [], {}, {}, {}, 0
-        self.entered, self.indent = entered, 1
+        self.entered, self.indent, self.accesses = entered, 1, False
         # in a loop function: the loop, its header's kept phis -> their
         # locals, what each exit stores, and counting slot -> its local
         self.loop, self.loop_phis, self.exit_stores, self.slots = None, {}, [], None
 
     def _emit(self, index, source):
         source.append(f"def s{index}(regs):")
+        if self.accesses:
+            source.append("    ll = ld = -1")
         source += self.lines
 
     def _new_local(self):
@@ -765,13 +786,25 @@ class _Generator:
             self._line(text)
 
     def _count_branch(self, site, taken):
+        """Update the site's state and count the outcome, unless the
+        outcome leaves the state unchanged with a hit."""
         if self.counting:
             state = self._slot(f"P[{site}]")
-            self._line(f"{state}, c = {'TAKEN' if taken else 'NOT_TAKEN'}[{state}]")
-            self._line("C[c] += 1")
+            with self._arm(f"{state} != {TAKEN_FIXED if taken else NOT_TAKEN_FIXED}"):
+                self._line(f"{state}, c = {'TAKEN' if taken else 'NOT_TAKEN'}[{state}]")
+                self._line("C[c] += 1")
 
     def _count_access(self, addr, is_store):
-        self._count(f"C[{STORES if is_store else LOADS} + TOUCH({addr}, {is_store})] += 1")
+        """Touch the cache, unless the access is a load of the line of the
+        function's last access, `ll`, or a store to it while it is known
+        dirty, `ld`: a hit that changes neither the LRU order nor a dirty
+        bit."""
+        if self.counting:
+            self.accesses = True
+            line = f"{addr} >> {self.line_shift}"
+            with self._arm(f"{line} != {'ld' if is_store else 'll'}"):
+                self._line(f"C[{STORES if is_store else LOADS} + TOUCH({addr}, {is_store})] += 1")
+                self._line(f"ll = ld = {line}" if is_store else f"ll, ld = {line}, -1")
 
     # --- segments and edges -----------------------------------------------
 

@@ -80,12 +80,21 @@ _FIELD_OF_FEATURE = {feature: name for _, name, feature in SCALAR_COUNTERS if fe
 # Slots of TraceBuilder.counts, which the generated segment code adds to:
 # bb_jump, predictor hits and misses, then three slots each for loads and
 # for stores, one per code that cache.touch returns (0 hit, 1 clean miss,
-# 2 dirty miss), then the byte volume of each memory routine.
+# 2 dirty miss), then the byte volume of each memory routine.  The hit
+# slots, BR_HIT, LOADS and STORES, are added to but never read: the code
+# skips the update of an access or a branch that cannot change the state
+# of its model, always a hit, so build() derives the hits instead.
 JUMP, BR_HIT, BR_MISS, LOADS, STORES = 0, 1, 2, 3, 6
 VOLUMES = {"memset": 9, "memcpy": 10, "calloc": 11, "malloc": 12}
 # by predictor state code: (next code, BR_HIT or BR_MISS) for each outcome
 TAKEN = outcome_table(True, BR_HIT, BR_MISS)
 NOT_TAKEN = outcome_table(False, BR_HIT, BR_MISS)
+# the state code that each outcome leaves unchanged while scoring a hit
+# (strongly taken for TAKEN, strongly not-taken for NOT_TAKEN): a site in
+# it needs no update
+TAKEN_FIXED, NOT_TAKEN_FIXED = (
+    next(code for code, step in enumerate(table) if step == (code, BR_HIT))
+    for table in (TAKEN, NOT_TAKEN))
 
 
 class TraceBuilder:
@@ -98,23 +107,33 @@ class TraceBuilder:
     - `entries[block static id]`: entries into the block, added on each
       edge into it;
     - `states[instruction static id]`: the two-bit predictor state code of
-      each conditional `br` site, updated through TAKEN and NOT_TAKEN;
-    - `counts`: the slots above; `touch` is the cache's LRU update.
-    The cache instance is owned by the caller and updated only by `touch`.
+      each conditional `br` site, updated through TAKEN and NOT_TAKEN
+      unless the outcome leaves it unchanged;
+    - `counts`: the slots above; `touch` is the cache's LRU update, and
+      `line_shift` turns an address into its cache line.
+    The cache instance is owned by the caller and updated only by `touch`,
+    which the code calls only for an access that can change the cache.
 
-    Only block entries are counted: every block a finished run enters runs
-    to completion, so build() derives the opcode counts and inst_miss
-    exactly from the entry counts and each block's instructions.
+    build() reads only block entries, misses, jumps and volumes: every block
+    a finished run enters runs to completion, so it derives the opcode
+    counts and inst_miss exactly from the entry counts and each block's
+    instructions, the load and store hits from the executed loads and
+    stores, and the predictor hits from the entries of blocks that end in
+    a conditional `br`.
     """
 
     def __init__(self, module, cache):
         # static ids are dense from 0, in source order (see irmodel)
         self._blocks = [(f"{f.name}:{b.label}", b.instructions)
                         for f in module.functions for b in f.blocks]
+        # the static ids of the blocks that end in a conditional br
+        self._deciding = [bid for bid, (_, insts) in enumerate(self._blocks)
+                          if insts[-1].opcode == "br" and insts[-1].operands]
         self.entries = [0] * len(self._blocks)
         self.states = [START] * module.instruction_count()
         self.counts = [0] * (max(VOLUMES.values()) + 1)
         self.touch = cache.touch
+        self.line_shift = cache.config.line_size.bit_length() - 1
 
     def build(self, uninitialized_loads: int = 0) -> ExecutionTrace:
         blocks, ops, inst_miss = {}, {}, 0
@@ -124,13 +143,15 @@ class TraceBuilder:
                 inst_miss += len(instructions)
                 for ins in instructions:
                     ops[ins.opcode] = ops.get(ins.opcode, 0) + count
+        decided = sum(self.entries[bid] for bid in self._deciding)
         c = self.counts
+        load_miss, store_miss = c[LOADS + 1] + c[LOADS + 2], c[STORES + 1] + c[STORES + 2]
         return ExecutionTrace(
             block_counts=blocks, op_counts=ops,
-            load_hit=c[LOADS], load_miss=c[LOADS + 1] + c[LOADS + 2],
-            store_hit=c[STORES], store_miss=c[STORES + 1] + c[STORES + 2],
-            br_hit=c[BR_HIT], br_miss=c[BR_MISS],
-            br_uncond=ops.get("br", 0) - c[BR_HIT] - c[BR_MISS],
+            load_hit=ops.get("load", 0) - load_miss, load_miss=load_miss,
+            store_hit=ops.get("store", 0) - store_miss, store_miss=store_miss,
+            br_hit=decided - c[BR_MISS], br_miss=c[BR_MISS],
+            br_uncond=ops.get("br", 0) - decided,
             bb_jump=c[JUMP], inst_miss=inst_miss,
             dirty_evictions=c[LOADS + 2] + c[STORES + 2],
             uninitialized_loads=uninitialized_loads,

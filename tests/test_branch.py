@@ -96,6 +96,15 @@ def test_inline_outcome_tables_follow_the_transitions():
             assert _CODED[next_code] is TRANSITIONS[(state, outcome)], (state, outcome)
             assert slot == (trace.BR_HIT if state.predicts_taken == outcome
                             else trace.BR_MISS), (state, outcome)
+    # the generated code skips the update of a site in its outcome's fixed
+    # state: the one state that outcome leaves unchanged with a hit
+    for outcome, fixed in ((True, trace.TAKEN_FIXED), (False, trace.NOT_TAKEN_FIXED)):
+        unchanged = [code for code, state in enumerate(_CODED)
+                     if TRANSITIONS[(state, outcome)] is state
+                     and state.predicts_taken == outcome]
+        assert unchanged == [fixed], outcome
+    assert _CODED[trace.TAKEN_FIXED] is PredictorState.ST
+    assert _CODED[trace.NOT_TAKEN_FIXED] is PredictorState.SNT
 
 
 @settings(max_examples=200, deadline=None)

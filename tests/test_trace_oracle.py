@@ -13,6 +13,7 @@ the same events through the public models.
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from irtime import (
     GENERATOR_OPCODES, BranchPredictorTable, CacheConfig, CacheModel, Interpreter,
@@ -334,27 +335,161 @@ def _equivalence_modules():
             yield f"{placement}-{n}-{stride}", parse_module(_walk(placement, n, stride, x0))
 
 
+def _replay(module, config):
+    """The trace of `module` under `config`, and its predictor and cache
+    counts replayed from the probe events through the public models."""
+    events = []
+    probes = ProbeSet(load=lambda a, n: events.append(("load", a)),
+                      store=lambda a, n: events.append(("store", a)),
+                      cond_branch=lambda site, taken: events.append((site, taken)))
+    trace = run(module, probes=probes, cache_config=config)
+    cache, predictor = CacheModel(config), BranchPredictorTable()
+    want = dict.fromkeys(("br_hit", "br_miss", "load_hit", "load_miss", "store_hit",
+                          "store_miss", "dirty_evictions"), 0)
+    for what, value in events:
+        if what in ("load", "store"):
+            outcome = cache.access(value, what)
+            want[f"{what}_{'hit' if outcome.hit else 'miss'}"] += 1
+            want["dirty_evictions"] += outcome.evicted_dirty
+        else:
+            want["br_hit" if predictor.predict_and_update(what, value) else "br_miss"] += 1
+    want["br_uncond"] = trace.op_counts.get("br", 0) - want["br_hit"] - want["br_miss"]
+    return trace, want
+
+
 @pytest.mark.parametrize("config", [CacheConfig(), SMALL_CACHE], ids=["default", "1k-16b-4way"])
 def test_inline_counts_equal_a_replay_through_the_models(config):
     for name, module in _equivalence_modules():
-        events = []
-        probes = ProbeSet(load=lambda a, n: events.append(("load", a)),
-                          store=lambda a, n: events.append(("store", a)),
-                          cond_branch=lambda site, taken: events.append((site, taken)))
-        trace = run(module, probes=probes, cache_config=config)
-        cache, predictor = CacheModel(config), BranchPredictorTable()
-        want = dict.fromkeys(("br_hit", "br_miss", "load_hit", "load_miss", "store_hit",
-                              "store_miss", "dirty_evictions"), 0)
-        for what, value in events:
-            if what in ("load", "store"):
-                outcome = cache.access(value, what)
-                want[f"{what}_{'hit' if outcome.hit else 'miss'}"] += 1
-                want["dirty_evictions"] += outcome.evicted_dirty
-            else:
-                want["br_hit" if predictor.predict_and_update(what, value) else "br_miss"] += 1
+        trace, want = _replay(module, config)
         assert {key: getattr(trace, key) for key in want} == want, name
         if config == SMALL_CACHE and name.endswith("-4"):
             assert want["load_miss"] and want["dirty_evictions"], name
+
+
+BUF_WORDS = 32
+
+# caches of 1 to 16 lines of 4 to 32 bytes, direct-mapped and single-set
+# ones among them, most of them smaller than @buf
+_GEOMETRIES = st.builds(lambda line, ways, sets: CacheConfig(line * ways * sets, line, ways),
+                        st.sampled_from([4, 8, 16, 32]), st.sampled_from([1, 2, 4]),
+                        st.sampled_from([1, 2, 4]))
+# (is a store, index of an i32 of @buf)
+_ACCESSES = st.lists(st.tuples(st.booleans(), st.integers(0, BUF_WORDS - 1)), max_size=5)
+
+
+def _access_loop(head, arm, tail, callee, pattern, trips):
+    """A loop of `trips` iterations over @buf, BUF_WORDS i32: the accesses
+    `head`, then on iteration i, when bit i of `pattern` is set, those of
+    `arm` and, when `callee` holds any, a call to a function that makes
+    them, then `tail`."""
+    def accesses(items, tag):
+        lines = []
+        for k, (is_store, word) in enumerate(items):
+            p = f"%{tag}p{k}"
+            lines.append(f"  {p} = getelementptr i32, ptr @buf, i32 {word}")
+            lines.append(f"  store i32 %i, ptr {p}" if is_store
+                         else f"  %{tag}v{k} = load i32, ptr {p}")
+        return "".join(line + "\n" for line in lines)
+    side, call = "", ""
+    if callee:
+        side = ("define void @side(i32 %i) {\nentry:\n"
+                + accesses(callee, "s") + "  ret void\n}\n")
+        call = "  call void @side(i32 %i)\n"
+    return f"""@buf = global [{BUF_WORDS} x i32] zeroinitializer
+{side}
+define i32 @main() {{
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i1, %latch ]
+{accesses(head, "h")}  %sh = lshr i32 {pattern}, %i
+  %bit = and i32 %sh, 1
+  %c = icmp ne i32 %bit, 0
+  br i1 %c, label %arm, label %latch
+
+arm:
+{accesses(arm, "a")}{call}  br label %latch
+
+latch:
+{accesses(tail, "t")}  %i1 = add i32 %i, 1
+  %more = icmp ult i32 %i1, {trips}
+  br i1 %more, label %loop, label %exit
+
+exit:
+  ret i32 0
+}}
+"""
+
+
+# words A and B of @buf lie on two lines of one set of _DIRECT, a
+# direct-mapped 64-byte cache of 32-byte lines
+_A, _B, _DIRECT = 0, 16, CacheConfig(cache_size=64, line_size=32, associativity=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_GEOMETRIES, head=_ACCESSES, arm=_ACCESSES, tail=_ACCESSES, callee=_ACCESSES,
+       pattern=st.integers(0, 2**32 - 1), trips=st.integers(1, 32))
+# store A; load B; store A: the load evicts A, so the second store misses
+@example(config=_DIRECT, head=[(True, _A), (False, _B), (True, _A)], arm=[], tail=[],
+         callee=[], pattern=0, trips=3)
+# load A; store A; load B: the store makes A dirty, so B's miss evicts a
+# dirty line; and the taken outcomes T T N T pass a site through WT to ST
+@example(config=_DIRECT, head=[(False, _A), (True, _A), (False, _B)], arm=[], tail=[],
+         callee=[], pattern=0b1011, trips=4)
+def test_skipped_updates_equal_a_replay_on_drawn_loops(config, head, arm, tail, callee,
+                                                       pattern, trips):
+    module = parse_module(_access_loop(head, arm, tail, callee, pattern, trips))
+    trace, want = _replay(module, config)
+    assert {key: getattr(trace, key) for key in want} == want
+
+
+def test_touch_runs_once_per_line_change():
+    # a sequential fill of n i32 stores, then a walk of n loads, under
+    # 32-byte lines: the cache is touched once per line of each
+    n = 800
+    module = parse_module(f"""@buf = global [{n} x i32] zeroinitializer
+
+define i32 @main() {{
+entry:
+  br label %fill
+
+fill:
+  %i = phi i32 [ 0, %entry ], [ %i1, %fill ]
+  %pa = getelementptr i32, ptr @buf, i32 %i
+  store i32 %i, ptr %pa
+  %i1 = add i32 %i, 1
+  %cf = icmp ult i32 %i1, {n}
+  br i1 %cf, label %fill, label %walk
+
+walk:
+  %j = phi i32 [ 0, %fill ], [ %j1, %walk ]
+  %s = phi i32 [ 0, %fill ], [ %s1, %walk ]
+  %pb = getelementptr i32, ptr @buf, i32 %j
+  %v = load i32, ptr %pb
+  %s1 = add i32 %s, %v
+  %j1 = add i32 %j, 1
+  %cw = icmp ult i32 %j1, {n}
+  br i1 %cw, label %walk, label %exit
+
+exit:
+  ret i32 %s1
+}}
+""")
+    builder = TraceBuilder(module, CacheModel(CacheConfig()))
+    stores, touch = [], builder.touch
+
+    def counting(addr, is_store):
+        stores.append(is_store)
+        return touch(addr, is_store)
+
+    builder.touch = counting
+    Interpreter(module, trace=builder).execute()
+    assert stores.count(True) == stores.count(False) == n // 8
+    trace = builder.build()
+    assert (trace.store_hit, trace.store_miss) == (n - n // 8, n // 8)
+    # the buffer fits the default cache, so the walk misses no line
+    assert (trace.load_hit, trace.load_miss) == (n, 0)
 
 
 def test_trace_builder_has_no_event_handlers():
