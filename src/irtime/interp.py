@@ -18,17 +18,19 @@ no inner loop, is compiled into one generated Python function when the
 Interpreter is constructed; see "generated segment functions" below.
 """
 
+import collections
 import contextlib
-import functools
+import marshal
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 from .errors import (
     InterpreterError, StepLimitExceeded, OutOfBoundsAccess,
     DivisionByZero, StackOverflow, HeapExhausted, InvalidConfigError,
 )
-from .irtypes import signed as _signed
+from .irtypes import SCALARS, signed as _signed
 from .irmodel import (
     TERMINATORS, Const, LocalRef, GlobalRef, ConstGep, mem_intrinsic_kind, is_recognized_callee,
 )
@@ -235,7 +237,6 @@ class MemoryImage:
 # --- numeric helpers ---------------------------------------------------------
 
 _F32 = struct.Struct("<f")
-_F64 = struct.Struct("<d")
 
 
 def _to_f32(x):
@@ -382,12 +383,35 @@ def _address(global_addrs, op):
 # Text from the IR reaches the source only as repr() of a register name:
 # every constant, global address and string is bound by name in the
 # namespace, and the only literals are integers the interpreter computes
-# (masks, sizes, static ids, slots, state codes, line shifts, limits,
-# segment indices).  A register is read only where the parser has checked
-# that its definition dominates the read, so the read finds it assigned, and
-# the code catches no exception: one raised by a probe passes through
-# unchanged.  The namespace never holds the Interpreter or the segment
-# table, so an Interpreter is freed by reference counting alone.
+# (masks, sizes, alignments, static ids, slots, state codes, line shifts,
+# limits, segment indices).  A register is read only where the parser has
+# checked that its definition dominates the read, so the read finds it
+# assigned, and the code catches no exception: one raised by a probe passes
+# through unchanged.  The namespace never holds the Interpreter or the
+# segment table, so an Interpreter is freed by reference counting alone.
+#
+# Shapes.  The source depends on a module's shape alone, so it is generated
+# once per shape in a process.  _shape walks the module once and returns a
+# key and the constants' values.  The key holds the structure (functions,
+# params, blocks and labels, opcodes, types, register names, predicates,
+# callees, getelementptr strides, aligns, the globals' names, types and
+# aligns), the limits, the line shift, which probe kinds are set and
+# whether a TraceBuilder counts.  Of the constants it holds by value only
+# what the generator branches on: whether a divisor is zero and, for
+# `sdiv`, its sign; whether an `fdiv` divisor is ±0.0; whether a `shl` or
+# `lshr` amount reaches the width; the labels of a switch's cases in value
+# order; whether a folded getelementptr offset is 0.  The generator binds
+# each other constant by its slot in the walk, through its transform (the
+# signed view, the magnitude of an `sdiv`/`srem` divisor, the clamped
+# `ashr` amount and its fill), and global and ConstGep addresses are
+# values too, so equal keys give equal source.  _CODE keeps the compiled
+# code, the entries and the binding recipe of the last 256 shapes used,
+# and nothing of a module: a key is kept as bytes, as a tuple of the
+# module's own strings would keep the memory around them from being
+# returned.  An Interpreter whose key is there builds its
+# namespace, binds its constants from its own walk and runs the cached code;
+# only on a miss does it generate, so a miss costs one walk more than
+# before.
 
 
 class _Frame:
@@ -621,55 +645,203 @@ def _register_uses(func, segments, loops):
     return kept, deferred, readers
 
 
-@functools.lru_cache(maxsize=256)
+def _type_key(ty):
+    """What generated code reads of a type: a scalar's kind, an aggregate's
+    size and alignment."""
+    if ty is None:
+        return None
+    return ty.kind if ty.kind in SCALARS else (ty.kind, ty.size(), ty.alignment())
+
+
+def _shape(module, global_addrs, limits, probes, trace):
+    """(key, values, slots) of one walk over `module`, for an Interpreter
+    over `global_addrs` with `limits`, `probes` and `trace`; see "Shapes"
+    above.  `key` is bytes.  `values` holds, in walk order, each constant the code binds: a
+    Const's value, the address of a GlobalRef or ConstGep, a getelementptr's
+    folded offset unless it is 0, and a switch's case values in value order.
+    `slots` maps the id of each operand, getelementptr and switch that holds
+    one to the index of its (first) value."""
+    key = [limits.max_steps, limits.max_stack_bytes, limits.max_heap_bytes,
+           None if trace is None else trace.line_shift,
+           tuple(bool(getattr(probes, kind, None)) for kind in ProbeSet.__slots__)]
+    add, values, slots = key.append, [], {}
+    for g in module.globals:
+        add((g.name, _type_key(g.type), g.align))
+    for f in module.functions:
+        add((f.name, tuple(name for name, _ in f.params), len(f.blocks)))
+        for b in f.blocks:
+            add((b.label, b.static_id, len(b.instructions)))
+            for ins in b.instructions:
+                op = ins.opcode
+                if op == "phi":
+                    ops = [value for value, _ in ins.incoming]
+                    labels = tuple(label for _, label in ins.incoming)
+                else:
+                    ops, labels = ins.operands, tuple(ins.labels)
+                add((op, ins.static_id, ins.result, _type_key(ins.type),
+                     _type_key(ins.source_type), ins.pred, ins.callee, ins.align, len(ops),
+                     labels))
+                for o in ops:
+                    cls = o.__class__
+                    if cls is LocalRef:
+                        add(o.name)
+                        continue
+                    # an object met at an earlier position shares its slot
+                    slot = slots.setdefault(id(o), len(values))
+                    if slot == len(values):
+                        values.append(o.value if cls is Const else _address(global_addrs, o))
+                    add((cls is Const, slot))
+                right = ops[-1] if ops else None
+                if right.__class__ is Const:
+                    if op in ("udiv", "urem", "srem"):
+                        add(right.value == 0)
+                    elif op == "sdiv":
+                        add((right.value == 0, _signed(right.value, ins.type.int_bits) < 0))
+                    elif op == "fdiv":
+                        add(right.value == 0.0)
+                    elif op in ("shl", "lshr"):
+                        add(right.value < ins.type.int_bits)
+                if op == "icmp":
+                    add(ops[0].type.kind)
+                elif op == "getelementptr":
+                    const, terms = ins.gep
+                    add((const != 0, tuple((bits, stride) for _, bits, stride in terms)))
+                    if const:
+                        slots[id(ins)] = len(values)
+                        values.append(const)
+                elif op == "switch":
+                    cases = _switch_cases(ins)
+                    add((tuple(label for _, label in ins.cases),
+                         tuple(label for _, label in cases)))
+                    slots[id(ins)] = len(values)
+                    values += [value for value, _ in cases]
+    # one bytes object per key, holding no string of the module; version 0
+    # writes neither references nor interning, so equal tuples give equal
+    # bytes
+    return marshal.dumps(tuple(key), 0), values, slots
+
+
 def _compile(source):
-    """The code object of generated source.  Constants are bound by name,
-    not written into the source, so modules that differ only in their
-    constants share one compilation."""
+    """The code object of a module's generated source.  It runs only on a
+    miss of _CODE, which is keyed by _shape's key, not by the text: the
+    key holds the structure and the few constants the generator branches
+    on, every other constant is bound by its slot, and so modules of one
+    shape share one compilation whatever their constants (see "Shapes"
+    above).  A miss costs one walk over the module more than generating
+    without the cache."""
     return compile(source, "<irtime segments>", "exec")
 
 
-class _Generator:
-    """The source of every segment function of a module, and the namespace
-    it runs in."""
+def _magnitude(value, bits):
+    return abs(_signed(value, bits))
 
-    def __init__(self, module, memory, limits, state, frames, probes, trace):
-        self.module, self.global_addrs, self.limits = module, memory.global_addrs, limits
-        stack = memory.stack
-        self.ns = dict(_RUNTIME, S=state, FR=frames, STK=stack, LD=memory.load,
-                       ST=memory.store, MCPY=memory.copy, MSET=memory.fill,
-                       ALLOC=stack.allocate, HALLOC=memory.heap.allocate,
-                       RET=_returner(frames, state, stack.release_to))
+
+def _fill(value, bits):
+    """The ones a negative value shifts into its top bits under `ashr`."""
+    m = (1 << bits) - 1
+    return m ^ (m >> min(value, bits - 1))
+
+
+# the name a probe kind's callback is bound to in the namespace
+_PROBE_NAMES = {kind: f"h{i}" for i, kind in enumerate(ProbeSet.__slots__)}
+
+
+class _Code:
+    """What a module's shape generates, sharing nothing with one module:
+    the compiled code, the number of segment functions it defines (the halt
+    at index 0 included), {function name: index of its entry}, the binding
+    recipe, (name, slot, transform, argument) for each constant name, where
+    transform None binds the value as it is, and `fixed`, the names of the
+    values that every module of the shape shares."""
+
+    __slots__ = ("code", "count", "entries", "recipe", "fixed")
+
+    def __init__(self, code, count, entries, recipe, fixed):
+        self.code, self.count, self.entries = code, count, entries
+        self.recipe, self.fixed = recipe, fixed
+
+    def load(self, namespace, values):
+        """The segment table of the code run in `namespace`, with each
+        constant bound from `values`, a module's from _shape."""
+        namespace.update(self.fixed)
+        for name, slot, transform, arg in self.recipe:
+            value = values[slot]
+            namespace[name] = value if transform is None else transform(value, arg)
+        exec(self.code, namespace)
+        return [None] + [namespace.pop(f"s{i}") for i in range(1, self.count)]
+
+
+class _CodeCache:
+    """Shape key -> _Code for the last `limit` shapes used.  It is shared by
+    the threads of `simulate --workers`; two threads that miss on one key
+    at once both generate it, with the same result."""
+
+    def __init__(self, limit):
+        self.limit, self.entries, self.lock = limit, collections.OrderedDict(), threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            code = self.entries.get(key)
+            if code is not None:
+                self.entries.move_to_end(key)
+            return code
+
+    def add(self, key, code):
+        with self.lock:
+            self.entries[key] = code
+            if len(self.entries) > self.limit:
+                self.entries.popitem(last=False)
+        return code
+
+
+_CODE = _CodeCache(256)
+
+
+class _Generator:
+    """The source of every segment function of a module, as a _Code."""
+
+    def __init__(self, module, slots, limits, probes, trace):
+        self.module, self.slot_of, self.limits = module, slots, limits
         self.counting = trace is not None
         if trace is not None:
-            self.ns.update(E=trace.entries, P=trace.states, C=trace.counts, TOUCH=trace.touch,
-                           TAKEN=TAKEN, NOT_TAKEN=NOT_TAKEN)
             self.line_shift = trace.line_shift
-        self.consts = {}
+        # (slot, transform, argument) -> its name, and the recipe in order
+        self.consts, self.recipe = {}, []
+        self.fixed, self.fixed_names = {}, {}
         # probe kind -> the name its callback is bound to, or None
-        self.probes = {kind: self._bind(fn, "h") if (fn := getattr(probes, kind, None)) else None
+        self.probes = {kind: _PROBE_NAMES[kind] if getattr(probes, kind, None) else None
                        for kind in ProbeSet.__slots__}
         self.first = {}         # block static id -> index of its first segment
 
-    def _bind(self, value, prefix):
-        name = f"{prefix}{len(self.ns)}"
-        self.ns[name] = value
+    def _bound(self, slot, transform=None, arg=None):
+        """The name of the constant at `slot` of the values, through
+        `transform`."""
+        name = self.consts.get((slot, transform, arg))
+        if name is None:
+            name = self.consts[slot, transform, arg] = f"k{len(self.recipe)}"
+            self.recipe.append((name, slot, transform, arg))
         return name
 
-    def _const(self, value):
-        """The name bound to `value`; floats are told apart by their bits."""
-        key = value.__class__, _F64.pack(value) if value.__class__ is float else value
-        name = self.consts.get(key)
+    def _const(self, op, transform=None, arg=None):
+        """The name of the Const, GlobalRef or ConstGep operand `op`'s value."""
+        return self._bound(self.slot_of[id(op)], transform, arg)
+
+    def _fixed(self, value, key=None):
+        """The name of `value`, which every module of this shape shares;
+        equal keys, `value` itself by default, share a name."""
+        key = value if key is None else key
+        name = self.fixed_names.get(key)
         if name is None:
-            name = self.consts[key] = self._bind(value, "k")
+            name = self.fixed_names[key] = f"f{len(self.fixed)}"
+            self.fixed[name] = value
         return name
 
     def _line(self, text):
         self.lines.append("    " * self.indent + text)
 
     def build(self):
-        """(segment functions, {function name: index of its entry}); index 0
-        is the halt that the entry function's `ret` returns."""
+        """The _Code of the module; segment index 0 is the halt that the
+        entry function's `ret` returns."""
         plan, entries, count = [], {}, 1
         for f in self.module.functions:
             entries[f.name] = count
@@ -699,9 +871,8 @@ class _Generator:
                 self._begin(bid if self.first[bid] == index else _RECORDED)
                 self._segment(f, block, insts, index + 1)
                 self._emit(index, source)
-        namespace = self.ns
-        exec(_compile("\n".join(source)), namespace)
-        return [None] + [namespace.pop(f"s{i}") for i in range(1, count)], entries
+        return _Code(_compile("\n".join(source)), count, entries, tuple(self.recipe),
+                     self.fixed)
 
     def _begin(self, entered):
         """Start a function.  `entered` is the static id of the block last
@@ -738,9 +909,7 @@ class _Generator:
                 name = self.held[op.name] = self._new_local()
                 self._line(f"{name} = regs[{op.name!r}]")
             return name
-        if cls is Const:
-            return self._const(op.value)
-        return self._const(_address(self.global_addrs, op))
+        return self._const(op)
 
     def _define(self, ins, expr):
         """Assign `expr` to a new local for ins.result, and to the register
@@ -755,7 +924,7 @@ class _Generator:
     def _signed(self, op, bits):
         """The operand read as a `bits`-wide two's complement integer."""
         if op.__class__ is Const:
-            return self._const(_signed(op.value, bits))
+            return self._const(op, _signed, bits)
         x = self._operand(op)
         return f"({x} - {1 << bits} if {x} >= {1 << (bits - 1)} else {x})"
 
@@ -778,7 +947,7 @@ class _Generator:
 
     def _observe(self, ins):
         if self.probes["instruction"]:
-            self._probe("instruction", ins.static_id, self._const(ins.opcode))
+            self._probe("instruction", ins.static_id, self._fixed(ins.opcode))
 
     def _count(self, text):
         """A line of the trace's own counting, when there is a trace."""
@@ -859,7 +1028,9 @@ class _Generator:
                 self._edge(func, block.label, last.labels[0])
         elif last.opcode == "switch":
             value = self._operand(last.operands[0])
-            self._cases(value, _switch_cases(last), func, block.label, last.labels[0])
+            first = self.slot_of[id(last)]
+            cases = [(first + i, label) for i, (_, label) in enumerate(_switch_cases(last))]
+            self._cases(value, cases, func, block.label, last.labels[0])
         elif last.opcode == "ret":
             value = self._operand(last.operands[0]) if last.operands else "None"
             if self.entered != _RECORDED:
@@ -918,16 +1089,16 @@ class _Generator:
         self.held, self.entered = held, entered
 
     def _cases(self, value, cases, func, pred, default):
-        """A binary search over `cases`, sorted (value, label) pairs, down to
-        a few equality tests and the default edge."""
+        """A binary search over `cases`, (slot, label) pairs in value order,
+        down to a few equality tests and the default edge."""
         if len(cases) > 4:
             half = len(cases) // 2
-            with self._arm(f"{value} < {self._const(cases[half][0])}"):
+            with self._arm(f"{value} < {self._bound(cases[half][0])}"):
                 self._cases(value, cases[:half], func, pred, default)
             self._cases(value, cases[half:], func, pred, default)
             return
         for cval, label in cases:
-            with self._arm(f"{value} == {self._const(cval)}"):
+            with self._arm(f"{value} == {self._bound(cval)}"):
                 self._edge(func, pred, label)
         self._edge(func, pred, default)
 
@@ -982,7 +1153,7 @@ class _Generator:
         a, b = x
         if op in ("udiv", "sdiv", "urem", "srem"):
             if constant and right.value:
-                return self._divide_by(op, a, right.value, bits)
+                return self._divide_by(op, a, right, bits)
             return f"DIV({a}, {b}, {bits}, {op[0] == 's'}, {op.endswith('rem')}) & {m}"
         if op in ("shl", "lshr"):
             shift = "<<" if op == "shl" else ">>"
@@ -993,15 +1164,14 @@ class _Generator:
             top = bits - 1
             if constant:
                 # a negative value shifts ones into its top `amount` bits
-                amount = min(right.value, top)
-                c, fill = self._const(amount), self._const(m ^ (m >> amount))
+                c, fill = self._const(right, min, top), self._const(right, _fill, bits)
                 return f"({a} >> {c} | {fill} if {a} >= {1 << top} else {a} >> {c})"
             return (f"({self._signed(ins.operands[0], bits)} >> ({b} if {b} < {top} else {top}))"
                     f" & {m}")
         return _INT_BINOPS[op].format(a=a, b=b, m=m)
 
     def _divide_by(self, op, a, k, bits):
-        """udiv/sdiv/urem/srem of `a` by the non-zero constant `k`, as
+        """udiv/sdiv/urem/srem of `a` by the non-zero Const `k`, as
         inline arithmetic.  A signed one tests the unsigned `a` against
         2**(bits-1) and takes a negative dividend's magnitude as 2**bits - a;
         the quotient truncates toward zero for the sign of `k`, and the
@@ -1010,12 +1180,11 @@ class _Generator:
         INT_MIN's own, as DIV gives it."""
         if op[0] == "u":
             return f"{a} {'//' if op == 'udiv' else '%'} {self._const(k)}"
-        k, m = _signed(k, bits), (1 << bits) - 1
-        d = self._const(abs(k))
+        m, d = (1 << bits) - 1, self._const(k, _magnitude, bits)
         negative, magnitude = f"{a} >= {1 << (bits - 1)}", f"({m + 1} - {a})"
         if op == "srem":
             return f"(-({magnitude} % {d}) if {negative} else {a} % {d}) & {m}"
-        if k > 0:
+        if _signed(k.value, bits) > 0:
             return f"(-({magnitude} // {d}) if {negative} else {a} // {d}) & {m}"
         return f"({magnitude} // {d} if {negative} else -({a} // {d})) & {m}"
 
@@ -1038,21 +1207,21 @@ class _Generator:
         const, terms = ins.gep
         parts = [self._operand(ins.operands[0])]
         if const:
-            parts.append(self._const(const))
+            parts.append(self._bound(self.slot_of[id(ins)]))
         for op, bits, stride in terms:
             parts.append(f"{self._signed(op, bits)} * {stride}")
         self._define(ins, f"({' + '.join(parts)}) & {_MASK32}")
 
     def _alloca(self, ins):
         count, ty = self._operand(ins.operands[0]), ins.source_type
-        align = self._const(max(ins.align, ty.alignment()))
+        align = max(ins.align, ty.alignment())
         addr = self._define(ins, f"ALLOC({ty.size()} * {count}, {align})")
         self._line(f"if {addr} is None: raise SOVF({self.limits.max_stack_bytes})")
 
     def _load(self, ins):
         addr, ty, nbytes = self._operand(ins.operands[0]), ins.type, ins.type.size()
         fmt = _FORMATS.get(ty.kind)
-        unpack = "U" + fmt if fmt else self._bind(_aggregate_unpacker(nbytes), "u")
+        unpack = "U" + fmt if fmt else self._fixed(_aggregate_unpacker(nbytes), nbytes)
         self._define(ins, f"LD({addr}, {nbytes}, {unpack})" + (" & 1" if ty.kind == "i1" else ""))
         self._count_access(addr, False)
         self._probe("load", addr, nbytes)
@@ -1075,7 +1244,7 @@ class _Generator:
             dst, src_or_byte, n = (self._operand(o) for o in ins.operands[:3])
             self._line(f"{'MCPY' if kind == 'memcpy' else 'MSET'}({dst}, {src_or_byte}, {n})")
             self._count(f"C[{VOLUMES[kind]}] += {n}")
-            self._probe("mem_intrinsic", self._const(kind), n)
+            self._probe("mem_intrinsic", self._fixed(kind), n)
             if ins.result is not None:
                 self._define(ins, dst)
         elif callee in ("malloc", "calloc"):
@@ -1089,7 +1258,7 @@ class _Generator:
             if callee == "calloc":
                 self._line(f"MSET({addr}, 0, max({nbytes}, 1))")
             self._count(f"C[{VOLUMES[callee]}] += {nbytes}")
-            self._probe("mem_intrinsic", self._const(callee), nbytes)
+            self._probe("mem_intrinsic", self._fixed(callee), nbytes)
             if ins.result is not None:
                 self._define(ins, addr)
 
@@ -1099,8 +1268,9 @@ class Interpreter:
     module-level run() wraps an interpreter that counts a TraceBuilder.
 
     Construction compiles every segment of the module into one generated
-    Python function (see "generated segment functions" above), specialised
-    to what observes it: `probes`, a ProbeSet whose callbacks it calls, and
+    Python function (see "generated segment functions" above), or takes
+    them from a module of the same shape (see "Shapes"), specialised to
+    what observes it: `probes`, a ProbeSet whose callbacks it calls, and
     `trace`, a TraceBuilder whose counts the generated code keeps inline.
     A loop that calls no function body and holds no inner loop runs inside
     its header's function, its values and counts held in locals, with the
@@ -1122,9 +1292,23 @@ class Interpreter:
         self._state = _State()
         self._frames = []
         self._setup_globals()
-        generator = _Generator(module, self.memory, self.limits, self._state, self._frames,
-                               probes, trace)
-        self._segments, self._entries = generator.build()
+        memory, frames, state = self.memory, self._frames, self._state
+        key, values, slots = _shape(module, memory.global_addrs, self.limits, probes, trace)
+        code = _CODE.get(key)
+        if code is None:
+            code = _CODE.add(key, _Generator(module, slots, self.limits, probes, trace).build())
+        stack = memory.stack
+        namespace = dict(_RUNTIME, S=state, FR=frames, STK=stack, LD=memory.load,
+                         ST=memory.store, MCPY=memory.copy, MSET=memory.fill,
+                         ALLOC=stack.allocate, HALLOC=memory.heap.allocate,
+                         RET=_returner(frames, state, stack.release_to))
+        if trace is not None:
+            namespace.update(E=trace.entries, P=trace.states, C=trace.counts, TOUCH=trace.touch,
+                             TAKEN=TAKEN, NOT_TAKEN=NOT_TAKEN)
+        for kind, name in _PROBE_NAMES.items():
+            if fn := getattr(probes, kind, None):
+                namespace[name] = fn
+        self._segments, self._entries = code.load(namespace, values), code.entries
 
     @property
     def steps(self):

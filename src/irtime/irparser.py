@@ -35,13 +35,16 @@ FCMP_PREDS = frozenset({
     "ueq", "ugt", "uge", "ult", "ule", "une", "uno", "true",
 })
 
+# the fast-math flags, the only flag words LLVM reads in any number
+_FAST_MATH_FLAGS = frozenset({"fast", "nnan", "ninf", "nsz", "arcp", "contract", "afn", "reassoc"})
+
 # opcode -> the flag words that may follow it.  LLVM 14 knows all but
 # `disjoint`, `nneg` and getelementptr's `nuw`, which newer clang writes.
 _OPCODE_FLAGS = {
     **dict.fromkeys(("add", "sub", "mul", "shl"), frozenset({"nuw", "nsw"})),
     **dict.fromkeys(("udiv", "sdiv", "lshr", "ashr"), frozenset({"exact"})),
-    **dict.fromkeys(("fadd", "fsub", "fmul", "fdiv", "fneg", "fcmp", "phi", "call"), frozenset({
-        "fast", "nnan", "ninf", "nsz", "arcp", "contract", "afn", "reassoc"})),
+    **dict.fromkeys(("fadd", "fsub", "fmul", "fdiv", "fneg", "fcmp", "phi", "call"),
+                    _FAST_MATH_FLAGS),
     "zext": frozenset({"nneg"}),
     "or": frozenset({"disjoint"}),
     "load": frozenset({"volatile"}),
@@ -558,10 +561,14 @@ class _Parser:
 
     def _skip_flags(self, cur: _Cursor, words):
         """Skip a run of `words`, each with its argument: the number after
-        `cc`, or a (...) group after `thread_local` or `addrspace`.  Return
-        the first, or None."""
-        first = None
+        `cc`, or a (...) group after `thread_local` or `addrspace`.  Only a
+        fast-math flag may stand twice.  Return the first, or None."""
+        first, seen = None, ()
         while (tok := cur.peek())[0] == "word" and tok[1] in words:
+            if tok[1] in seen:
+                raise _TokenFault(f"repeated {tok[1]!r}", tok)
+            if tok[1] not in _FAST_MATH_FLAGS:
+                seen += (tok[1],)
             cur.next()
             if tok[1] == "cc":
                 cur.expect_count()

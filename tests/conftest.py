@@ -29,6 +29,21 @@ def lli(text):
                           text=True, timeout=60).returncode
 
 
+def generated_sources(monkeypatch):
+    """The list that the source of every module generated from now on is
+    appended to.  The interpreter caches generated code by a module's shape;
+    under `monkeypatch`, every Interpreter generates its code afresh, through
+    a cache that keeps nothing, and the process's cache is left as it was.
+    So a test sees the source of each module it builds whatever ran before
+    it, and a patched generator's code is never met by a later test."""
+    from irtime import interp
+    sources, compile_source = [], interp._compile
+    monkeypatch.setattr(interp, "_CODE", interp._CodeCache(0))
+    monkeypatch.setattr(interp, "_compile",
+                        lambda source: sources.append(source) or compile_source(source))
+    return sources
+
+
 def gep_offset(source_type, indices):
     """The byte offset getelementptr computes, the reference the
     interpreter's is checked against: the first index scales by the whole

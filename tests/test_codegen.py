@@ -21,11 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irtime import Interpreter, ProbeSet, parse_module, read_trace, run, write_trace
-from irtime import interp as interp_module
 from irtime.corpus import GENERATOR_OPCODES, generate_program
 from irtime.errors import DivisionByZero, UnresolvedReferenceError
 
-from conftest import EXAMPLE_B, SAMPLES
+from conftest import EXAMPLE_B, SAMPLES, generated_sources
 
 SAMPLE_PATHS = sorted(SAMPLES.glob("*.ll"))
 
@@ -307,18 +306,10 @@ entry:
     assert info.value.line == 7
 
 
-def _sources(monkeypatch):
-    """The list each generated source is appended to from now on."""
-    sources, compile_source = [], interp_module._compile
-    monkeypatch.setattr(interp_module, "_compile",
-                        lambda source: sources.append(source) or compile_source(source))
-    return sources
-
-
 def test_generated_source_catches_no_exception(monkeypatch):
     # the parser has checked that every register read is dominated by its
     # definition, so the only `try` is a loop function's, with a `finally`
-    sources = _sources(monkeypatch)
+    sources = generated_sources(monkeypatch)
     for path in SAMPLE_PATHS:
         run(parse_module(path.read_text()))
     text = "\n".join(sources)
@@ -331,7 +322,7 @@ def test_a_store_masks_only_what_no_integer_instruction_masked(monkeypatch):
     # %x and %b come from an add of their own width, so their stores carry
     # no `&`; %n is read from a register and %z is a zext's copy of %b, so
     # theirs keep one
-    sources = _sources(monkeypatch)
+    sources = generated_sources(monkeypatch)
     module = parse_module("""
 define i32 @main(i32 %n) {
 entry:
@@ -372,7 +363,7 @@ def _function(ty, body):
 
 @pytest.mark.parametrize("op", DIVISIONS + ("ashr",))
 def test_a_constant_divisor_or_shift_amount_calls_no_helper(op, monkeypatch):
-    sources = _sources(monkeypatch)
+    sources = generated_sources(monkeypatch)
     for k in (7, -7, 1, 40):
         Interpreter(_function("i32", f"%r = {op} i32 %a, {k}"))
         assert re.search(r"\b(DIV|SGN|min)\(", sources[-1]) is None, (op, k)
@@ -385,7 +376,7 @@ def test_a_constant_divisor_or_shift_amount_calls_no_helper(op, monkeypatch):
 
 
 def test_a_constant_float_divisor_calls_no_helper(monkeypatch):
-    sources = _sources(monkeypatch)
+    sources = generated_sources(monkeypatch)
     for ty in ("float", "double"):
         for b, helper in (("2.5", False), ("-0.0", True), ("0.0", True), ("%b", True)):
             Interpreter(_function(ty, f"%r = fdiv {ty} %a, {b}"))
@@ -454,9 +445,10 @@ def test_an_interpreter_is_freed_without_the_cycle_collector(probed):
     try:
         interp = Interpreter(module, ProbeSet(block_enter=lambda b: None) if probed else None)
         assert interp.execute() == 45
-        alive = weakref.ref(interp), weakref.ref(interp.memory)
-        del interp
-        assert [ref() for ref in alive] == [None, None]
+        # the code kept for the module's shape holds nothing of the module
+        alive = weakref.ref(interp), weakref.ref(interp.memory), weakref.ref(module)
+        del interp, module
+        assert [ref() for ref in alive] == [None, None, None]
     finally:
         gc.enable()
 

@@ -131,6 +131,23 @@ CASES = {
     "fast_phi_of_an_integer": ("define i32 @g() {\nentry:\n  br label %b\nb:\n"
                                "  %a = phi fast i32 [ 1, %entry ]\n  ret i32 %a\n}\n"
                                + _main(""), False),
+    # a flag, linkage or calling-convention word stands once; only the
+    # fast-math flags may repeat
+    "nuw_nuw_add": (_main("  %a = add nuw nuw i32 1, 2"), False),
+    "nuw_nsw_nuw_add": (_main("  %a = add nuw nsw nuw i32 1, 2"), False),
+    "nsw_nuw_add": (_main("  %a = add nsw nuw i32 1, 2"), True),
+    "exact_exact_lshr": (_main("  %a = lshr exact exact i32 4, 1"), False),
+    "inbounds_inbounds_getelementptr": (_main(
+        "  %m = alloca [2 x i32]\n"
+        "  %a = getelementptr inbounds inbounds [2 x i32], ptr %m, i32 0, i32 1"), False),
+    "volatile_volatile_store": (_main("  %m = alloca i32\n  store volatile volatile i32 1, ptr %m"),
+                                False),
+    "fast_fast_fadd": (_main("  %a = fadd fast fast float 1.0, 2.0"), True),
+    "fast_nnan_fast_fadd": (_main("  %a = fadd fast nnan fast float 1.0, 2.0"), True),
+    "internal_internal_global": (_global("@g = internal internal global i32 5"), False),
+    "dso_local_dso_local_global": (_global("@g = dso_local dso_local global i32 5"), False),
+    "internal_internal_define": (_define("define internal internal i32 @g()"), False),
+    "fastcc_fastcc_call": (_main("  %a = call fastcc fastcc i32 @f(i32 5)", _F), False),
     # a type definition ends where its type ends; one that no code uses is
     # not read, so a struct of members outside the subset may stand
     "trailing_token_after_a_used_type": (_global(

@@ -12,11 +12,10 @@ from irtime.errors import (
     StepLimitExceeded, OutOfBoundsAccess, DivisionByZero, StackOverflow,
     UnresolvedReferenceError, ParseError, InterpreterError,
 )
-from irtime import interp as interp_module
 from irtime.interp import MemoryImage, FRAME_BYTES, GLOBAL_BASE, HEAP_BASE
 from irtime.irtypes import SCALARS, array_of, struct_of
 
-from conftest import EXAMPLE_B, gep_offset, lli, needs_lli
+from conftest import EXAMPLE_B, gep_offset, generated_sources, lli, needs_lli
 
 
 def _ret(src, entry="main", limits=None):
@@ -1054,10 +1053,7 @@ exit:
   ret i32 %r
 }
 """
-    sources = []
-    compile_source = interp_module._compile
-    monkeypatch.setattr(interp_module, "_compile",
-                        lambda source: sources.append(source) or compile_source(source))
+    sources = generated_sources(monkeypatch)
     assert _looped(src) == (15 + 4, 1 + 5 * 6 + 2, {"entry": 1, "loop": 5, "exit": 1})
     loop, = {f for f in sources[0].split("\ndef ") if "while True:" in f}
     # the exit edge stores %i, which the exit block reads, and not %acc,
@@ -1240,10 +1236,7 @@ exit:
 
 
 def test_a_result_read_after_a_loop_is_stored_on_its_exit_edge(monkeypatch):
-    sources = []
-    compile_source = interp_module._compile
-    monkeypatch.setattr(interp_module, "_compile",
-                        lambda source: sources.append(source) or compile_source(source))
+    sources = generated_sources(monkeypatch)
     assert _looped(EXAMPLE_B)[0] == 45
     loop, = {f for f in sources[0].split("\ndef ") if "while True:" in f}
     # %s.next, which only the exit block reads, is stored once, after the

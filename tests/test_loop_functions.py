@@ -1,13 +1,15 @@
 """Loops compiled into one generated function, against block-by-block dispatch.
 
 With `interp._MAX_COPIES` at 0 no loop is compiled: every block has a
-segment function of its own and returns to `Interpreter.execute`.  Under
-that setting and under the default, each program here must give the same
-probe events of all six kinds (each with the `steps` a probe reads), the
-same value or error type and message, the same `steps`, and the same
-`write_trace` bytes, at no step limit and at limits that fall throughout
-the run.  The programs are the samples, hand-written loops that reach each
-rule of the loop generator, and random reducible loop nests.
+segment function of its own and returns to `Interpreter.execute`.  Those
+runs generate their code afresh, past the cache of generated code, and
+check that it holds no `while True:`.  Under that setting and under the
+default, each program here must give the same probe events of all six
+kinds (each with the `steps` a probe reads), the same value or error type
+and message, the same `steps`, and the same `write_trace` bytes, at no
+step limit and at limits that fall throughout the run.  The programs are
+the samples, hand-written loops that reach each rule of the loop
+generator, and random reducible loop nests.
 """
 
 import pytest
@@ -20,7 +22,7 @@ from irtime import (
 from irtime import interp as interp_module
 from irtime.errors import IrTimeError, ParseError
 
-from conftest import SAMPLES
+from conftest import SAMPLES, generated_sources
 
 
 def _observe(module, limits, path):
@@ -59,9 +61,11 @@ def _assert_dispatch_equivalent(text, path):
     limits = range(1, total + 1, max(1, total // 40))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interp_module, "_MAX_COPIES", 0)
+        sources = generated_sources(mp)
         assert _compiled_loops(module) == 0
         assert _observe(module, None, path) == compiled
         dispatched = [_observe(module, RunLimits(max_steps=limit), path) for limit in limits]
+    assert sources and not any("while True:" in source for source in sources)
     for limit, want in zip(limits, dispatched):
         assert _observe(module, RunLimits(max_steps=limit), path) == want, limit
     return _compiled_loops(module)
@@ -523,4 +527,6 @@ def test_random_loop_nests_run_the_same_with_loop_functions(tmp_path_factory, pr
     compiled = _observe(module, limits, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interp_module, "_MAX_COPIES", 0)
+        sources = generated_sources(mp)
         assert _observe(module, limits, path) == compiled
+    assert sources and not any("while True:" in source for source in sources)

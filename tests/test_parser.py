@@ -179,6 +179,22 @@ def test_an_external_declaration_takes_no_initializer(linkage, col):
     assert str(info.value) == f"1:{col}: an {linkage} global takes no initializer"
 
 
+@pytest.mark.parametrize("text, where", [
+    ("@g = internal internal global i32 5", "1:15: repeated 'internal'"),
+    ("@g = dso_local dso_local global i32 5", "1:16: repeated 'dso_local'"),
+    ("define i32 @main() {\nentry:\n  %a = add nuw nsw nuw i32 1, 2\n  ret i32 0\n}",
+     "3:20: repeated 'nuw'"),
+    ("define i32 @main() {\nentry:\n  %a = lshr exact exact i32 4, 1\n  ret i32 0\n}",
+     "3:19: repeated 'exact'"),
+])
+def test_a_repeated_flag_is_rejected_at_the_repeat(text, where):
+    # llvm-as 14 places its "expected type" or "expected 'global' or
+    # 'constant'" at the same column
+    with pytest.raises(ParseError) as info:
+        parse_module(text + "\n")
+    assert str(info.value) == where
+
+
 def _operand_main(body, head=""):
     return f"{head}define i32 @main() {{\nentry:\n{body}\n}}\n"
 
